@@ -18,7 +18,7 @@ func BenchmarkAblationAdders(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, n := range []int{8, 16, 32, 64} {
-			cmp := CompareAdders(n)
+			cmp := compareAdders(b, n)
 			if cmp.CLA.ToffoliDepth >= cmp.Ripple.ToffoliDepth && n >= 8 {
 				b.Fatalf("n=%d: lookahead lost", n)
 			}
@@ -32,7 +32,7 @@ func BenchmarkAblationCodes(b *testing.B) {
 	p := ExpectedParams()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		costs := CodeAblation(p)
+		costs := codeAblation(b, p)
 		if len(costs) != 5 {
 			b.Fatal("catalog changed size")
 		}
@@ -60,9 +60,7 @@ func BenchmarkAblationChainMC(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := ChainConfig{Links: 4, LinkEps: 0.06, PurifyRounds: 1, Trials: 60, Seed: uint64(i)}
-		if _, err := RunChain(cfg); err != nil {
-			b.Fatal(err)
-		}
+		runData[ChainResult](b, runChainSpec(cfg))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -197,21 +198,16 @@ func TestFleetFailover(t *testing.T) {
 		t.Fatalf("only %d/%d points cached on the survivor (%d computed on A before kill, want >= %d)",
 			res.Cached, res.Total, computedA, want)
 	}
-	var st struct {
-		Cache struct {
-			PeerHits uint64 `json:"peer_hits"`
-		} `json:"cache"`
-		Fleet struct {
-			Prefetched uint64 `json:"prefetched"`
-			ClaimsSent uint64 `json:"claims_sent"`
-		} `json:"fleet"`
+	metrics := scrape(t, baseB)
+	peerHits := metrics[`qla_cache_hits_total{tier="peer"}`]
+	prefetched := metrics[`qla_fleet_events_total{event="prefetched"}`]
+	claimsSent := metrics[`qla_fleet_events_total{event="claims_sent"}`]
+	if peerHits == 0 {
+		t.Fatalf("survivor peer-tier hits = 0: nothing crossed the peer tier (prefetched %v, claims sent %v)",
+			prefetched, claimsSent)
 	}
-	getJSON(t, baseB+"/v1/stats", &st)
-	if st.Cache.PeerHits == 0 {
-		t.Fatalf("survivor peer_hits = 0: nothing crossed the peer tier (fleet %+v)", st.Fleet)
-	}
-	t.Logf("failover: A computed %d before kill; survivor served %d/%d cached, peer_hits=%d prefetched=%d claims_sent=%d",
-		computedA, res.Cached, res.Total, st.Cache.PeerHits, st.Fleet.Prefetched, st.Fleet.ClaimsSent)
+	t.Logf("failover: A computed %d before kill; survivor served %d/%d cached, peer hits=%v prefetched=%v claims sent=%v",
+		computedA, res.Cached, res.Total, peerHits, prefetched, claimsSent)
 
 	procB.Process.Signal(syscall.SIGTERM)
 	if err := procB.Wait(); err != nil {
@@ -369,6 +365,34 @@ func pollDone(t *testing.T, base, id string) jobSnap {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// scrape reads GET /metrics into a map from series (name plus label
+// set, exactly as rendered) to value.
+func scrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		cut := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[cut+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[line[:cut]] = v
+	}
+	return out
 }
 
 func getJSON(t *testing.T, url string, out any) {

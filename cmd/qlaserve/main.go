@@ -29,7 +29,6 @@
 //	curl -N localhost:8080/v1/jobs/<id>/events
 //	curl localhost:8080/v1/jobs/<id>/result
 //	curl localhost:8080/v1/experiments
-//	curl localhost:8080/v1/stats
 //	curl localhost:8080/metrics
 //
 // See the "Serving over HTTP", "Batch sweeps & async jobs" and

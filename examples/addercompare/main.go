@@ -11,10 +11,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"qla"
 	"qla/internal/adder"
+	"qla/internal/engine"
 	"qla/internal/shor"
 )
 
@@ -46,8 +49,16 @@ func main() {
 	fmt.Println("\n== Toffoli critical path: ripple (2n) vs lookahead (Θ(log n)) ==")
 	fmt.Printf("%6s %14s %14s %10s %12s %12s\n",
 		"bits", "ripple depth", "QCLA depth", "speedup", "QCLA wires", "paper 4·lg n")
-	for _, n := range []int{4, 8, 16, 32, 64} {
-		cmp := qla.CompareAdders(n)
+	widths := []int{4, 8, 16, 32, 64}
+	res, err := qla.NewEngine().Run(context.Background(), qla.Spec{
+		Experiment: "compare-adders",
+		Params:     qla.ExperimentParams{"widths": widths, "with-modular": false},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, cmp := range res.Data.(engine.AddersData).Comparisons {
+		n := widths[i]
 		fmt.Printf("%6d %14d %14d %9.1fx %12d %12d\n",
 			n, cmp.Ripple.ToffoliDepth, cmp.CLA.ToffoliDepth,
 			cmp.DepthRatio, cmp.CLA.Width, shor.QCLAToffoliDepth(n))

@@ -8,11 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"qla"
 	"qla/internal/codes"
+	"qla/internal/engine"
 	"qla/internal/pauli"
 	"qla/internal/stabilizer"
 )
@@ -60,7 +62,16 @@ func main() {
 	fmt.Println("\n== syndrome-extraction cost (Shor-style cat states, Table-1 times) ==")
 	fmt.Printf("  %-22s %6s %8s %8s %8s %12s\n",
 		"code", "data", "ancilla", "2q-gates", "meas", "time/round")
-	for _, cost := range qla.CodeAblation(qla.ExpectedParams()) {
+	tech := qla.ExpectedParams()
+	res, err := qla.NewEngine().Run(context.Background(), qla.Spec{
+		Experiment: "code-ablation",
+		Machine:    qla.MachineSpec{Tech: &tech},
+		Params:     qla.ExperimentParams{"mc-trials": 0},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, cost := range res.Data.(engine.CodeAblationData).Costs {
 		fmt.Printf("  %-22s %6d %8d %8d %8d %9.0f µs\n",
 			cost.Code, cost.DataQubits, cost.AncillaQubits,
 			cost.TwoQubitGates, cost.Measures, cost.TimeSeconds*1e6)

@@ -6,11 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
 	"qla"
+	"qla/internal/engine"
 	"qla/internal/threshold"
 )
 
@@ -20,10 +22,17 @@ func main() {
 
 	fmt.Println("Figure 7 (example scale): logical gate failure vs physical error")
 	fmt.Printf("level-1 trials %d, level-2 trials %d\n\n", trialsL1, trialsL2)
-	l1, l2, crossing, err := qla.Figure7(ps, trialsL1, trialsL2, 99)
+	res, err := qla.NewEngine().Run(context.Background(), qla.Spec{
+		Experiment: "figure7",
+		Params: qla.ExperimentParams{
+			"phys-errors": ps, "trials": trialsL1, "trials-l2": trialsL2, "seed": 99,
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fig7 := res.Data.(engine.Figure7Data)
+	l1, l2, crossing := fig7.L1, fig7.L2, fig7.Crossing
 
 	fmt.Printf("%9s %12s %12s   ratio L2/L1\n", "p_phys", "level 1", "level 2")
 	for i := range ps {

@@ -16,8 +16,9 @@
 // directory) and all disk failures degrade to recomputation, never to
 // request failures. A persistently failing disk (full, unmounted,
 // yanked) downgrades the tier to memory-only after a few consecutive
-// persist errors — logged once per episode, visible in Stats — and a
-// periodic probe write re-enables it when the disk recovers.
+// persist errors — a circuit breaker (internal/breaker), logged once
+// per episode — and a periodic probe write re-enables it when the disk
+// recovers.
 //
 // WithPeers adds a third, fleet-wide tier: other replicas' caches
 // reached over HTTP, consulted after a disk miss and before computing.
@@ -36,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"qla/internal/breaker"
 	"qla/internal/obs"
 )
 
@@ -53,31 +55,33 @@ type Cache struct {
 	inflight map[string]*flight
 
 	// Disk-tier degradation: after degradeAfter consecutive persist
-	// errors the tier downgrades to memory-only (writes skipped) until
-	// a probe write — one attempt per probeInterval — succeeds again.
+	// errors the disk breaker opens and the tier downgrades to
+	// memory-only (writes skipped) until a probe write — one attempt
+	// per probeInterval — succeeds again. Each peer's breaker uses the
+	// same knobs.
 	degradeAfter  int
 	probeInterval time.Duration
-	consecErrs    int
-	degraded      bool
-	nextProbe     time.Time
+	disk          *breaker.Breaker
 	logf          func(format string, args ...any)
 
 	// Peer tier (see peer.go): other replicas consulted between a disk
 	// miss and a fresh computation, each with its own breaker.
-	peers       []*peerState
+	peers       []*peer
 	peerTimeout time.Duration
 	peerClient  *http.Client
 
-	hits, misses, dedups, evictions     uint64
-	diskHits, diskWrites, persistErrors uint64
-	degradeEvents, skippedWrites        uint64
-	peerHits, peerMisses, peerErrors    uint64
+	reg *obs.Registry
+	m   metrics
+}
 
-	// Metrics (see WithMetrics). peerRTT is nil when unset; the tier
-	// counters above are bridged into the registry as pull-based
-	// series, so they stay the single source of truth for /v1/stats.
-	metrics *obs.Registry
-	peerRTT *obs.Histogram
+// metrics are the cache's instruments — the only place its counts
+// live. Stats reads them back for in-process callers.
+type metrics struct {
+	memoryHits, diskHits, peerHits, inflightHits *obs.Counter
+	misses, evictions, diskWrites, persistErrors *obs.Counter
+	degradeEvents, skippedWrites                 *obs.Counter
+	peerMisses, peerErrors                       *obs.Counter
+	peerRTT                                      *obs.Histogram
 }
 
 type entry struct {
@@ -132,36 +136,46 @@ func WithLogger(logf func(format string, args ...any)) Option {
 	}
 }
 
-// WithMetrics registers the cache's instruments on reg: tier
-// resolution outcomes as qla_cache_hits_total{tier=...} (memory, disk,
-// peer, inflight) plus miss/eviction/error counters bridged from the
-// existing stats fields, and a qla_cache_peer_rtt_seconds histogram
-// observed per peer round trip.
+// WithMetrics registers the cache's instruments on reg instead of a
+// private registry: tier resolution outcomes as
+// qla_cache_hits_total{tier=...} (memory, disk, peer, inflight), the
+// miss/eviction/write/error counters, the disk tier's degrade state
+// and a qla_cache_peer_rtt_seconds histogram observed per peer round
+// trip.
 func WithMetrics(reg *obs.Registry) Option {
-	return func(c *Cache) { c.metrics = reg }
+	return func(c *Cache) { c.reg = reg }
 }
 
-func (c *Cache) instrument() {
-	reg := c.metrics
-	bridge := func(p *uint64) func() float64 {
-		return func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(*p)
-		}
+func (c *Cache) instrument(reg *obs.Registry) {
+	// The tier children are created here, so every tier renders (at
+	// zero) from the first scrape and a hit costs one atomic add.
+	hits := reg.CounterVec("qla_cache_hits_total",
+		"Cache lookups resolved per tier (inflight = collapsed onto an in-progress compute).", "tier")
+	c.m = metrics{
+		memoryHits:    hits.With("memory"),
+		diskHits:      hits.With("disk"),
+		peerHits:      hits.With("peer"),
+		inflightHits:  hits.With("inflight"),
+		misses:        reg.Counter("qla_cache_misses_total", "Lookups that fell through every tier to a fresh compute."),
+		evictions:     reg.Counter("qla_cache_evictions_total", "Entries evicted by the LRU byte budget."),
+		diskWrites:    reg.Counter("qla_cache_disk_writes_total", "Successful write-throughs to the disk tier."),
+		persistErrors: reg.Counter("qla_cache_persist_errors_total", "Failed disk-tier writes."),
+		degradeEvents: reg.Counter("qla_cache_degrade_events_total", "Disk-tier downgrades to memory-only, one per episode."),
+		skippedWrites: reg.Counter("qla_cache_skipped_writes_total", "Disk-tier writes skipped while the tier was degraded."),
+		peerMisses:    reg.Counter("qla_cache_peer_misses_total", "Clean 404 peer probes."),
+		peerErrors:    reg.Counter("qla_cache_peer_errors_total", "Failed peer fetches (transport, status, or hash mismatch)."),
+		peerRTT: reg.Histogram("qla_cache_peer_rtt_seconds",
+			"Round-trip latency of one peer cache fetch (any response, including 404).", obs.LatencyBuckets),
 	}
-	tier := func(t string) map[string]string { return map[string]string{"tier": t} }
-	hitsHelp := "Cache lookups resolved per tier (inflight = collapsed onto an in-progress compute)."
-	reg.CounterFunc("qla_cache_hits_total", hitsHelp, tier("memory"), bridge(&c.hits))
-	reg.CounterFunc("qla_cache_hits_total", hitsHelp, tier("disk"), bridge(&c.diskHits))
-	reg.CounterFunc("qla_cache_hits_total", hitsHelp, tier("peer"), bridge(&c.peerHits))
-	reg.CounterFunc("qla_cache_hits_total", hitsHelp, tier("inflight"), bridge(&c.dedups))
-	reg.CounterFunc("qla_cache_misses_total", "Lookups that fell through every tier to a fresh compute.", nil, bridge(&c.misses))
-	reg.CounterFunc("qla_cache_evictions_total", "Entries evicted by the LRU byte budget.", nil, bridge(&c.evictions))
-	reg.CounterFunc("qla_cache_disk_writes_total", "Successful write-throughs to the disk tier.", nil, bridge(&c.diskWrites))
-	reg.CounterFunc("qla_cache_persist_errors_total", "Failed disk-tier writes.", nil, bridge(&c.persistErrors))
-	reg.CounterFunc("qla_cache_peer_misses_total", "Clean 404 peer probes.", nil, bridge(&c.peerMisses))
-	reg.CounterFunc("qla_cache_peer_errors_total", "Failed peer fetches (transport, status, or hash mismatch).", nil, bridge(&c.peerErrors))
+	reg.GaugeFunc("qla_cache_disk_degraded", "1 while the disk tier is degraded to memory-only.", nil, func() float64 {
+		if c.disk.Open() {
+			return 1
+		}
+		return 0
+	})
+	reg.GaugeFunc("qla_cache_peers_degraded", "Peers currently skipped by their breaker.", nil, func() float64 {
+		return float64(c.peersDegraded())
+	})
 	reg.GaugeFunc("qla_cache_bytes", "Bytes currently held by the memory tier.", nil, func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -172,8 +186,6 @@ func (c *Cache) instrument() {
 		defer c.mu.Unlock()
 		return float64(len(c.entries))
 	})
-	c.peerRTT = reg.Histogram("qla_cache_peer_rtt_seconds",
-		"Round-trip latency of one peer cache fetch (any response, including 404).", obs.LatencyBuckets)
 }
 
 // New builds a Cache bounded to maxBytes of stored values (keys charged
@@ -192,18 +204,23 @@ func New(maxBytes int64, opts ...Option) *Cache {
 	for _, o := range opts {
 		o(c)
 	}
+	if c.reg == nil {
+		c.reg = obs.NewRegistry()
+	}
+	c.disk = breaker.New(c.degradeAfter, c.probeInterval)
+	for _, p := range c.peers {
+		p.br = breaker.New(c.degradeAfter, c.probeInterval)
+	}
 	if len(c.peers) > 0 {
 		c.peerClient = &http.Client{Timeout: c.peerTimeout}
 	}
-	if c.metrics != nil {
-		c.instrument()
-	}
+	c.instrument(c.reg)
 	if c.dir != "" {
 		if err := os.MkdirAll(c.dir, 0o755); err != nil {
 			// An unusable directory disables the tier; the in-memory
-			// cache keeps working and Stats exposes the failure.
+			// cache keeps working and the error counter shows it.
 			c.dir = ""
-			c.persistErrors++
+			c.m.persistErrors.Inc()
 		}
 	}
 	return c
@@ -220,14 +237,14 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
 		val := el.Value.(*entry).val
 		c.mu.Unlock()
+		c.m.memoryHits.Inc()
 		return val, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
-		c.dedups++
 		c.mu.Unlock()
+		c.m.inflightHits.Inc()
 		select {
 		case <-f.done:
 			if f.err != nil {
@@ -247,9 +264,9 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 	// probe runs as the flight leader, so concurrent callers still
 	// collapse onto one disk read.
 	if val, ok := c.loadFile(key); ok {
+		c.m.diskHits.Inc()
 		c.mu.Lock()
 		delete(c.inflight, key)
-		c.diskHits++
 		c.storeLocked(key, val)
 		c.mu.Unlock()
 		f.val = val
@@ -273,9 +290,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 		return val, true, nil
 	}
 
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
+	c.m.misses.Inc()
 
 	// A panic escaping compute must not strand the flight: waiters
 	// would block on done forever and the key would be poisoned until
@@ -334,25 +349,17 @@ func (c *Cache) loadFile(key string) ([]byte, bool) {
 // writeFile persists val under key, atomically (temp file + rename) so
 // a crash mid-write never leaves a truncated entry to replay. Failures
 // only bump a counter: persistence is best-effort. Repeated failures
-// degrade the tier to memory-only — writes are skipped instead of
-// hammering a dead disk on every store — with one probe write allowed
-// per probe interval to detect recovery.
+// open the disk breaker, degrading the tier to memory-only — writes
+// are skipped instead of hammering a dead disk on every store — with
+// one probe write allowed per probe interval to detect recovery.
 func (c *Cache) writeFile(key string, val []byte) {
 	if c.dir == "" || !safeKey(key) {
 		return
 	}
-	c.mu.Lock()
-	if c.degraded {
-		if now := time.Now(); now.Before(c.nextProbe) {
-			c.skippedWrites++
-			c.mu.Unlock()
-			return
-		}
-		// Claim the probe slot before releasing the lock so concurrent
-		// writers don't stampede the disk together.
-		c.nextProbe = time.Now().Add(c.probeInterval)
+	if !c.disk.Allow() {
+		c.m.skippedWrites.Inc()
+		return
 	}
-	c.mu.Unlock()
 	err := func() error {
 		tmp, err := os.CreateTemp(c.dir, key+".tmp-*")
 		if err != nil {
@@ -368,27 +375,20 @@ func (c *Cache) writeFile(key string, val []byte) {
 		}
 		return os.Rename(tmp.Name(), filepath.Join(c.dir, key))
 	}()
-	c.mu.Lock()
 	if err != nil {
-		c.persistErrors++
-		c.consecErrs++
-		if !c.degraded && c.consecErrs >= c.degradeAfter {
-			c.degraded = true
-			c.degradeEvents++
-			c.nextProbe = time.Now().Add(c.probeInterval)
-			// Logged once per episode: the steady state is silent skips.
-			c.logf("cache: disk tier degraded to memory-only after %d consecutive persist errors (last: %v); probing every %v",
-				c.consecErrs, err, c.probeInterval)
-		}
+		c.m.persistErrors.Inc()
 	} else {
-		if c.degraded {
-			c.logf("cache: disk tier restored after successful probe write")
-		}
-		c.degraded = false
-		c.consecErrs = 0
-		c.diskWrites++
+		c.m.diskWrites.Inc()
 	}
-	c.mu.Unlock()
+	// Logged once per episode: the steady state is silent skips.
+	switch c.disk.Record(err) {
+	case breaker.Opened:
+		c.m.degradeEvents.Inc()
+		c.logf("cache: disk tier degraded to memory-only after %d consecutive persist errors (last: %v); probing every %v",
+			c.degradeAfter, err, c.probeInterval)
+	case breaker.Closed:
+		c.logf("cache: disk tier restored after successful probe write")
+	}
 }
 
 // Contains reports whether key would be served without computing:
@@ -403,18 +403,13 @@ func (c *Cache) Contains(key string) (stored, inflight bool) {
 	c.mu.Lock()
 	_, stored = c.entries[key]
 	_, inflight = c.inflight[key]
-	dir := c.dir
-	if c.degraded {
-		// A degraded disk may be hung, not just full: the admission
-		// probe must never block on it. Get keeps reading the tier (a
-		// hit is still worth a slow read); the probe just stops
-		// promising one, so an affected request is shed instead of
-		// stalled.
-		dir = ""
-	}
 	c.mu.Unlock()
-	if !stored && dir != "" && safeKey(key) {
-		if _, err := os.Stat(filepath.Join(dir, key)); err == nil {
+	// A degraded disk may be hung, not just full: the admission probe
+	// must never block on it. Get keeps reading the tier (a hit is
+	// still worth a slow read); the probe just stops promising one, so
+	// an affected request is shed instead of stalled.
+	if !stored && c.dir != "" && safeKey(key) && !c.disk.Open() {
+		if _, err := os.Stat(filepath.Join(c.dir, key)); err == nil {
 			stored = true
 		}
 	}
@@ -447,83 +442,63 @@ func (c *Cache) storeLocked(key string, val []byte) {
 		c.ll.Remove(back)
 		delete(c.entries, e.key)
 		c.bytes -= int64(len(e.val)) + int64(len(e.key))
-		c.evictions++
+		c.m.evictions.Inc()
 	}
 }
 
-// Stats is a point-in-time snapshot of the cache counters.
+// Stats is a point-in-time snapshot of the cache for in-process
+// readers: the counters are read back from the cache's instruments,
+// the rest is live state.
 type Stats struct {
-	// Hits counts requests served from stored bytes. Waiters collapsed
-	// onto an in-flight computation count under Dedups instead.
-	Hits uint64 `json:"hits"`
-	// Misses counts computations actually executed.
-	Misses uint64 `json:"misses"`
-	// Dedups counts requests that joined an in-flight computation
-	// instead of starting their own.
-	Dedups uint64 `json:"dedups"`
-	// Evictions counts entries dropped to hold the byte budget.
-	Evictions uint64 `json:"evictions"`
-	// Entries and Bytes describe the current stored set; Inflight is the
-	// number of computations currently executing.
-	Entries  int   `json:"entries"`
-	Bytes    int64 `json:"bytes"`
-	MaxBytes int64 `json:"max_bytes"`
-	Inflight int   `json:"inflight"`
+	// Hits counts lookups served from the memory tier; Dedups lookups
+	// that joined an in-flight computation; Misses computations
+	// actually executed; Evictions entries dropped to hold the budget.
+	Hits, Misses, Dedups, Evictions uint64
+	// Entries and Bytes describe the stored set; Inflight is the number
+	// of computations currently executing.
+	Entries  int
+	Bytes    int64
+	Inflight int
 	// Persistent reports whether the file tier is enabled; DiskHits
 	// counts memory misses served from it, DiskWrites successful
-	// write-throughs, and PersistErrors best-effort failures (the
-	// request still succeeds).
-	Persistent    bool   `json:"persistent,omitempty"`
-	DiskHits      uint64 `json:"disk_hits,omitempty"`
-	DiskWrites    uint64 `json:"disk_writes,omitempty"`
-	PersistErrors uint64 `json:"persist_errors,omitempty"`
-	// Degraded reports the disk tier is currently downgraded to
-	// memory-only; DegradeEvents counts downgrade episodes and
-	// SkippedWrites the writes not attempted while degraded.
-	Degraded      bool   `json:"degraded,omitempty"`
-	DegradeEvents uint64 `json:"degrade_events,omitempty"`
-	SkippedWrites uint64 `json:"skipped_writes,omitempty"`
-	// Peers is how many peer replicas the tier consults (0 = tier off)
-	// and PeersDegraded how many are currently skipped by their breaker.
+	// write-throughs, and PersistErrors best-effort failures.
+	Persistent                          bool
+	DiskHits, DiskWrites, PersistErrors uint64
+	// Degraded reports the disk breaker is open; DegradeEvents counts
+	// episodes and SkippedWrites the writes not attempted meanwhile.
+	Degraded                     bool
+	DegradeEvents, SkippedWrites uint64
+	// PeersDegraded is how many peers their breaker currently skips.
 	// PeerHits counts local misses served from a peer, PeerMisses clean
 	// peer 404s, PeerErrors failed or hash-rejected fetches.
-	Peers         int    `json:"peers,omitempty"`
-	PeersDegraded int    `json:"peers_degraded,omitempty"`
-	PeerHits      uint64 `json:"peer_hits,omitempty"`
-	PeerMisses    uint64 `json:"peer_misses,omitempty"`
-	PeerErrors    uint64 `json:"peer_errors,omitempty"`
+	PeersDegraded                    int
+	PeerHits, PeerMisses, PeerErrors uint64
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	peersDegraded := 0
-	for _, p := range c.peers {
-		if p.degraded {
-			peersDegraded++
-		}
-	}
+	entries, bytes, inflight := len(c.entries), c.bytes, len(c.inflight)
+	c.mu.Unlock()
+	m := &c.m
 	return Stats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Dedups:        c.dedups,
-		Evictions:     c.evictions,
-		Entries:       len(c.entries),
-		Bytes:         c.bytes,
-		MaxBytes:      c.maxBytes,
-		Inflight:      len(c.inflight),
+		Hits:          m.memoryHits.Value(),
+		Misses:        m.misses.Value(),
+		Dedups:        m.inflightHits.Value(),
+		Evictions:     m.evictions.Value(),
+		Entries:       entries,
+		Bytes:         bytes,
+		Inflight:      inflight,
 		Persistent:    c.dir != "",
-		DiskHits:      c.diskHits,
-		DiskWrites:    c.diskWrites,
-		PersistErrors: c.persistErrors,
-		Degraded:      c.degraded,
-		DegradeEvents: c.degradeEvents,
-		SkippedWrites: c.skippedWrites,
-		Peers:         len(c.peers),
-		PeersDegraded: peersDegraded,
-		PeerHits:      c.peerHits,
-		PeerMisses:    c.peerMisses,
-		PeerErrors:    c.peerErrors,
+		DiskHits:      m.diskHits.Value(),
+		DiskWrites:    m.diskWrites.Value(),
+		PersistErrors: m.persistErrors.Value(),
+		Degraded:      c.disk.Open(),
+		DegradeEvents: m.degradeEvents.Value(),
+		SkippedWrites: m.skippedWrites.Value(),
+		PeersDegraded: c.peersDegraded(),
+		PeerHits:      m.peerHits.Value(),
+		PeerMisses:    m.peerMisses.Value(),
+		PeerErrors:    m.peerErrors.Value(),
 	}
 }

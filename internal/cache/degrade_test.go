@@ -141,14 +141,22 @@ func TestContains(t *testing.T) {
 	// Inflight: a running computation is joinable, not stored.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go c.GetOrCompute(t.Context(), "slow", func() ([]byte, error) {
-		close(started)
-		<-release
-		return []byte("v"), nil
-	})
+	computed := make(chan struct{})
+	go func() {
+		defer close(computed)
+		c.GetOrCompute(t.Context(), "slow", func() ([]byte, error) {
+			close(started)
+			<-release
+			return []byte("v"), nil
+		})
+	}()
 	<-started
-	if stored, inflight := c.Contains("slow"); stored || !inflight {
+	stored, inflight := c.Contains("slow")
+	close(release)
+	// The compute writes its file through to the temp dir after
+	// releasing; returning before it lands races the dir cleanup.
+	<-computed
+	if stored || !inflight {
 		t.Fatalf("inflight entry: stored=%v inflight=%v", stored, inflight)
 	}
-	close(release)
 }

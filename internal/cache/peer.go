@@ -8,10 +8,10 @@
 // legal to store and replay verbatim once its hash header checks out.
 //
 // Peers fail independently of the local disk, so each carries its own
-// circuit breaker, reusing the WithDegrade episode pattern: after
-// degradeAfter consecutive errors the peer is skipped (one probe
-// request allowed per probeInterval to detect recovery) instead of
-// adding a timeout's worth of latency to every miss. Peer fetches are
+// circuit breaker with the WithDegrade knobs: after degradeAfter
+// consecutive errors the peer is skipped (one probe request allowed
+// per probeInterval to detect recovery) instead of adding a timeout's
+// worth of latency to every miss. Peer fetches are
 // strictly best-effort — every failure degrades to the next tier,
 // never to a request failure.
 package cache
@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"qla/internal/breaker"
 	"qla/internal/obs"
 )
 
@@ -42,12 +43,10 @@ const HashHeader = "X-Content-SHA256"
 // defaultPeerTimeout bounds one peer fetch end to end.
 const defaultPeerTimeout = 2 * time.Second
 
-// peerState is one configured peer and its breaker.
-type peerState struct {
-	url        string
-	consecErrs int
-	degraded   bool
-	nextProbe  time.Time
+// peer is one configured peer and its breaker.
+type peer struct {
+	url string
+	br  *breaker.Breaker
 }
 
 // WithPeers enables the peer tier: each URL is the base address of
@@ -60,7 +59,7 @@ func WithPeers(urls ...string) Option {
 			if u == "" {
 				continue
 			}
-			c.peers = append(c.peers, &peerState{url: u})
+			c.peers = append(c.peers, &peer{url: u})
 		}
 	}
 }
@@ -83,9 +82,8 @@ func BodyHash(val []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// loadPeers fetches key from the first peer that holds it. Breaker
-// bookkeeping happens under the cache lock; the HTTP requests do not.
-// ctx contributes only values (the trace ID forwarded to peers), not
+// loadPeers fetches key from the first peer that holds it. ctx
+// contributes only values (the trace ID forwarded to peers), not
 // cancellation: followers collapsed onto this flight may outlive the
 // leader's request, so the fetch is bounded by the client timeout
 // alone, as before.
@@ -94,49 +92,40 @@ func (c *Cache) loadPeers(ctx context.Context, key string) ([]byte, bool) {
 		return nil, false
 	}
 	for _, p := range c.peers {
-		c.mu.Lock()
-		if p.degraded {
-			if time.Now().Before(p.nextProbe) {
-				c.mu.Unlock()
-				continue
-			}
-			// Claim the probe slot before releasing the lock so concurrent
-			// misses don't stampede a dead peer together.
-			p.nextProbe = time.Now().Add(c.probeInterval)
-		}
-		c.mu.Unlock()
-
-		val, ok, err := c.fetchPeer(ctx, p.url, key)
-
-		c.mu.Lock()
-		if err != nil {
-			c.peerErrors++
-			p.consecErrs++
-			if !p.degraded && p.consecErrs >= c.degradeAfter {
-				p.degraded = true
-				p.nextProbe = time.Now().Add(c.probeInterval)
-				// Logged once per episode: the steady state is silent skips.
-				c.logf("cache: peer %s skipped after %d consecutive errors (last: %v); probing every %v",
-					p.url, p.consecErrs, err, c.probeInterval)
-			}
-			c.mu.Unlock()
+		if !p.br.Allow() {
 			continue
 		}
-		if p.degraded {
+		val, ok, err := c.fetchPeer(ctx, p.url, key)
+		// Logged once per episode: the steady state is silent skips.
+		switch p.br.Record(err) {
+		case breaker.Opened:
+			c.logf("cache: peer %s skipped after %d consecutive errors (last: %v); probing every %v",
+				p.url, c.degradeAfter, err, c.probeInterval)
+		case breaker.Closed:
 			c.logf("cache: peer %s restored after successful probe", p.url)
 		}
-		p.degraded = false
-		p.consecErrs = 0
-		if !ok {
-			c.peerMisses++
-			c.mu.Unlock()
-			continue
+		switch {
+		case err != nil:
+			c.m.peerErrors.Inc()
+		case !ok:
+			c.m.peerMisses.Inc()
+		default:
+			c.m.peerHits.Inc()
+			return val, true
 		}
-		c.peerHits++
-		c.mu.Unlock()
-		return val, true
 	}
 	return nil, false
+}
+
+// peersDegraded counts the peers their breaker currently skips.
+func (c *Cache) peersDegraded() int {
+	n := 0
+	for _, p := range c.peers {
+		if p.br.Open() {
+			n++
+		}
+	}
+	return n
 }
 
 // fetchPeer performs one GET against one peer: (val, true, nil) on a
@@ -156,7 +145,7 @@ func (c *Cache) fetchPeer(ctx context.Context, base, key string) ([]byte, bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	c.peerRTT.Observe(time.Since(start).Seconds())
+	c.m.peerRTT.Observe(time.Since(start).Seconds())
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -191,8 +180,8 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 	}
 	c.mu.Unlock()
 	if val, ok := c.loadFile(key); ok {
+		c.m.diskHits.Inc()
 		c.mu.Lock()
-		c.diskHits++
 		c.storeLocked(key, val)
 		c.mu.Unlock()
 		return val, true
@@ -219,8 +208,8 @@ func (c *Cache) Prefetch(key string) bool {
 		return false
 	}
 	if val, ok := c.loadFile(key); ok {
+		c.m.diskHits.Inc()
 		c.mu.Lock()
-		c.diskHits++
 		c.storeLocked(key, val)
 		c.mu.Unlock()
 		return true

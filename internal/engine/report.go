@@ -215,11 +215,15 @@ func reportShor(w io.Writer, res Result) error {
 	fmt.Fprintf(w, "Factoring a %d-bit number on the QLA (Section 5 narrative)\n", r.N)
 	fmt.Fprintf(w, "logical qubits:     %d\n", r.LogicalQubits)
 	fmt.Fprintf(w, "Toffoli depth:      %d   (paper at N=128: 63,730)\n", r.ToffoliDepth)
+	fmt.Fprintf(w, "total gates:        %d\n", r.TotalGates)
 	fmt.Fprintf(w, "EC steps:           %.3g (paper at N=128: 1.34e6)\n", float64(r.ECSteps))
+	fmt.Fprintf(w, "QFT share:          %d EC steps\n", r.QFTSteps)
 	fmt.Fprintf(w, "EC step time:       %.4f s (paper: 0.043)\n", r.ECStepSeconds)
 	fmt.Fprintf(w, "single run:         %.1f h (paper at N=128: ≈16 h)\n", r.TimeSeconds/3600)
 	fmt.Fprintf(w, "with 1.3 retries:   %.1f h (paper at N=128: ≈21 h)\n", r.TimeHours)
+	fmt.Fprintf(w, "retries, in days:   %.2f\n", r.TimeDays)
 	fmt.Fprintf(w, "chip area:          %.2f m² (paper at N=128: 0.11), edge %.0f cm\n", r.AreaM2, data.EdgeCM)
+	fmt.Fprintf(w, "system size S=K·Q:  %.3g\n", r.SystemSize)
 	fmt.Fprintf(w, "physical ions:      %.2g (paper at N=128: ≈7e6)\n", float64(data.PhysicalIons))
 	fmt.Fprintf(w, "classical baseline: %.3g MIPS-years by NFS (512-bit anchor: 8400)\n", data.ClassicalMIPSYears)
 	return nil

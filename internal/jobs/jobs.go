@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"qla/internal/obs"
@@ -107,29 +106,22 @@ type Manager struct {
 	tenantRunning map[string]int
 	tenantBytes   map[string]int64
 
-	submitted, deduped, completed, failed, cancelled, evicted, quotaDenied atomic.Uint64
+	// Lifecycle event counts live only here, one child per event kind.
+	submitted, deduped, completed, failed, cancelled, evicted, quotaDenied *obs.Counter
 }
 
-// Instrument registers the manager's instruments on reg: lifecycle
-// event counters bridged from the existing atomics (single source of
-// truth for /v1/stats too) and store occupancy gauges evaluated at
-// scrape time.
+// Instrument moves the manager's instruments from its private registry
+// onto reg: the qla_jobs_events_total{event} lifecycle counters and
+// store occupancy gauges evaluated at scrape time. Call it before the
+// first submission; earlier counts are not carried over.
 func (m *Manager) Instrument(reg *obs.Registry) {
 	if m == nil || reg == nil {
 		return
 	}
-	bridge := func(c *atomic.Uint64) func() float64 {
-		return func() float64 { return float64(c.Load()) }
-	}
-	event := func(e string) map[string]string { return map[string]string{"event": e} }
-	help := "Job lifecycle events, by kind."
-	reg.CounterFunc("qla_jobs_events_total", help, event("submitted"), bridge(&m.submitted))
-	reg.CounterFunc("qla_jobs_events_total", help, event("deduped"), bridge(&m.deduped))
-	reg.CounterFunc("qla_jobs_events_total", help, event("completed"), bridge(&m.completed))
-	reg.CounterFunc("qla_jobs_events_total", help, event("failed"), bridge(&m.failed))
-	reg.CounterFunc("qla_jobs_events_total", help, event("cancelled"), bridge(&m.cancelled))
-	reg.CounterFunc("qla_jobs_events_total", help, event("evicted"), bridge(&m.evicted))
-	reg.CounterFunc("qla_jobs_events_total", help, event("quota_denied"), bridge(&m.quotaDenied))
+	ev := reg.CounterVec("qla_jobs_events_total", "Job lifecycle events, by kind.", "event")
+	m.submitted, m.deduped = ev.With("submitted"), ev.With("deduped")
+	m.completed, m.failed, m.cancelled = ev.With("completed"), ev.With("failed"), ev.With("cancelled")
+	m.evicted, m.quotaDenied = ev.With("evicted"), ev.With("quota_denied")
 	reg.GaugeFunc("qla_jobs_running", "Jobs currently running.", nil, func() float64 {
 		return float64(m.Stats().Running)
 	})
@@ -156,12 +148,14 @@ func NewManager(cfg Config) *Manager {
 	if cfg.TTL <= 0 {
 		cfg.TTL = time.Hour
 	}
-	return &Manager{
+	m := &Manager{
 		cfg:           cfg,
 		jobs:          make(map[string]*Job),
 		tenantRunning: make(map[string]int),
 		tenantBytes:   make(map[string]int64),
 	}
+	m.Instrument(obs.NewRegistry())
+	return m
 }
 
 // Job is one asynchronous execution. All methods are safe for
@@ -236,7 +230,7 @@ func (m *Manager) Submit(id string, opts SubmitOptions, run func(ctx context.Con
 		j.mu.Unlock()
 		if alive {
 			m.mu.Unlock()
-			m.deduped.Add(1)
+			m.deduped.Inc()
 			return j, false, nil
 		}
 		// A failed or cancelled job must not squat on its content
@@ -251,7 +245,7 @@ func (m *Manager) Submit(id string, opts SubmitOptions, run func(ctx context.Con
 	if q := m.cfg.TenantMaxJobs; q > 0 && opts.Tenant != "" && !opts.BypassQuota &&
 		m.tenantRunning[opts.Tenant] >= q {
 		m.mu.Unlock()
-		m.quotaDenied.Add(1)
+		m.quotaDenied.Inc()
 		return nil, false, &QuotaError{Tenant: opts.Tenant, Limit: "max-jobs", Max: q}
 	}
 	if len(m.jobs) >= m.cfg.MaxJobs && !m.evictOldestFinishedLocked(nil) {
@@ -276,7 +270,7 @@ func (m *Manager) Submit(id string, opts SubmitOptions, run func(ctx context.Con
 		m.tenantRunning[j.tenant]++
 	}
 	m.mu.Unlock()
-	m.submitted.Add(1)
+	m.submitted.Inc()
 	go j.execute(ctx, run)
 	return j, true, nil
 }
@@ -304,7 +298,7 @@ func (m *Manager) dropLocked(id string, j *Job) {
 		j.charged = false
 	}
 	j.mu.Unlock()
-	m.evicted.Add(1)
+	m.evicted.Inc()
 }
 
 // creditTenantBytesLocked refunds n bytes to a tenant's ledger,
@@ -461,15 +455,15 @@ func (j *Job) settle(res []byte, err error) {
 	case err == nil:
 		j.state = StateDone
 		j.result = res
-		j.mgr.completed.Add(1)
+		j.mgr.completed.Inc()
 	case j.cancelRequested && errors.Is(err, context.Canceled):
 		j.state = StateCancelled
 		j.err = err
-		j.mgr.cancelled.Add(1)
+		j.mgr.cancelled.Inc()
 	default:
 		j.state = StateFailed
 		j.err = err
-		j.mgr.failed.Add(1)
+		j.mgr.failed.Inc()
 	}
 	j.wakeLocked()
 	j.mu.Unlock()
@@ -573,32 +567,22 @@ func (j *Job) Subscribe() (wake <-chan struct{}, stop func()) {
 	}
 }
 
-// Stats is a point-in-time snapshot of the manager's counters.
+// Stats is a point-in-time snapshot of the manager for in-process
+// readers: lifecycle counts read back from the instruments plus the
+// live store occupancy.
 type Stats struct {
-	// Submitted counts jobs actually started; Deduped counts
-	// submissions that joined an existing job instead.
-	Submitted uint64 `json:"submitted"`
-	Deduped   uint64 `json:"deduped"`
-	// Completed, Failed and Cancelled count terminal outcomes.
-	Completed uint64 `json:"completed"`
-	Failed    uint64 `json:"failed"`
-	Cancelled uint64 `json:"cancelled"`
-	// Evicted counts jobs dropped by TTL or store pressure.
-	Evicted uint64 `json:"evicted"`
-	// QuotaDenied counts submissions refused by per-tenant quotas.
-	QuotaDenied uint64 `json:"quota_denied"`
+	// Submitted counts jobs actually started; Deduped submissions that
+	// joined an existing job instead; Completed, Failed and Cancelled
+	// terminal outcomes; Evicted jobs dropped by TTL or store pressure;
+	// QuotaDenied submissions refused by per-tenant quotas.
+	Submitted, Deduped, Completed, Failed, Cancelled, Evicted, QuotaDenied uint64
 	// Running and Stored describe the current store; ResultBytes is the
 	// retained result total counted against MaxResultBytes.
-	Running     int   `json:"running"`
-	Stored      int   `json:"stored"`
-	ResultBytes int64 `json:"result_bytes"`
-	// MaxJobs, MaxResultBytes and TTLSeconds echo the configuration.
-	MaxJobs        int     `json:"max_jobs"`
-	MaxResultBytes int64   `json:"max_result_bytes"`
-	TTLSeconds     float64 `json:"ttl_seconds"`
+	Running, Stored int
+	ResultBytes     int64
 }
 
-// Stats returns a snapshot of the manager's counters.
+// Stats returns a snapshot of the manager.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	stored := len(m.jobs)
@@ -613,56 +597,15 @@ func (m *Manager) Stats() Stats {
 	}
 	m.mu.Unlock()
 	return Stats{
-		Submitted:      m.submitted.Load(),
-		Deduped:        m.deduped.Load(),
-		Completed:      m.completed.Load(),
-		Failed:         m.failed.Load(),
-		Cancelled:      m.cancelled.Load(),
-		Evicted:        m.evicted.Load(),
-		QuotaDenied:    m.quotaDenied.Load(),
-		Running:        running,
-		Stored:         stored,
-		ResultBytes:    resultBytes,
-		MaxJobs:        m.cfg.MaxJobs,
-		MaxResultBytes: m.cfg.MaxResultBytes,
-		TTLSeconds:     m.cfg.TTL.Seconds(),
+		Submitted:   m.submitted.Value(),
+		Deduped:     m.deduped.Value(),
+		Completed:   m.completed.Value(),
+		Failed:      m.failed.Value(),
+		Cancelled:   m.cancelled.Value(),
+		Evicted:     m.evicted.Value(),
+		QuotaDenied: m.quotaDenied.Value(),
+		Running:     running,
+		Stored:      stored,
+		ResultBytes: resultBytes,
 	}
-}
-
-// TenantStats is one tenant's slice of the job store.
-type TenantStats struct {
-	// Running counts the tenant's in-flight jobs (what TenantMaxJobs
-	// caps); Stored counts all its jobs still retrievable.
-	Running int `json:"jobs_running"`
-	Stored  int `json:"jobs_stored"`
-	// ResultBytes is the tenant's retained result total (what
-	// TenantMaxResultBytes caps).
-	ResultBytes int64 `json:"result_bytes"`
-}
-
-// Tenants returns the per-tenant store breakdown, keyed by tenant
-// name. Tenants with no live jobs and no retained bytes do not appear.
-func (m *Manager) Tenants() map[string]TenantStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]TenantStats)
-	for _, j := range m.jobs {
-		if j.tenant == "" {
-			continue
-		}
-		ts := out[j.tenant]
-		ts.Stored++
-		j.mu.Lock()
-		if !j.state.Finished() {
-			ts.Running++
-		}
-		j.mu.Unlock()
-		out[j.tenant] = ts
-	}
-	for tenant, n := range m.tenantBytes {
-		ts := out[tenant]
-		ts.ResultBytes = n
-		out[tenant] = ts
-	}
-	return out
 }

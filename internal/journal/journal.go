@@ -101,25 +101,27 @@ type Journal struct {
 	mu   sync.Mutex
 	open map[string]*Entry
 
-	admitted, resumed, points, leases, finished, dropped, errors uint64
-
-	// Set by Instrument; nil histograms are no-ops.
-	appendSec *obs.Histogram
-	fsyncSec  *obs.Histogram
+	// The journal's counts live only in these instruments.
+	admitted, resumed, points, leases, finished, dropped, errors *obs.Counter
+	appendSec, fsyncSec                                          *obs.Histogram
 }
 
-// Open prepares a Journal rooted at dir, creating the directory.
+// Open prepares a Journal rooted at dir, creating the directory. Its
+// instruments start on a private registry (see Instrument).
 func Open(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{dir: dir, open: make(map[string]*Entry)}, nil
+	j := &Journal{dir: dir, open: make(map[string]*Entry)}
+	j.Instrument(obs.NewRegistry())
+	return j, nil
 }
 
-// Instrument registers the journal's instruments on reg: append and
-// fsync latency histograms (observed inside the single write path) and
-// the record counters bridged as pull-based series. Safe on a nil
-// Journal.
+// Instrument moves the journal's instruments onto reg: append and
+// fsync latency histograms (observed inside the single write path),
+// qla_journal_records_total{kind} and the resume/drop/error counters.
+// Call it before the first admission; earlier counts are not carried
+// over. Safe on a nil Journal.
 func (j *Journal) Instrument(reg *obs.Registry) {
 	if j == nil || reg == nil {
 		return
@@ -128,22 +130,11 @@ func (j *Journal) Instrument(reg *obs.Registry) {
 		"Latency of one journal record append (write plus fsync when the record is synced).", obs.LatencyBuckets)
 	j.fsyncSec = reg.Histogram("qla_journal_fsync_seconds",
 		"Latency of the fsync alone, for synced records.", obs.LatencyBuckets)
-	bridge := func(p *uint64) func() float64 {
-		return func() float64 {
-			j.mu.Lock()
-			defer j.mu.Unlock()
-			return float64(*p)
-		}
-	}
-	kind := func(k string) map[string]string { return map[string]string{"kind": k} }
-	recHelp := "Journal records appended, by kind."
-	reg.CounterFunc("qla_journal_records_total", recHelp, kind("admit"), bridge(&j.admitted))
-	reg.CounterFunc("qla_journal_records_total", recHelp, kind("point"), bridge(&j.points))
-	reg.CounterFunc("qla_journal_records_total", recHelp, kind("lease"), bridge(&j.leases))
-	reg.CounterFunc("qla_journal_records_total", recHelp, kind("finish"), bridge(&j.finished))
-	reg.CounterFunc("qla_journal_resumed_total", "Entries re-opened by a resubmission of a journaled job.", nil, bridge(&j.resumed))
-	reg.CounterFunc("qla_journal_dropped_total", "Journal files removed after their job settled.", nil, bridge(&j.dropped))
-	reg.CounterFunc("qla_journal_errors_total", "Failed journal writes.", nil, bridge(&j.errors))
+	rec := reg.CounterVec("qla_journal_records_total", "Journal records appended, by kind.", "kind")
+	j.admitted, j.points, j.leases, j.finished = rec.With("admit"), rec.With("point"), rec.With("lease"), rec.With("finish")
+	j.resumed = reg.Counter("qla_journal_resumed_total", "Entries re-opened by a resubmission of a journaled job.")
+	j.dropped = reg.Counter("qla_journal_dropped_total", "Journal files removed after their job settled.")
+	j.errors = reg.Counter("qla_journal_errors_total", "Failed journal writes.")
 }
 
 // safeID reports whether id can name a journal file (hex content
@@ -214,17 +205,14 @@ func (j *Journal) Admit(id, kind, tenant string, spec []byte) (e *Entry, fresh b
 			return nil
 		}()
 	}
-	j.mu.Lock()
 	if err != nil {
+		j.mu.Lock()
 		delete(j.open, id)
-		j.errors++
-	} else {
-		j.admitted++
-	}
-	j.mu.Unlock()
-	if err != nil {
+		j.mu.Unlock()
+		j.errors.Inc()
 		return nil, false, fmt.Errorf("journal: admitting %s: %w", id, err)
 	}
+	j.admitted.Inc()
 	return e, true, nil
 }
 
@@ -249,14 +237,12 @@ func (j *Journal) Resume(id string) (*Entry, error) {
 	if err != nil {
 		j.mu.Lock()
 		delete(j.open, id)
-		j.errors++
 		j.mu.Unlock()
+		j.errors.Inc()
 		return nil, fmt.Errorf("journal: resuming %s: %w", id, err)
 	}
 	e.f = f
-	j.mu.Lock()
-	j.resumed++
-	j.mu.Unlock()
+	j.resumed.Inc()
 	return e, nil
 }
 
@@ -280,9 +266,7 @@ func (j *Journal) Replay() ([]Pending, error) {
 	for _, name := range names {
 		p, finished, ok := j.replayFile(name)
 		if !ok || finished {
-			j.mu.Lock()
-			j.dropped++
-			j.mu.Unlock()
+			j.dropped.Inc()
 			os.Remove(name)
 			continue
 		}
@@ -360,11 +344,9 @@ func (j *Journal) Drop(id string) {
 	}
 	j.mu.Lock()
 	_, open := j.open[id]
-	if !open {
-		j.dropped++
-	}
 	j.mu.Unlock()
 	if !open {
+		j.dropped.Inc()
 		os.Remove(j.path(id))
 	}
 }
@@ -394,7 +376,7 @@ func (e *Entry) Point(hash, status string, cached bool, attempts int) error {
 	if e == nil {
 		return nil
 	}
-	return e.append(record{Point: hash, Status: status, Cached: cached, Attempts: attempts}, false, &e.j.points)
+	return e.append(record{Point: hash, Status: status, Cached: cached, Attempts: attempts}, false, e.j.points)
 }
 
 // Lease appends a per-point lease record: holder (a fleet replica ID)
@@ -405,7 +387,7 @@ func (e *Entry) Lease(hash, holder string) error {
 	if e == nil {
 		return nil
 	}
-	return e.append(record{Point: hash, Status: StatusLeased, Holder: holder}, false, &e.j.leases)
+	return e.append(record{Point: hash, Status: StatusLeased, Holder: holder}, false, e.j.leases)
 }
 
 // Finish appends the terminal record (fsynced), closes the entry and
@@ -416,7 +398,7 @@ func (e *Entry) Finish(state string) error {
 	if e == nil {
 		return nil
 	}
-	err := e.append(record{State: state}, true, &e.j.finished)
+	err := e.append(record{State: state}, true, e.j.finished)
 	e.close(true)
 	return err
 }
@@ -432,7 +414,7 @@ func (e *Entry) Discard() {
 }
 
 // append writes one record line, optionally fsyncing, bumping counter.
-func (e *Entry) append(rec record, sync bool, counter *uint64) error {
+func (e *Entry) append(rec record, sync bool, counter *obs.Counter) error {
 	line, err := marshalLine(rec)
 	if err == nil {
 		e.mu.Lock()
@@ -450,13 +432,11 @@ func (e *Entry) append(rec record, sync bool, counter *uint64) error {
 		}
 		e.mu.Unlock()
 	}
-	e.j.mu.Lock()
 	if err != nil {
-		e.j.errors++
+		e.j.errors.Inc()
 	} else {
-		*counter++
+		counter.Inc()
 	}
-	e.j.mu.Unlock()
 	return err
 }
 
@@ -494,44 +474,36 @@ func marshalLine(rec record) ([]byte, error) {
 	return append(raw, '\n'), nil
 }
 
-// Stats is a point-in-time snapshot of the journal counters.
+// Stats is a point-in-time snapshot of the journal for in-process
+// readers: the record counts read back from the instruments plus the
+// open-entry count.
 type Stats struct {
-	// Dir echoes the journal directory.
-	Dir string `json:"dir"`
-	// Admitted counts fresh admissions; Resumed counts replayed entries
-	// reopened for appends.
-	Admitted uint64 `json:"admitted"`
-	Resumed  uint64 `json:"resumed"`
-	// Points counts per-point completion appends; Leases per-point
-	// fleet lease appends; Finished terminal records; Dropped files
-	// deleted at replay or via Drop.
-	Points   uint64 `json:"points"`
-	Leases   uint64 `json:"leases,omitempty"`
-	Finished uint64 `json:"finished"`
-	Dropped  uint64 `json:"dropped"`
-	// Errors counts failed journal writes (the job keeps running; only
-	// durability is lost).
-	Errors uint64 `json:"errors"`
+	// Admitted counts fresh admissions; Resumed replayed entries
+	// reopened for appends; Points per-point completion appends;
+	// Leases per-point fleet lease appends; Finished terminal records;
+	// Dropped files deleted at replay or via Drop; Errors failed writes
+	// (the job keeps running; only durability is lost).
+	Admitted, Resumed, Points, Leases, Finished, Dropped, Errors uint64
 	// Open is the number of entries currently accepting appends.
-	Open int `json:"open"`
+	Open int
 }
 
-// Stats returns a snapshot of the journal's counters.
+// Stats returns a snapshot of the journal.
 func (j *Journal) Stats() Stats {
 	if j == nil {
 		return Stats{}
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	open := len(j.open)
+	j.mu.Unlock()
 	return Stats{
-		Dir:      j.dir,
-		Admitted: j.admitted,
-		Resumed:  j.resumed,
-		Points:   j.points,
-		Leases:   j.leases,
-		Finished: j.finished,
-		Dropped:  j.dropped,
-		Errors:   j.errors,
-		Open:     len(j.open),
+		Admitted: j.admitted.Value(),
+		Resumed:  j.resumed.Value(),
+		Points:   j.points.Value(),
+		Leases:   j.leases.Value(),
+		Finished: j.finished.Value(),
+		Dropped:  j.dropped.Value(),
+		Errors:   j.errors.Value(),
+		Open:     open,
 	}
 }

@@ -8,15 +8,14 @@
 //   - Instrument methods are nil-safe: a nil *Counter, *Gauge, or
 //     *Histogram is a no-op, so library packages can carry optional
 //     instruments without branching at every call site.
-//   - Label cardinality is bounded per vec (maxSeries, mirroring the
-//     512-tenant cap in internal/sched); once the cap is reached new
-//     label combinations collapse into a single "~overflow" child so a
-//     hostile or misbehaving client cannot grow the registry without
-//     bound.
-//   - CounterFunc/GaugeFunc register pull-based series evaluated at
-//     scrape time, bridging pre-existing subsystem counters into the
-//     registry without double bookkeeping: the subsystem's own atomic
-//     stays the single source of truth for both /metrics and /v1/stats.
+//   - Label cardinality is bounded per vec (maxSeries); once the cap
+//     is reached new label combinations collapse into a single
+//     "~overflow" child so a hostile or misbehaving client cannot grow
+//     the registry without bound.
+//   - The registry is the only counter store: subsystems increment the
+//     instruments they register and hold no shadow counts of their
+//     own. GaugeFunc registers pull-based gauges evaluated at scrape
+//     time, for live state (occupancy, bytes held) rather than counts.
 package obs
 
 import (
@@ -30,7 +29,7 @@ import (
 )
 
 // maxSeries bounds the number of distinct label combinations a single
-// vec will track, mirroring sched.tenantStatsCap.
+// vec will track.
 const maxSeries = 512
 
 // Overflow is the label value substituted for every label once a vec
@@ -277,20 +276,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return f.childH(nil, bounds).h
 }
 
-// CounterFunc registers a pull-based counter series with fixed labels,
+// GaugeFunc registers a pull-based gauge series with fixed labels,
 // evaluated at scrape time. Multiple funcs may share one family name
 // with different label sets.
-func (r *Registry) CounterFunc(name, help string, labels map[string]string, fn func() float64) {
-	f := r.familyFor(name, help, "counter", nil)
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.funcs = append(f.funcs, funcSeries{labels: labels, fn: fn})
-	f.mu.Unlock()
-}
-
-// GaugeFunc registers a pull-based gauge series with fixed labels.
 func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn func() float64) {
 	f := r.familyFor(name, help, "gauge", nil)
 	if f == nil {
@@ -351,6 +339,20 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 		return nil
 	}
 	return v.f.childH(values, v.bounds).h
+}
+
+// Count returns the observation count summed over every child.
+func (v *HistogramVec) Count() uint64 {
+	if v == nil {
+		return 0
+	}
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	var n uint64
+	for _, c := range v.f.children {
+		n += c.h.Count()
+	}
+	return n
 }
 
 func (f *family) child(values []string) *child {
@@ -460,12 +462,7 @@ func (f *family) write(b *strings.Builder) {
 		for i, k := range names {
 			values[i] = fs.labels[k]
 		}
-		v := fs.fn()
-		if f.typ == "counter" {
-			fmt.Fprintf(b, "%s%s %d\n", f.name, labelString(names, values, ""), uint64(v))
-		} else {
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(names, values, ""), formatFloat(v))
-		}
+		fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(names, values, ""), formatFloat(fs.fn()))
 	}
 }
 

@@ -152,8 +152,10 @@ func TestWriteTextExposition(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	r.CounterFunc("qla_e_total", "bridged", map[string]string{"tier": "memory"}, func() float64 { return 3 })
-	r.CounterFunc("qla_e_total", "bridged", map[string]string{"tier": "disk"}, func() float64 { return 2 })
+	r.GaugeFunc("qla_e", "pulled", map[string]string{"tier": "memory"}, func() float64 { return 3 })
+	r.GaugeFunc("qla_e", "pulled", map[string]string{"tier": "disk"}, func() float64 { return 2 })
+	// A pre-created child renders at zero before its first increment.
+	r.CounterVec("qla_f_total", "pre-created", "tier").With("peer")
 
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
@@ -169,15 +171,16 @@ func TestWriteTextExposition(t *testing.T) {
 		`qla_d_seconds_bucket{le="+Inf"} 3`,
 		"qla_d_seconds_sum 5.55",
 		"qla_d_seconds_count 3",
-		`qla_e_total{tier="memory"} 3`,
-		`qla_e_total{tier="disk"} 2`,
+		`qla_e{tier="memory"} 3`,
+		`qla_e{tier="disk"} 2`,
+		`qla_f_total{tier="peer"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n---\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "# TYPE qla_e_total counter"); n != 1 {
-		t.Errorf("family header for qla_e_total written %d times, want 1", n)
+	if n := strings.Count(out, "# TYPE qla_e gauge"); n != 1 {
+		t.Errorf("family header for qla_e written %d times, want 1", n)
 	}
 }
 

@@ -252,7 +252,7 @@ func TestBulkFloodNoStarvation(t *testing.T) {
 
 	// Let the flood actually occupy the pool before probing it.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Tenants["batch"].Grants == 0 {
+	for p.queueWait.With("bulk", "batch").Count() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("flood never started")
 		}
@@ -273,11 +273,10 @@ func TestBulkFloodNoStarvation(t *testing.T) {
 	stopFlood()
 	wg.Wait()
 
-	st := p.Stats()
-	if st.Tenants["live"].Grants != 20 {
-		t.Errorf("live grants = %d, want 20", st.Tenants["live"].Grants)
+	if got := p.queueWait.With("interactive", "live").Count(); got != 20 {
+		t.Errorf("live grants = %d, want 20", got)
 	}
-	if st.Tenants["batch"].Grants == 0 {
+	if p.queueWait.With("bulk", "batch").Count() == 0 {
 		t.Error("flood recorded no bulk grants")
 	}
 }

@@ -49,7 +49,7 @@ const (
 )
 
 // String returns the stable wire name of the class ("interactive",
-// "bulk"), used as the key under /v1/stats scheduler.classes.
+// "bulk"), used as the class label of the pool's metrics.
 func (c Class) String() string {
 	switch c {
 	case ClassInteractive:
@@ -115,10 +115,12 @@ type Config struct {
 	// A tenant with weight 2 receives twice the slot-time of a
 	// weight-1 tenant while both have queued work.
 	Weights map[string]float64
-	// Metrics, when non-nil, receives a qla_sched_queue_wait_seconds
-	// observation for every grant (zero for fast-path grants), labeled
-	// by class and tenant — the per-class wait percentiles are the
-	// pool's autoscaling signal.
+	// Metrics is the registry the pool's instruments register on (nil =
+	// a private one): a qla_sched_queue_wait_seconds observation for
+	// every grant (zero for fast-path grants), labeled by class and
+	// tenant — the per-class wait percentiles are the pool's
+	// autoscaling signal — plus per-class queued and timed-out counts
+	// and occupancy gauges.
 	Metrics *obs.Registry
 }
 
@@ -143,16 +145,6 @@ func (e *QueueWaitError) Error() string {
 		e.Identity.Class, e.Identity.Tenant, e.Waited.Round(time.Millisecond))
 }
 
-// tenantStatsCap bounds the per-tenant counter map: tenant names come
-// from request headers and are unbounded-cardinality, so beyond the
-// cap new tenants are folded into a single overflow bucket.
-const tenantStatsCap = 512
-
-// OverflowTenant is the synthetic stats bucket that absorbs per-tenant
-// counters once more than tenantStatsCap distinct tenants have been
-// seen.
-const OverflowTenant = "~overflow"
-
 // Pool is a class-aware, tenant-fair counting semaphore with partial
 // grants: an acquirer asking for n slots receives between 1 and n,
 // depending on what is free when its turn comes. The zero Pool is not
@@ -167,15 +159,15 @@ type Pool struct {
 	inUse      int
 	classInUse [numClasses]int
 	classes    [numClasses]*classQueue
+	peak       int
 
-	peak   int
-	grants uint64
-	waits  uint64
-
-	classStats  [numClasses]classCounters
-	tenantStats map[string]*tenantCounters
-
-	queueWait *obs.HistogramVec // nil unless Config.Metrics set
+	// The pool's counts live only in its instruments: one queue-wait
+	// observation per grant (by class and tenant, whose cardinality
+	// the vec bounds), and per class the acquirers that had to queue
+	// and those refused at the queue-wait bound.
+	queueWait *obs.HistogramVec
+	queued    [numClasses]*obs.Counter
+	timeouts  [numClasses]*obs.Counter
 }
 
 // classQueue holds one class's queued tenants and the class virtual
@@ -205,19 +197,6 @@ type waiter struct {
 	enq     time.Time
 }
 
-type classCounters struct {
-	grants    uint64
-	waits     uint64
-	timeouts  uint64
-	waitTotal time.Duration
-	waitMax   time.Duration
-}
-
-type tenantCounters struct {
-	grants uint64
-	waits  uint64
-}
-
 // New builds a single-class-behaving Pool with the given slot capacity
 // (<= 0 means GOMAXPROCS): no reserve, no queue-wait bounds, equal
 // weights. Existing callers that never attach an Identity get the old
@@ -239,19 +218,33 @@ func NewFair(cfg Config) *Pool {
 		cfg.InteractiveReserve = cfg.Capacity - 1
 	}
 	p := &Pool{
-		capacity:    cfg.Capacity,
-		reserve:     cfg.InteractiveReserve,
-		cfg:         cfg,
-		tenantStats: make(map[string]*tenantCounters),
+		capacity: cfg.Capacity,
+		reserve:  cfg.InteractiveReserve,
+		cfg:      cfg,
 	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	p.queueWait = reg.HistogramVec("qla_sched_queue_wait_seconds",
+		"Queue wait before a slot grant, by admission class and tenant.",
+		obs.LatencyBuckets, "class", "tenant")
+	queued := reg.CounterVec("qla_sched_queued_total", "Acquirers that had to queue for a slot, by class.", "class")
+	timeouts := reg.CounterVec("qla_sched_queue_timeouts_total",
+		"Acquisitions refused at the class queue-wait bound, by class.", "class")
 	for c := Class(0); c < numClasses; c++ {
 		p.classes[c] = &classQueue{tenants: make(map[string]*tenantQueue)}
+		p.queued[c] = queued.With(c.String())
+		p.timeouts[c] = timeouts.With(c.String())
 	}
-	if cfg.Metrics != nil {
-		p.queueWait = cfg.Metrics.HistogramVec("qla_sched_queue_wait_seconds",
-			"Queue wait before a slot grant, by admission class and tenant.",
-			obs.LatencyBuckets, "class", "tenant")
-	}
+	reg.GaugeFunc("qla_sched_in_use", "Scheduler slots currently granted.", nil, func() float64 {
+		return float64(p.Stats().InUse)
+	})
+	reg.GaugeFunc("qla_sched_waiting", "Acquirers queued for a scheduler slot.", nil, func() float64 {
+		return float64(p.Stats().Waiting)
+	})
+	reg.Gauge("qla_sched_capacity", "The scheduler's global slot budget.").Set(float64(p.capacity))
+	reg.Gauge("qla_sched_interactive_reserve", "Slots withheld from bulk work for interactive arrivals.").Set(float64(p.reserve))
 	return p
 }
 
@@ -302,7 +295,7 @@ func (p *Pool) Acquire(ctx context.Context, want int) (int, func(), error) {
 				g = room
 			}
 		}
-		p.bookLocked(id, g, 0, false)
+		p.bookLocked(id, g, 0)
 		p.mu.Unlock()
 		return g, p.releaseFunc(id.Class, g), nil
 	}
@@ -323,8 +316,8 @@ func (p *Pool) Acquire(ctx context.Context, want int) (int, func(), error) {
 	case <-timeoutC:
 		p.mu.Lock()
 		if p.removeWaiterLocked(w) {
-			p.classStats[id.Class].timeouts++
 			p.mu.Unlock()
+			p.timeouts[id.Class].Inc()
 			return 0, nil, &QueueWaitError{Identity: id, Waited: time.Since(w.enq)}
 		}
 		// A grant raced the timer; take it rather than waste the
@@ -382,9 +375,7 @@ func (p *Pool) enqueueLocked(w *waiter) {
 	}
 	tq.ws = append(tq.ws, w)
 	cq.waiting++
-	p.waits++
-	p.classStats[w.id.Class].waits++
-	p.tenantCountersLocked(w.id.Tenant).waits++
+	p.queued[w.id.Class].Inc()
 }
 
 // removeWaiterLocked unlinks w from its queue, returning false if it
@@ -449,7 +440,7 @@ func (p *Pool) dispatchLocked() {
 			delete(cq.tenants, name)
 		}
 		w.granted = g
-		p.bookLocked(w.id, g, time.Since(w.enq), true)
+		p.bookLocked(w.id, g, time.Since(w.enq))
 		close(w.ready)
 	}
 }
@@ -470,40 +461,13 @@ func minTenant(cq *classQueue) (string, *tenantQueue) {
 
 // bookLocked records a grant of g slots to id, with the queue wait it
 // paid (zero for fast-path grants).
-func (p *Pool) bookLocked(id Identity, g int, waited time.Duration, queued bool) {
+func (p *Pool) bookLocked(id Identity, g int, waited time.Duration) {
 	p.inUse += g
 	p.classInUse[id.Class] += g
-	p.grants++
-	p.classStats[id.Class].grants++
-	p.tenantCountersLocked(id.Tenant).grants++
 	p.queueWait.With(id.Class.String(), id.Tenant).Observe(waited.Seconds())
-	if queued {
-		cs := &p.classStats[id.Class]
-		cs.waitTotal += waited
-		if waited > cs.waitMax {
-			cs.waitMax = waited
-		}
-	}
 	if p.inUse > p.peak {
 		p.peak = p.inUse
 	}
-}
-
-// tenantCountersLocked returns the stats bucket for a tenant, folding
-// new tenants into OverflowTenant once the map is full.
-func (p *Pool) tenantCountersLocked(tenant string) *tenantCounters {
-	tc := p.tenantStats[tenant]
-	if tc == nil {
-		if len(p.tenantStats) >= tenantStatsCap {
-			tenant = OverflowTenant
-			if tc = p.tenantStats[tenant]; tc != nil {
-				return tc
-			}
-		}
-		tc = &tenantCounters{}
-		p.tenantStats[tenant] = tc
-	}
-	return tc
 }
 
 // releaseFunc wraps releaseLocked in the idempotent closure Acquire
@@ -530,55 +494,32 @@ func (p *Pool) releaseLocked(c Class, n int) {
 type ClassStats struct {
 	// InUse is the class's currently granted slots; SlotCap is the
 	// most it may ever hold (capacity for interactive, capacity minus
-	// the reserve for bulk).
-	InUse   int `json:"in_use"`
-	SlotCap int `json:"slot_cap"`
-	// Waiting is the class's queued acquirers right now.
-	Waiting int `json:"waiting"`
-	// Grants counts completed acquisitions; Waits the subset that
-	// queued first; QueueTimeouts the subset refused at the class
+	// the reserve for bulk); Waiting its queued acquirers right now.
+	InUse, SlotCap, Waiting int
+	// QueueTimeouts counts acquisitions refused at the class
 	// queue-wait bound.
-	Grants        uint64 `json:"grants"`
-	Waits         uint64 `json:"waits"`
-	QueueTimeouts uint64 `json:"queue_timeouts"`
-	// AvgQueueWaitMS / MaxQueueWaitMS summarize the queue wait paid
-	// by grants that had to queue.
-	AvgQueueWaitMS float64 `json:"avg_queue_wait_ms"`
-	MaxQueueWaitMS float64 `json:"max_queue_wait_ms"`
+	QueueTimeouts uint64
 }
 
-// TenantStats is one tenant's slice of the pool snapshot.
-type TenantStats struct {
-	Grants  uint64 `json:"grants"`
-	Waits   uint64 `json:"waits"`
-	Waiting int    `json:"waiting"`
-}
-
-// Stats is a point-in-time snapshot of the pool.
+// Stats is a point-in-time snapshot of the pool for in-process
+// readers: live occupancy plus counts read back from the instruments.
 type Stats struct {
-	// Capacity is the global slot budget.
-	Capacity int `json:"capacity"`
-	// InteractiveReserve is the slot floor withheld from bulk work.
-	InteractiveReserve int `json:"interactive_reserve"`
-	// InUse is the number of slots currently granted.
-	InUse int `json:"in_use"`
-	// Waiting is the number of queued acquirers.
-	Waiting int `json:"waiting"`
-	// Peak is the high-water mark of InUse; it never exceeds Capacity.
-	Peak int `json:"peak"`
-	// Grants counts completed acquisitions; Waits counts the subset
-	// that had to queue first.
-	Grants uint64 `json:"grants"`
-	Waits  uint64 `json:"waits"`
+	// Capacity is the global slot budget; InteractiveReserve the slot
+	// floor withheld from bulk work.
+	Capacity, InteractiveReserve int
+	// InUse is the number of slots currently granted, Waiting the
+	// queued acquirers, Peak the high-water mark of InUse (it never
+	// exceeds Capacity).
+	InUse, Waiting, Peak int
+	// Grants counts completed acquisitions; Waits counts the
+	// acquirers that had to queue first.
+	Grants, Waits uint64
 	// Classes breaks the pool down by priority class, keyed by class
 	// name ("interactive", "bulk").
-	Classes map[string]ClassStats `json:"classes"`
-	// Tenants breaks grants down by tenant, keyed by tenant name
-	// (bounded; see OverflowTenant).
-	Tenants map[string]TenantStats `json:"tenants,omitempty"`
+	Classes map[string]ClassStats
 }
 
-// Stats returns a snapshot of the pool's counters.
+// Stats returns a snapshot of the pool.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -586,41 +527,23 @@ func (p *Pool) Stats() Stats {
 		Capacity:           p.capacity,
 		InteractiveReserve: p.reserve,
 		InUse:              p.inUse,
-		Waiting:            p.classes[ClassInteractive].waiting + p.classes[ClassBulk].waiting,
 		Peak:               p.peak,
-		Grants:             p.grants,
-		Waits:              p.waits,
+		Grants:             p.queueWait.Count(),
 		Classes:            make(map[string]ClassStats, numClasses),
-		Tenants:            make(map[string]TenantStats, len(p.tenantStats)),
 	}
 	for c := Class(0); c < numClasses; c++ {
-		cc := p.classStats[c]
 		cs := ClassStats{
-			InUse:          p.classInUse[c],
-			SlotCap:        p.capacity,
-			Waiting:        p.classes[c].waiting,
-			Grants:         cc.grants,
-			Waits:          cc.waits,
-			QueueTimeouts:  cc.timeouts,
-			MaxQueueWaitMS: float64(cc.waitMax) / float64(time.Millisecond),
+			InUse:         p.classInUse[c],
+			SlotCap:       p.capacity,
+			Waiting:       p.classes[c].waiting,
+			QueueTimeouts: p.timeouts[c].Value(),
 		}
 		if c == ClassBulk {
 			cs.SlotCap = p.bulkCap()
 		}
-		if cc.waits > 0 {
-			cs.AvgQueueWaitMS = float64(cc.waitTotal) / float64(cc.waits) / float64(time.Millisecond)
-		}
+		st.Waiting += cs.Waiting
+		st.Waits += p.queued[c].Value()
 		st.Classes[c.String()] = cs
-	}
-	for name, tc := range p.tenantStats {
-		st.Tenants[name] = TenantStats{Grants: tc.grants, Waits: tc.waits}
-	}
-	for c := Class(0); c < numClasses; c++ {
-		for name, tq := range p.classes[c].tenants {
-			ts := st.Tenants[name]
-			ts.Waiting += len(tq.ws)
-			st.Tenants[name] = ts
-		}
 	}
 	return st
 }

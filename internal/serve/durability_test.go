@@ -76,13 +76,11 @@ func TestLoadShedUncachedRun(t *testing.T) {
 		t.Fatalf("cached run under overload: status %d xcache %q %s", status, xc, raw)
 	}
 
-	var st StatsBody
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.ShedRequests != 1 {
-		t.Fatalf("shed_requests = %d, want 1", st.ShedRequests)
+	if n := metric(t, ts.URL, "qla_serve_throttled_total", `limit="queue"`); n != 1 {
+		t.Fatalf("queue throttles = %v, want 1", n)
 	}
-	if st.MaxQueue != 1 {
-		t.Fatalf("max_queue = %d, want 1", st.MaxQueue)
+	if n := metric(t, ts.URL, "qla_serve_max_queue"); n != 1 {
+		t.Fatalf("qla_serve_max_queue = %v, want 1", n)
 	}
 }
 
@@ -121,8 +119,8 @@ func TestUnboundedQueueNeverSheds(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("unbounded queue shed a request: %d %s", status, raw)
 	}
-	if n := srv.shedRequests.Value(); n != 0 {
-		t.Fatalf("shed_requests = %d, want 0", n)
+	if n := metric(t, ts.URL, "qla_serve_throttled_total", `limit="queue"`); n != 0 {
+		t.Fatalf("queue throttles = %v, want 0", n)
 	}
 }
 
@@ -179,10 +177,8 @@ func TestJournalReplayCompletesSweep(t *testing.T) {
 	if res.Cached != res.Total {
 		t.Fatalf("replayed sweep recomputed: %d/%d cached", res.Cached, res.Total)
 	}
-	var st StatsBody
-	getJSON(t, ts2.URL+"/v1/stats", &st)
-	if st.Journal == nil || st.Journal.Replayed != 1 {
-		t.Fatalf("journal stats %+v", st.Journal)
+	if n := metric(t, ts2.URL, "qla_journal_replayed_jobs_total"); n != 1 {
+		t.Fatalf("qla_journal_replayed_jobs_total = %v, want 1", n)
 	}
 	// The settled entry removed its file: a third start has nothing to do.
 	j3, err := journal.Open(journalDir)
@@ -222,7 +218,7 @@ func TestJournalGarbageDropped(t *testing.T) {
 
 // TestSweepRetryVisible: an injected transient failure is retried per
 // policy, and the attempt counts surface in the job result and
-// /v1/stats — the acceptance-criteria observability check.
+// /metrics — the acceptance-criteria observability check.
 func TestSweepRetryVisible(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	// First fault-hook call fails once, transiently; every later call
@@ -249,10 +245,10 @@ func TestSweepRetryVisible(t *testing.T) {
 		t.Fatalf("%d points report extra attempts, want 1", retried)
 	}
 
-	var st StatsBody
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Sweeps.PointsRetried != 1 || st.Sweeps.RetryAttempts != 1 {
-		t.Fatalf("sweep stats %+v", st.Sweeps)
+	retriedPoints := metric(t, ts.URL, "qla_sweep_points_retried_total")
+	attempts := metric(t, ts.URL, "qla_sweep_point_retries_total")
+	if retriedPoints != 1 || attempts != 1 {
+		t.Fatalf("/metrics points retried %v, retry attempts %v; want 1/1", retriedPoints, attempts)
 	}
 }
 
@@ -355,12 +351,10 @@ func TestShedBypassRecheck(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("Retry-After header %q", ra)
 	}
-	var st StatsBody
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.ShedBypassMisses != 1 {
-		t.Fatalf("shed_bypass_misses = %d, want 1", st.ShedBypassMisses)
+	if n := metric(t, ts.URL, "qla_serve_shed_bypass_misses_total"); n != 1 {
+		t.Fatalf("shed bypass misses = %v, want 1", n)
 	}
-	if st.ShedRequests != 1 {
-		t.Fatalf("shed_requests = %d, want 1", st.ShedRequests)
+	if n := metric(t, ts.URL, "qla_serve_throttled_total", `limit="queue"`); n != 1 {
+		t.Fatalf("queue throttles = %v, want 1", n)
 	}
 }

@@ -29,10 +29,10 @@ package serve
 // finishes the dead replica's points from its own copy of their bytes.
 //
 // Unreachable peers never veto and never block: per-peer circuit
-// breakers (the WithDegrade episode pattern) skip a dead peer after a
-// few consecutive errors, and a partitioned fleet degrades to replicas
-// computing independently — duplicated work the shared tier absorbs,
-// never a stalled sweep.
+// breakers (internal/breaker) skip a dead peer after a few consecutive
+// errors, and a partitioned fleet degrades to replicas computing
+// independently — duplicated work the shared tier absorbs, never a
+// stalled sweep.
 
 import (
 	"bytes"
@@ -46,9 +46,9 @@ import (
 	"net/url"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"qla/internal/breaker"
 	"qla/internal/cache"
 	"qla/internal/journal"
 	"qla/internal/obs"
@@ -60,8 +60,8 @@ import (
 // loop-prevention bit.
 const forwardHeader = "X-QLA-Forwarded"
 
-// Per-peer breaker knobs, reusing the cache tier's episode pattern:
-// skip a peer after a few consecutive errors, probe it occasionally.
+// Per-peer breaker knobs: skip a peer after a few consecutive errors,
+// probe it occasionally.
 const (
 	fleetDegradeAfter = 3
 	fleetProbeEvery   = 5 * time.Second
@@ -77,18 +77,17 @@ type fleet struct {
 	client *http.Client
 	log    *slog.Logger
 
+	// breakers holds one breaker per peer; the map is fixed at
+	// construction.
+	breakers map[string]*breaker.Breaker
+
 	mu     sync.Mutex
 	sweeps map[string]*fleetSweep
-	health map[string]*peerHealth
 
-	forwarded     atomic.Uint64
-	claimsSent    atomic.Uint64
-	claimsDenied  atomic.Uint64
-	claimErrors   atomic.Uint64
-	leasesGranted atomic.Uint64
-	leaseDenials  atomic.Uint64
-	prefetched    atomic.Uint64
-	leaseRenewals atomic.Uint64
+	// Protocol event counts, children of qla_fleet_events_total{event}:
+	// the only place they live.
+	forwarded, claimsSent, claimsDenied, claimErrors       *obs.Counter
+	leasesGranted, leaseDenials, prefetched, leaseRenewals *obs.Counter
 }
 
 // fleetSweep tracks one active sweep's per-point lease table.
@@ -104,25 +103,29 @@ type pointLease struct {
 	done   bool
 }
 
-// peerHealth is one peer's circuit breaker.
-type peerHealth struct {
-	consecErrs int
-	degraded   bool
-	nextProbe  time.Time
-}
-
-func newFleet(cfg Config, c *cache.Cache, logger *slog.Logger) *fleet {
-	return &fleet{
-		self:   cfg.SelfID,
-		peers:  cfg.Peers,
-		ttl:    cfg.LeaseTTL,
-		poll:   cfg.FleetPoll,
-		cache:  c,
-		client: &http.Client{Timeout: cfg.PeerTimeout},
-		log:    logger.With("subsystem", "fleet", "self", cfg.SelfID),
-		sweeps: make(map[string]*fleetSweep),
-		health: make(map[string]*peerHealth),
+func newFleet(cfg Config, c *cache.Cache, logger *slog.Logger, reg *obs.Registry) *fleet {
+	f := &fleet{
+		self:     cfg.SelfID,
+		peers:    cfg.Peers,
+		ttl:      cfg.LeaseTTL,
+		poll:     cfg.FleetPoll,
+		cache:    c,
+		client:   &http.Client{Timeout: cfg.PeerTimeout},
+		log:      logger.With("subsystem", "fleet", "self", cfg.SelfID),
+		breakers: make(map[string]*breaker.Breaker, len(cfg.Peers)),
+		sweeps:   make(map[string]*fleetSweep),
 	}
+	for _, p := range cfg.Peers {
+		f.breakers[p] = breaker.New(fleetDegradeAfter, fleetProbeEvery)
+	}
+	ev := reg.CounterVec("qla_fleet_events_total",
+		"Fleet protocol events: sweeps forwarded, lease claims sent/denied/failed, claims granted/denied to peers, completions prefetched, lease renewals.",
+		"event")
+	f.forwarded, f.claimsSent = ev.With("forwarded_sweeps"), ev.With("claims_sent")
+	f.claimsDenied, f.claimErrors = ev.With("claims_denied"), ev.With("claim_errors")
+	f.leasesGranted, f.leaseDenials = ev.With("leases_granted"), ev.With("lease_denials")
+	f.prefetched, f.leaseRenewals = ev.With("prefetched"), ev.With("lease_renewals")
+	return f
 }
 
 // register builds the lease table for sw; idempotent so a resubmission
@@ -201,7 +204,7 @@ func (f *fleet) claim(sweepHash, pointHash, holder string) (granted bool, state 
 	case pl.done:
 		// Already computed here: the claimer's next cache probe will
 		// find the bytes, so denying is cheaper than letting it run.
-		f.leaseDenials.Add(1)
+		f.leaseDenials.Inc()
 		return false, "done", true
 	case pl.holder == holder:
 		// Renewal of the claimer's own lease.
@@ -216,15 +219,15 @@ func (f *fleet) claim(sweepHash, pointHash, holder string) (granted bool, state 
 		// own claim round succeeded, the peer's table holds our lease
 		// and its gate defers instead of claiming.)
 		pl.holder, pl.expiry = holder, now.Add(f.ttl)
-		f.leasesGranted.Add(1)
+		f.leasesGranted.Inc()
 		return true, "leased", true
 	case pl.holder != "" && now.Before(pl.expiry):
-		f.leaseDenials.Add(1)
+		f.leaseDenials.Inc()
 		return false, "leased", true
 	default:
 		// Free, or an expired lease — the dead-lessee recovery path.
 		pl.holder, pl.expiry = holder, now.Add(f.ttl)
-		f.leasesGranted.Add(1)
+		f.leasesGranted.Inc()
 		return true, "leased", true
 	}
 }
@@ -261,11 +264,11 @@ func (f *fleet) gate(ctx context.Context, entry *journal.Entry, sweepHash, point
 	for _, peer := range f.peers {
 		granted, err := f.claimFrom(ctx, peer, sweepHash, pointHash)
 		if err != nil {
-			f.claimErrors.Add(1)
+			f.claimErrors.Inc()
 			continue
 		}
 		if !granted {
-			f.claimsDenied.Add(1)
+			f.claimsDenied.Inc()
 			f.mu.Lock()
 			// Release only our own tentative claim — a concurrent
 			// tie-break may already have reassigned the lease.
@@ -305,10 +308,10 @@ func (f *fleet) renew(ctx context.Context, sweepHash, pointHash string) {
 	}
 	pl.expiry = time.Now().Add(f.ttl)
 	f.mu.Unlock()
-	f.leaseRenewals.Add(1)
+	f.leaseRenewals.Inc()
 	for _, peer := range f.peers {
 		if _, err := f.claimFrom(ctx, peer, sweepHash, pointHash); err != nil {
-			f.claimErrors.Add(1)
+			f.claimErrors.Inc()
 		}
 	}
 }
@@ -323,13 +326,25 @@ type leaseBody struct {
 
 // claimFrom posts one lease claim to one peer, through its breaker.
 func (f *fleet) claimFrom(ctx context.Context, peer, sweepHash, pointHash string) (bool, error) {
-	if err := f.peerAllowed(peer); err != nil {
-		return false, err
+	if !f.breakers[peer].Allow() {
+		return false, fmt.Errorf("fleet: peer %s circuit open", peer)
 	}
-	f.claimsSent.Add(1)
+	f.claimsSent.Inc()
 	granted, err := f.postClaim(ctx, peer, sweepHash, pointHash)
-	f.notePeer(peer, err)
+	f.record(peer, err)
 	return granted, err
+}
+
+// record feeds one request's outcome to peer's breaker, logging once
+// per episode: the steady state of a dead peer is silent skips.
+func (f *fleet) record(peer string, err error) {
+	switch f.breakers[peer].Record(err) {
+	case breaker.Opened:
+		f.log.Warn("fleet peer skipped", "peer", peer, "consecutive_errors", fleetDegradeAfter,
+			"err", err, "probe_every", fleetProbeEvery)
+	case breaker.Closed:
+		f.log.Info("fleet peer reachable again", "peer", peer)
+	}
 }
 
 func (f *fleet) postClaim(ctx context.Context, peer, sweepHash, pointHash string) (bool, error) {
@@ -364,51 +379,6 @@ func (f *fleet) postClaim(ctx context.Context, peer, sweepHash, pointHash string
 		return false, err
 	}
 	return body.Granted, nil
-}
-
-// peerAllowed consults peer's breaker, claiming the probe slot when one
-// is due; the returned error means "skip this peer right now".
-func (f *fleet) peerAllowed(peer string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	h := f.health[peer]
-	if h == nil {
-		h = &peerHealth{}
-		f.health[peer] = h
-	}
-	if h.degraded {
-		if time.Now().Before(h.nextProbe) {
-			return fmt.Errorf("fleet: peer %s circuit open", peer)
-		}
-		h.nextProbe = time.Now().Add(fleetProbeEvery)
-	}
-	return nil
-}
-
-// notePeer records one request's outcome in peer's breaker.
-func (f *fleet) notePeer(peer string, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	h := f.health[peer]
-	if h == nil {
-		h = &peerHealth{}
-		f.health[peer] = h
-	}
-	if err != nil {
-		h.consecErrs++
-		if !h.degraded && h.consecErrs >= fleetDegradeAfter {
-			h.degraded = true
-			h.nextProbe = time.Now().Add(fleetProbeEvery)
-			// Logged once per episode: the steady state is silent skips.
-			f.log.Warn("fleet peer skipped", "peer", peer, "consecutive_errors", h.consecErrs,
-				"err", err, "probe_every", fleetProbeEvery)
-		}
-		return
-	}
-	if h.degraded {
-		f.log.Info("fleet peer reachable again", "peer", peer)
-	}
-	h.degraded, h.consecErrs = false, 0
 }
 
 // forward replicates a freshly admitted sweep to every peer,
@@ -454,7 +424,7 @@ func (f *fleet) forward(sw *sweep.Sweep, timeout time.Duration, tenant, trace st
 				log.Warn("sweep forward refused", "sweep", sw.Hash[:12], "peer", peer, "status", resp.StatusCode)
 				return
 			}
-			f.forwarded.Add(1)
+			f.forwarded.Inc()
 		}(peer)
 	}
 }
@@ -482,7 +452,7 @@ func (f *fleet) sync(sweepHash string, done <-chan struct{}) {
 					continue
 				}
 				if f.cache.Prefetch(h) {
-					f.prefetched.Add(1)
+					f.prefetched.Inc()
 				}
 			}
 		}
@@ -492,16 +462,15 @@ func (f *fleet) sync(sweepHash string, done <-chan struct{}) {
 // peerDone fetches the point hashes peer has completed for sweepHash;
 // every failure is just an empty answer (and breaker food).
 func (f *fleet) peerDone(peer, sweepHash string) []string {
-	if err := f.peerAllowed(peer); err != nil {
+	if !f.breakers[peer].Allow() {
 		return nil
 	}
 	resp, err := f.client.Get(peer + "/v1/leases/" + sweepHash)
+	f.record(peer, err)
 	if err != nil {
-		f.notePeer(peer, err)
 		return nil
 	}
 	defer resp.Body.Close()
-	f.notePeer(peer, nil)
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		return nil
@@ -546,59 +515,6 @@ func (f *fleet) ledger(sweepHash string) (LeaseLedger, bool) {
 	}
 	sort.Strings(led.Done)
 	return led, true
-}
-
-// FleetStats is the fleet section of GET /v1/stats.
-type FleetStats struct {
-	// SelfID is this replica's lease-holder identity; Peers the
-	// configured fleet, PeersDown how many are currently skipped by
-	// their breaker; ActiveSweeps the lease tables currently held.
-	SelfID       string   `json:"self_id"`
-	Peers        []string `json:"peers"`
-	PeersDown    int      `json:"peers_down"`
-	ActiveSweeps int      `json:"active_sweeps"`
-	// ForwardedSweeps counts successful sweep replications to a peer.
-	ForwardedSweeps uint64 `json:"forwarded_sweeps"`
-	// ClaimsSent counts outbound lease claims; ClaimsDenied the ones a
-	// peer vetoed (the point deferred); ClaimErrors claims that failed
-	// to reach a peer (no veto).
-	ClaimsSent   uint64 `json:"claims_sent"`
-	ClaimsDenied uint64 `json:"claims_denied"`
-	ClaimErrors  uint64 `json:"claim_errors"`
-	// LeasesGranted / LeaseDenials count the inbound side.
-	LeasesGranted uint64 `json:"leases_granted"`
-	LeaseDenials  uint64 `json:"lease_denials"`
-	// Prefetched counts peer completions pulled in by the syncer.
-	Prefetched uint64 `json:"prefetched"`
-	// LeaseRenewals counts mid-compute renewals of this replica's own
-	// leases (fired at half the lease TTL for still-running points).
-	LeaseRenewals uint64 `json:"lease_renewals"`
-}
-
-func (f *fleet) stats() FleetStats {
-	f.mu.Lock()
-	down := 0
-	for _, h := range f.health {
-		if h.degraded {
-			down++
-		}
-	}
-	active := len(f.sweeps)
-	f.mu.Unlock()
-	return FleetStats{
-		SelfID:          f.self,
-		Peers:           f.peers,
-		PeersDown:       down,
-		ActiveSweeps:    active,
-		ForwardedSweeps: f.forwarded.Load(),
-		ClaimsSent:      f.claimsSent.Load(),
-		ClaimsDenied:    f.claimsDenied.Load(),
-		ClaimErrors:     f.claimErrors.Load(),
-		LeasesGranted:   f.leasesGranted.Load(),
-		LeaseDenials:    f.leaseDenials.Load(),
-		Prefetched:      f.prefetched.Load(),
-		LeaseRenewals:   f.leaseRenewals.Load(),
-	}
 }
 
 // handleCacheGet is GET /v1/cache/{hash}: the peer cache route — the

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"qla/internal/cache"
+	"qla/internal/obs"
 	"qla/internal/sweep"
 )
 
@@ -63,7 +64,7 @@ func newFleetServers(t *testing.T, n int, mutate func(i int, cfg *Config)) ([]*S
 // exact cached Result bytes with the integrity header, and an unknown
 // hash is an ordinary 404 — fleet mode not required for either.
 func TestCacheRouteServesStoredBytes(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tinySpec(70)))
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +91,8 @@ func TestCacheRouteServesStoredBytes(t *testing.T) {
 	if h := resp.Header.Get(cache.HashHeader); h != cache.BodyHash(want) {
 		t.Fatalf("integrity header %q, want %q", h, cache.BodyHash(want))
 	}
-	if n := srv.peerServes.Value(); n != 1 {
-		t.Fatalf("peer_serves = %d, want 1", n)
+	if n := metric(t, ts.URL, "qla_serve_peer_serves_total"); n != 1 {
+		t.Fatalf("peer serves = %v, want 1", n)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/cache/" + strings.Repeat("00", 32))
@@ -120,8 +121,8 @@ func TestFleetPeerCacheHit(t *testing.T) {
 	if n := srvs[1].runsExecuted.Value(); n != 0 {
 		t.Fatalf("B executed %d runs, want 0 (peer tier should have served it)", n)
 	}
-	if cs := srvs[1].CacheStats(); cs.PeerHits != 1 {
-		t.Fatalf("B cache stats %+v, want peer_hits 1", cs)
+	if n := metric(t, urls[1], "qla_cache_hits_total", `tier="peer"`); n != 1 {
+		t.Fatalf("B peer-tier hits = %v, want 1", n)
 	}
 	if n := srvs[0].peerServes.Value(); n != 1 {
 		t.Fatalf("A peer_serves = %d, want 1", n)
@@ -133,7 +134,7 @@ func TestFleetPeerCacheHit(t *testing.T) {
 // duplicated compute near zero, and the fleet counters show the
 // coordination happened.
 func TestFleetSweepForwardedAndShared(t *testing.T) {
-	srvs, urls := newFleetServers(t, 2, nil)
+	_, urls := newFleetServers(t, 2, nil)
 	_, sb, _ := postSweep(t, urls[0], gridSweep)
 
 	// The forward is fire-and-forget; B learns about the job when the
@@ -169,10 +170,11 @@ func TestFleetSweepForwardedAndShared(t *testing.T) {
 		t.Fatalf("fleet computed %d points for a %d-point grid (A cached %d, B cached %d)",
 			computed, resA.Total, resA.Cached, resB.Cached)
 	}
-	if n := srvs[0].fleet.forwarded.Load(); n != 1 {
-		t.Fatalf("A forwarded %d sweeps, want 1", n)
+	if n := metric(t, urls[0], "qla_fleet_events_total", `event="forwarded_sweeps"`); n != 1 {
+		t.Fatalf("A forwarded %v sweeps, want 1", n)
 	}
-	claims := srvs[0].fleet.claimsSent.Load() + srvs[1].fleet.claimsSent.Load()
+	claims := metric(t, urls[0], "qla_fleet_events_total", `event="claims_sent"`) +
+		metric(t, urls[1], "qla_fleet_events_total", `event="claims_sent"`)
 	if claims == 0 {
 		t.Fatal("no lease claims were sent; the gate never engaged")
 	}
@@ -204,7 +206,7 @@ func TestFleetClaimProtocol(t *testing.T) {
 		LeaseTTL:    50 * time.Millisecond,
 		FleetPoll:   time.Second,
 		PeerTimeout: time.Second,
-	}, cache.New(1<<20), slog.New(slog.DiscardHandler))
+	}, cache.New(1<<20), slog.New(slog.DiscardHandler), obs.NewRegistry())
 	pt := sw.Points[0].Canonical.Hash
 
 	if _, _, known := f.claim("nope", pt, "a"); known {
@@ -299,7 +301,7 @@ func TestFleetRenewExtendsOwnLease(t *testing.T) {
 		LeaseTTL:    time.Minute,
 		FleetPoll:   time.Second,
 		PeerTimeout: 100 * time.Millisecond,
-	}, cache.New(1<<20), slog.New(slog.DiscardHandler))
+	}, cache.New(1<<20), slog.New(slog.DiscardHandler), obs.NewRegistry())
 	f.register(sw)
 	ctx := context.Background()
 
@@ -318,7 +320,7 @@ func TestFleetRenewExtendsOwnLease(t *testing.T) {
 	if !after.After(before) {
 		t.Fatalf("renewal did not extend expiry: %v -> %v", before, after)
 	}
-	if got := f.leaseRenewals.Load(); got != 1 {
+	if got := f.leaseRenewals.Value(); got != 1 {
 		t.Errorf("leaseRenewals = %d, want 1", got)
 	}
 
@@ -344,7 +346,7 @@ func TestFleetRenewExtendsOwnLease(t *testing.T) {
 	f.renew(ctx, sw.Hash, done)
 	f.renew(ctx, "nope", mine)
 	f.renew(ctx, sw.Hash, "nope")
-	if got := f.leaseRenewals.Load(); got != 1 {
+	if got := f.leaseRenewals.Value(); got != 1 {
 		t.Errorf("leaseRenewals = %d after no-op renewals, want 1", got)
 	}
 }

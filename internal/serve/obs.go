@@ -11,28 +11,26 @@ import (
 	"strconv"
 	"time"
 
+	"qla/internal/engine"
 	"qla/internal/obs"
 )
 
-// instrument registers the serve layer's own instruments: the request
-// counters /v1/stats reads (the registry is their single home), the
-// per-route HTTP vecs, and pull-based scheduler occupancy gauges.
+// instrument registers the serve layer's own instruments: the
+// admission counters, the per-route HTTP vecs (which also count the
+// run and sweep submissions) and the uptime gauge. The subsystems
+// register theirs on the same registry.
 func (s *Server) instrument() {
 	reg := s.reg
-	s.runRequests = reg.Counter("qla_serve_run_requests_total", "POST /v1/run submissions.")
 	s.runsExecuted = reg.Counter("qla_serve_runs_executed_total", "Fresh engine executions (cache misses that computed).")
-	s.shedRequests = reg.Counter("qla_serve_shed_total", "Requests refused 503 by the load-shed queue bound.")
 	s.shedBypassMisses = reg.Counter("qla_serve_shed_bypass_misses_total",
 		"Runs admitted as cache-servable whose entry vanished before compute (re-checked admission).")
 	s.peerServes = reg.Counter("qla_serve_peer_serves_total", "GET /v1/cache/{hash} hits served to fleet peers.")
-	s.throttled429 = reg.Counter("qla_serve_throttled_total", "Per-tenant rate-limit and quota refusals (429s).")
-	s.sweepRequests = reg.Counter("qla_sweep_requests_total", "POST /v1/sweeps submissions (including joins).")
-	s.sweepPoints = reg.Counter("qla_sweep_points_total", "Grid points settled across completed sweep jobs.")
-	s.sweepCached = reg.Counter("qla_sweep_points_cached_total", "Sweep points served from a cache tier.")
-	s.sweepFailed = reg.Counter("qla_sweep_points_failed_total", "Sweep points that settled as errors.")
-	s.sweepRetried = reg.Counter("qla_sweep_points_retried_total", "Sweep points that needed more than one attempt.")
-	s.sweepRetries = reg.Counter("qla_sweep_retry_attempts_total", "Extra sweep-point attempts spent by the retry policy.")
+	s.throttled = reg.CounterVec("qla_serve_throttled_total",
+		"Refused submissions by tenant and deciding limit: rate and quota answer 429, queue (load shed, queue-wait bound, full job store) 503.",
+		"tenant", "limit")
 	s.journalReplayed = reg.Counter("qla_journal_replayed_jobs_total", "Jobs re-admitted from the journal at startup.")
+	reg.Gauge("qla_serve_max_queue", "The load-shed bound on queued acquirers (negative = unbounded).").Set(float64(s.cfg.MaxQueue))
+	reg.Gauge("qla_experiments", "Experiments in the registry catalog.").Set(float64(len(engine.Experiments())))
 
 	s.httpReqs = reg.CounterVec("qla_http_requests_total",
 		"HTTP requests served, by route pattern, status code and tenant.", "route", "status", "tenant")
@@ -40,23 +38,10 @@ func (s *Server) instrument() {
 		"Wall time of one HTTP request, by route pattern.", obs.LatencyBuckets, "route")
 	s.httpInflight = reg.Gauge("qla_http_requests_inflight", "Requests currently being served.")
 
-	reg.GaugeFunc("qla_sched_in_use", "Scheduler slots currently granted.", nil, func() float64 {
-		return float64(s.pool.Stats().InUse)
-	})
-	reg.GaugeFunc("qla_sched_waiting", "Acquirers queued for a scheduler slot.", nil, func() float64 {
-		return float64(s.pool.Stats().Waiting)
-	})
-	reg.GaugeFunc("qla_sched_capacity", "The scheduler's global slot budget.", nil, func() float64 {
-		return float64(s.pool.Stats().Capacity)
-	})
 	reg.GaugeFunc("qla_uptime_seconds", "Seconds since the server was built.", nil, func() float64 {
 		return time.Since(s.started).Seconds()
 	})
 }
-
-// Registry exposes the server's metrics registry (tests and embedding
-// callers; the HTTP surface is GET /metrics).
-func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // trace is the ingress middleware: accept a well-formed client
 // X-QLA-Trace or mint one, stamp it on the response up front (error

@@ -1,152 +1,240 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"qla/internal/obs"
+	"qla/internal/sweep"
 )
 
-// statsGoldenKeys is the full key shape of GET /v1/stats on a fresh
-// standalone server. The legacy JSON contract is pinned here: removing
-// or renaming a key (the /metrics migration must not drift the JSON
-// surface) fails this test. Conditional sections — peer_serves,
-// journal, fleet — are pinned separately below.
-var statsGoldenKeys = []string{
-	"cache",
-	"cache.bytes",
-	"cache.dedups",
-	"cache.entries",
-	"cache.evictions",
-	"cache.hits",
-	"cache.inflight",
-	"cache.max_bytes",
-	"cache.misses",
-	"experiments",
-	"jobs",
-	"jobs.cancelled",
-	"jobs.completed",
-	"jobs.deduped",
-	"jobs.evicted",
-	"jobs.failed",
-	"jobs.max_jobs",
-	"jobs.max_result_bytes",
-	"jobs.quota_denied",
-	"jobs.result_bytes",
-	"jobs.running",
-	"jobs.stored",
-	"jobs.submitted",
-	"jobs.ttl_seconds",
-	"max_queue",
-	"run_requests",
-	"runs_executed",
-	"scheduler",
-	"scheduler.capacity",
-	"scheduler.classes",
-	"scheduler.classes.bulk",
-	"scheduler.classes.bulk.avg_queue_wait_ms",
-	"scheduler.classes.bulk.grants",
-	"scheduler.classes.bulk.in_use",
-	"scheduler.classes.bulk.max_queue_wait_ms",
-	"scheduler.classes.bulk.queue_timeouts",
-	"scheduler.classes.bulk.slot_cap",
-	"scheduler.classes.bulk.waiting",
-	"scheduler.classes.bulk.waits",
-	"scheduler.classes.interactive",
-	"scheduler.classes.interactive.avg_queue_wait_ms",
-	"scheduler.classes.interactive.grants",
-	"scheduler.classes.interactive.in_use",
-	"scheduler.classes.interactive.max_queue_wait_ms",
-	"scheduler.classes.interactive.queue_timeouts",
-	"scheduler.classes.interactive.slot_cap",
-	"scheduler.classes.interactive.waiting",
-	"scheduler.classes.interactive.waits",
-	"scheduler.grants",
-	"scheduler.in_use",
-	"scheduler.interactive_reserve",
-	"scheduler.peak",
-	"scheduler.waiting",
-	"scheduler.waits",
-	"shed_bypass_misses",
-	"shed_requests",
-	"sweeps",
-	"sweeps.point_cache_hit_ratio",
-	"sweeps.points",
-	"sweeps.points_cached",
-	"sweeps.points_failed",
-	"sweeps.points_retried",
-	"sweeps.requests",
-	"sweeps.retry_attempts",
-	"tenants",
-	"throttled_429",
-	"uptime_seconds",
+// metricsGolden maps every family GET /metrics renders on a
+// standalone server after one run and one sweep to its label names
+// (sorted, comma-joined; le excluded). It pins the exposition the
+// tests, CI and the benchmark read: renaming or dropping a family, or
+// changing its labels, fails TestStatsGoldenShape. The benchmark reads
+// eight of these families (perfbench/promtext.go) — the HTTP, cache,
+// scheduler, sweep-point and journal ones marked below.
+// qla_serve_throttled_total{tenant,limit} renders from the first
+// refusal on; the tenant tests read it.
+var metricsGolden = map[string]string{
+	"qla_cache_bytes":                    "",
+	"qla_cache_degrade_events_total":     "",
+	"qla_cache_disk_degraded":            "",
+	"qla_cache_disk_writes_total":        "",
+	"qla_cache_entries":                  "",
+	"qla_cache_evictions_total":          "",
+	"qla_cache_hits_total":               "tier", // benchmark
+	"qla_cache_misses_total":             "",     // benchmark
+	"qla_cache_peer_errors_total":        "",
+	"qla_cache_peer_misses_total":        "",
+	"qla_cache_peer_rtt_seconds":         "",
+	"qla_cache_peers_degraded":           "",
+	"qla_cache_persist_errors_total":     "",
+	"qla_cache_skipped_writes_total":     "",
+	"qla_experiments":                    "",
+	"qla_http_request_duration_seconds":  "route",               // benchmark
+	"qla_http_requests_inflight":         "",                    //
+	"qla_http_requests_total":            "route,status,tenant", // benchmark
+	"qla_jobs_events_total":              "event",
+	"qla_jobs_result_bytes":              "",
+	"qla_jobs_running":                   "",
+	"qla_jobs_stored":                    "",
+	"qla_journal_replayed_jobs_total":    "",
+	"qla_sched_capacity":                 "",
+	"qla_sched_in_use":                   "",
+	"qla_sched_interactive_reserve":      "",
+	"qla_sched_queue_timeouts_total":     "class",
+	"qla_sched_queue_wait_seconds":       "class,tenant", // benchmark
+	"qla_sched_queued_total":             "class",
+	"qla_sched_waiting":                  "",
+	"qla_serve_max_queue":                "",
+	"qla_serve_peer_serves_total":        "",
+	"qla_serve_runs_executed_total":      "",
+	"qla_serve_shed_bypass_misses_total": "",
+	"qla_sweep_point_defers_total":       "",
+	"qla_sweep_point_duration_seconds":   "outcome", // benchmark
+	"qla_sweep_point_retries_total":      "",
+	"qla_sweep_points_retried_total":     "",
+	"qla_uptime_seconds":                 "",
 }
 
-func jsonKeyPaths(v any, prefix string, out *[]string) {
-	m, ok := v.(map[string]any)
-	if !ok {
-		return
+// journalGolden and fleetGolden are the families a -journal-dir server
+// and a fleet replica render on top of metricsGolden.
+var (
+	journalGolden = map[string]string{
+		"qla_journal_append_seconds": "", // benchmark
+		"qla_journal_dropped_total":  "",
+		"qla_journal_errors_total":   "",
+		"qla_journal_fsync_seconds":  "", // benchmark
+		"qla_journal_records_total":  "kind",
+		"qla_journal_resumed_total":  "",
 	}
-	for k, child := range m {
-		*out = append(*out, prefix+k)
-		jsonKeyPaths(child, prefix+k+".", out)
+	fleetGolden = map[string]string{
+		"qla_fleet_events_total": "event",
 	}
-}
+)
 
-// TestStatsGoldenShape pins the /v1/stats JSON key set exactly. The
-// counters now live in the metrics registry; this is the drift guard
-// ensuring the legacy JSON surface stayed byte-compatible in shape.
-func TestStatsGoldenShape(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/stats")
+// scrape fetches GET /metrics as text.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	jsonKeyPaths(body, "", &got)
-	sort.Strings(got)
-	want := append([]string(nil), statsGoldenKeys...)
-	sort.Strings(want)
-	if len(got) != len(want) {
-		t.Errorf("stats key count drifted: got %d keys, want %d", len(got), len(want))
-	}
-	gotSet := make(map[string]bool, len(got))
-	for _, k := range got {
-		gotSet[k] = true
-	}
-	for _, k := range want {
-		if !gotSet[k] {
-			t.Errorf("stats key %q missing from /v1/stats", k)
-		}
-		delete(gotSet, k)
-	}
-	for k := range gotSet {
-		t.Errorf("stats key %q is new: add it to the golden list deliberately", k)
-	}
-
-	// The conditional keys keep their tag names: peer_serves appears
-	// once a peer fetch is served, journal with -journal-dir.
-	raw, err := json.Marshal(StatsBody{PeerServes: 1, Journal: &JournalStats{}})
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{`"peer_serves":1`, `"journal"`, `"shed_bypass_misses"`} {
-		if !strings.Contains(string(raw), k) {
-			t.Errorf("StatsBody marshal lost %s: %s", k, raw)
+	return string(raw)
+}
+
+// metric scrapes base and sums every sample of the series name whose
+// labels contain each given `k="v"` pair — how a /metrics reader gets
+// a counter, a gauge or (with a _count suffix) a histogram's count.
+func metric(t *testing.T, base, name string, labels ...string) float64 {
+	t.Helper()
+	total := 0.0
+	for _, line := range strings.Split(scrape(t, base), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		cut := strings.LastIndexByte(line, ' ')
+		series, lbl := line[:cut], ""
+		if i := strings.IndexByte(series, '{'); i >= 0 {
+			series, lbl = series[:i], series[i:]
+		}
+		if series != name || !containsAll(lbl, labels) {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[cut+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		total += v
+	}
+	return total
+}
+
+func containsAll(s string, subs []string) bool {
+	for _, sub := range subs {
+		if !strings.Contains(s, sub) {
+			return false
 		}
 	}
+	return true
+}
+
+// familyLabels maps each family of an exposition to its sorted label
+// names, le excluded.
+func familyLabels(text string) map[string]string {
+	out := map[string]string{}
+	sets := map[string]map[string]bool{}
+	var fam string
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fam = strings.Fields(rest)[0]
+			sets[fam] = map[string]bool{}
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		if i := strings.IndexByte(series, '{'); i >= 0 {
+			for _, kv := range strings.Split(series[i+1:len(series)-1], `",`) {
+				if k, _, _ := strings.Cut(kv, "="); k != "le" {
+					sets[fam][k] = true
+				}
+			}
+		}
+	}
+	for f, set := range sets {
+		names := make([]string, 0, len(set))
+		for k := range set {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		out[f] = strings.Join(names, ",")
+	}
+	return out
+}
+
+// checkFamilies compares a scrape's families and label names against
+// the union of the given golden maps.
+func checkFamilies(t *testing.T, what, text string, goldens ...map[string]string) {
+	t.Helper()
+	want := map[string]string{}
+	for _, g := range goldens {
+		for f, l := range g {
+			want[f] = l
+		}
+	}
+	got := familyLabels(text)
+	for f, l := range want {
+		if gl, ok := got[f]; !ok {
+			t.Errorf("%s: family %s missing from /metrics", what, f)
+		} else if gl != l {
+			t.Errorf("%s: family %s has labels %q, want %q", what, f, gl, l)
+		}
+	}
+	for f, l := range got {
+		if _, ok := want[f]; !ok {
+			t.Errorf("%s: family %s{%s} is new: add it to the golden deliberately", what, f, l)
+		}
+	}
+}
+
+// TestStatsGoldenShape pins the /metrics family names and label names
+// of a standalone server after one run and one sweep, of a journaled
+// server, and of a fleet replica. It also pins the children a fresh
+// server renders at zero — the benchmark's family guard needs the
+// cache tiers and sweep outcomes present before any traffic.
+func TestStatsGoldenShape(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	fresh := scrape(t, ts.URL)
+	for _, want := range []string{
+		`qla_cache_hits_total{tier="memory"} 0`,
+		`qla_cache_hits_total{tier="disk"} 0`,
+		`qla_cache_hits_total{tier="peer"} 0`,
+		`qla_cache_hits_total{tier="inflight"} 0`,
+		"qla_cache_misses_total 0",
+		`qla_sweep_point_duration_seconds_count{outcome="ok"} 0`,
+		`qla_sweep_point_duration_seconds_count{outcome="cached"} 0`,
+		`qla_sweep_point_duration_seconds_count{outcome="error"} 0`,
+	} {
+		if !strings.Contains(fresh, want) {
+			t.Errorf("fresh server /metrics lacks %q", want)
+		}
+	}
+	if status, _, body := postRun(t, ts.URL, tinySpec(30)); status != http.StatusOK {
+		t.Fatalf("run: %d %s", status, body)
+	}
+	_, sb, _ := postSweep(t, ts.URL, gridSweep)
+	pollJob(t, ts.URL, sb.JobID)
+	checkFamilies(t, "standalone", scrape(t, ts.URL), metricsGolden)
+
+	_, jts := newTestServer(t, Config{JournalDir: t.TempDir()})
+	_, sb, _ = postSweep(t, jts.URL, gridSweep)
+	pollJob(t, jts.URL, sb.JobID)
+	postRun(t, jts.URL, tinySpec(30))
+	checkFamilies(t, "journal", scrape(t, jts.URL), metricsGolden, journalGolden)
+
+	_, urls := newFleetServers(t, 2, nil)
+	postRun(t, urls[0], tinySpec(30))
+	_, sb, _ = postSweep(t, urls[0], gridSweep)
+	pollJob(t, urls[0], sb.JobID)
+	checkFamilies(t, "fleet", scrape(t, urls[0]), metricsGolden, fleetGolden)
 }
 
 // TestMetricsEndpoint drives a run and reads GET /metrics: the
@@ -169,8 +257,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	text := string(raw)
 	for _, want := range []string{
-		"# TYPE qla_serve_run_requests_total counter",
-		"qla_serve_run_requests_total 1",
+		"# TYPE qla_http_requests_total counter",
+		`qla_http_requests_total{route="POST /v1/run",status="200",tenant="default"} 1`,
 		"# TYPE qla_cache_hits_total counter",
 		`qla_cache_hits_total{tier="memory"}`,
 		"# TYPE qla_sched_queue_wait_seconds histogram",
@@ -328,7 +416,27 @@ func TestFleetTraceOneID(t *testing.T) {
 		logs[i] = &logBuffer{}
 		cfg.Logger = slog.New(slog.NewTextHandler(logs[i], nil))
 	})
-	_ = srvs
+	// A's points wait on the fault seam until B has settled one: left
+	// alone, A can finish the whole grid before the forwarded copy
+	// registers on B, and no lease is ever asked for. Every point of
+	// B's is a miss, so its first settled point needed a lease A
+	// granted.
+	sw, err := sweep.Expand(mustDecodeSpec(t, gridSweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvs[0].fault = func(ctx context.Context, _ string) error {
+		for {
+			if j, ok := srvs[1].jobs.Get(sw.Hash); ok && j.Snapshot().Progress.Done > 0 {
+				return nil
+			}
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
 
 	const trace = "trace-fleet-e2e-0001"
 	req, _ := http.NewRequest(http.MethodPost, urls[0]+"/v1/sweeps", strings.NewReader(gridSweep))

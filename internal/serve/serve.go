@@ -52,7 +52,6 @@ var Routes = []string{
 	"POST /v1/leases/{sweep}/{point}",
 	"GET /v1/leases/{sweep}",
 	"GET /v1/experiments",
-	"GET /v1/stats",
 	"GET /metrics",
 	"GET /buildinfo",
 	"GET /healthz",
@@ -155,8 +154,8 @@ type Server struct {
 	started time.Time
 
 	// reg is the server's metrics registry: every subsystem registers
-	// its instruments here, GET /metrics renders it, and /v1/stats
-	// reads the same instruments — one source of truth.
+	// its instruments here and counts nowhere else, and GET /metrics
+	// renders it — the only stats surface.
 	reg *obs.Registry
 	log *slog.Logger
 
@@ -170,19 +169,11 @@ type Server struct {
 	// production servers leave it nil.
 	fault sweep.FaultHook
 
-	runRequests      *obs.Counter
 	runsExecuted     *obs.Counter
-	shedRequests     *obs.Counter
 	shedBypassMisses *obs.Counter
 	peerServes       *obs.Counter
-	sweepRequests    *obs.Counter
-	sweepPoints      *obs.Counter
-	sweepCached      *obs.Counter
-	sweepFailed      *obs.Counter
-	sweepRetried     *obs.Counter
-	sweepRetries     *obs.Counter
 	journalReplayed  *obs.Counter
-	throttled429     *obs.Counter
+	throttled        *obs.CounterVec // by tenant and deciding limit
 }
 
 // New builds a Server with its engine, cache, scheduler and job
@@ -303,7 +294,7 @@ func New(cfg Config) *Server {
 		}
 	}
 	if len(cfg.Peers) > 0 {
-		s.fleet = newFleet(cfg, s.cache, logger)
+		s.fleet = newFleet(cfg, s.cache, logger, reg)
 	}
 	return s
 }
@@ -399,7 +390,6 @@ func (s *Server) Handler() http.Handler {
 		"POST /v1/leases/{sweep}/{point}": s.handleLeaseClaim,
 		"GET /v1/leases/{sweep}":          s.handleLeaseLedger,
 		"GET /v1/experiments":             s.handleExperiments,
-		"GET /v1/stats":                   s.handleStats,
 		"GET /metrics":                    s.handleMetrics,
 		"GET /buildinfo":                  s.handleBuildinfo,
 		"GET /healthz":                    s.handleHealthz,
@@ -457,7 +447,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // that populated it; X-Cache says which happened and X-Spec-Hash names
 // the content address.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.runRequests.Add(1)
 	tenant, err := tenantFrom(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -623,111 +612,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// SweepStats aggregates the sweep workload's point-level counters.
-type SweepStats struct {
-	// Requests counts POST /v1/sweeps submissions (including ones that
-	// joined an existing job).
-	Requests uint64 `json:"requests"`
-	// Points, PointsCached and PointsFailed count grid points across
-	// every completed sweep job.
-	Points       uint64 `json:"points"`
-	PointsCached uint64 `json:"points_cached"`
-	PointsFailed uint64 `json:"points_failed"`
-	// PointsRetried counts points that needed more than one attempt;
-	// RetryAttempts the extra attempts the retry policy spent on them.
-	PointsRetried uint64 `json:"points_retried"`
-	RetryAttempts uint64 `json:"retry_attempts"`
-	// PointCacheHitRatio is PointsCached/Points (0 when no points ran).
-	PointCacheHitRatio float64 `json:"point_cache_hit_ratio"`
-}
-
-// JournalStats wraps the journal counters with the replay total.
-type JournalStats struct {
-	journal.Stats
-	// Replayed counts jobs this process re-admitted from the journal
-	// at startup.
-	Replayed uint64 `json:"replayed"`
-}
-
-// StatsBody is the GET /v1/stats payload.
-type StatsBody struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Experiments   int     `json:"experiments"`
-	RunRequests   uint64  `json:"run_requests"`
-	RunsExecuted  uint64  `json:"runs_executed"`
-	// ShedRequests counts requests refused with 503 + Retry-After by
-	// the load-shed bound; MaxQueue echoes the bound. Throttled429
-	// counts per-tenant rate-limit and quota refusals (429s).
-	ShedRequests uint64 `json:"shed_requests"`
-	MaxQueue     int    `json:"max_queue"`
-	Throttled429 uint64 `json:"throttled_429"`
-	// ShedBypassMisses counts runs admitted as cache-servable whose
-	// entry vanished before compute started (the check-then-act race);
-	// each re-checked the overload bound at compute admission.
-	ShedBypassMisses uint64 `json:"shed_bypass_misses"`
-	// PeerServes counts GET /v1/cache/{hash} hits served to fleet peers.
-	PeerServes uint64        `json:"peer_serves,omitempty"`
-	Cache      cache.Stats   `json:"cache"`
-	Scheduler  sched.Stats   `json:"scheduler"`
-	Jobs       jobs.Stats    `json:"jobs"`
-	Sweeps     SweepStats    `json:"sweeps"`
-	Journal    *JournalStats `json:"journal,omitempty"`
-	// Fleet is present when the server runs with peers configured.
-	Fleet *FleetStats `json:"fleet,omitempty"`
-	// Tenants breaks admission, job and scheduler counters down by
-	// tenant name.
-	Tenants map[string]TenantStatsBody `json:"tenants"`
-}
-
-// handleStats is GET /v1/stats: cache hit/miss/dedup counters, the
-// scheduler budget, request totals, load-shed and journal state, and
-// the job-manager and sweep workload counters.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	sw := SweepStats{
-		Requests:      s.sweepRequests.Value(),
-		Points:        s.sweepPoints.Value(),
-		PointsCached:  s.sweepCached.Value(),
-		PointsFailed:  s.sweepFailed.Value(),
-		PointsRetried: s.sweepRetried.Value(),
-		RetryAttempts: s.sweepRetries.Value(),
-	}
-	if sw.Points > 0 {
-		sw.PointCacheHitRatio = float64(sw.PointsCached) / float64(sw.Points)
-	}
-	body := StatsBody{
-		UptimeSeconds:    time.Since(s.started).Seconds(),
-		Experiments:      len(engine.Experiments()),
-		RunRequests:      s.runRequests.Value(),
-		RunsExecuted:     s.runsExecuted.Value(),
-		ShedRequests:     s.shedRequests.Value(),
-		MaxQueue:         s.cfg.MaxQueue,
-		Throttled429:     s.throttled429.Value(),
-		ShedBypassMisses: s.shedBypassMisses.Value(),
-		PeerServes:       s.peerServes.Value(),
-		Cache:            s.cache.Stats(),
-		Scheduler:        s.pool.Stats(),
-		Jobs:             s.jobs.Stats(),
-		Sweeps:           sw,
-		Tenants:          s.tenantStats(),
-	}
-	if s.journal != nil {
-		body.Journal = &JournalStats{Stats: s.journal.Stats(), Replayed: s.journalReplayed.Value()}
-	}
-	if s.fleet != nil {
-		fs := s.fleet.stats()
-		body.Fleet = &fs
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
 // handleHealthz is GET /healthz: liveness only, no dependencies.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
-
-// SchedulerStats exposes the worker pool's counters for tests asserting
-// the budget is never exceeded.
-func (s *Server) SchedulerStats() sched.Stats { return s.pool.Stats() }
-
-// CacheStats exposes the result cache's counters.
-func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }

@@ -43,7 +43,8 @@ func postRun(t *testing.T, url, spec string) (status int, xcache string, body []
 
 // TestRepeatedSpecServedFromCache is the acceptance-criteria test: a
 // repeated figure7 Spec served over HTTP returns a bit-identical Result
-// body from cache, with the hit visible both in X-Cache and /v1/stats.
+// body from cache, with the hit visible both in X-Cache and the cache
+// counters.
 func TestRepeatedSpecServedFromCache(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	status, xc, first := postRun(t, ts.URL, tinySpec(11))
@@ -67,7 +68,7 @@ func TestRepeatedSpecServedFromCache(t *testing.T) {
 	if res.Experiment != "figure7" || res.Seed != 11 {
 		t.Errorf("Result = %+v", res)
 	}
-	cs := srv.CacheStats()
+	cs := srv.cache.Stats()
 	if cs.Hits != 1 || cs.Misses != 1 {
 		t.Errorf("cache stats %+v", cs)
 	}
@@ -146,7 +147,7 @@ func TestConcurrentRunsSingleflightAndBudget(t *testing.T) {
 	if got := srv.runsExecuted.Value(); got != distinct {
 		t.Errorf("runs executed = %d, want %d (singleflight must collapse duplicates)", got, distinct)
 	}
-	cs := srv.CacheStats()
+	cs := srv.cache.Stats()
 	if cs.Misses != distinct {
 		t.Errorf("cache misses = %d, want %d", cs.Misses, distinct)
 	}
@@ -155,7 +156,7 @@ func TestConcurrentRunsSingleflightAndBudget(t *testing.T) {
 	}
 
 	// (c) the shared worker budget held.
-	ss := srv.SchedulerStats()
+	ss := srv.pool.Stats()
 	if ss.Peak > workers {
 		t.Errorf("scheduler peak %d exceeded the %d-worker budget", ss.Peak, workers)
 	}
@@ -222,26 +223,21 @@ func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	postRun(t, ts.URL, tinySpec(5))
 	postRun(t, ts.URL, tinySpec(5))
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	requests := metric(t, ts.URL, "qla_http_requests_total", `route="POST /v1/run"`)
+	executed := metric(t, ts.URL, "qla_serve_runs_executed_total")
+	if requests != 2 || executed != 1 {
+		t.Errorf("requests=%v executed=%v", requests, executed)
 	}
-	defer resp.Body.Close()
-	var stats StatsBody
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
+	hits := metric(t, ts.URL, "qla_cache_hits_total", `tier="memory"`)
+	misses := metric(t, ts.URL, "qla_cache_misses_total")
+	if hits != 1 || misses != 1 {
+		t.Errorf("cache hits=%v misses=%v", hits, misses)
 	}
-	if stats.RunRequests != 2 || stats.RunsExecuted != 1 {
-		t.Errorf("requests=%d executed=%d", stats.RunRequests, stats.RunsExecuted)
+	if n := metric(t, ts.URL, "qla_sched_capacity"); n < 1 {
+		t.Errorf("qla_sched_capacity = %v", n)
 	}
-	if stats.Cache.Hits != 1 || stats.Cache.Misses != 1 {
-		t.Errorf("cache stats %+v", stats.Cache)
-	}
-	if stats.Scheduler.Capacity < 1 {
-		t.Errorf("scheduler stats %+v", stats.Scheduler)
-	}
-	if stats.Experiments < 20 {
-		t.Errorf("experiments = %d", stats.Experiments)
+	if n := metric(t, ts.URL, "qla_experiments"); n < 20 {
+		t.Errorf("qla_experiments = %v", n)
 	}
 }
 

@@ -63,7 +63,6 @@ func parseTimeout(r *http.Request, def, max time.Duration) (time.Duration, error
 // job keyed by the sweep's content address. The response is 202 for a
 // newly started job, 200 when the submission joined an existing one.
 func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	s.sweepRequests.Add(1)
 	tenant, err := tenantFrom(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -247,11 +246,6 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 		if runErr != nil {
 			return nil, runErr
 		}
-		s.sweepPoints.Add(uint64(res.Total))
-		s.sweepCached.Add(uint64(res.Cached))
-		s.sweepFailed.Add(uint64(res.Failed))
-		s.sweepRetried.Add(uint64(res.Retried))
-		s.sweepRetries.Add(uint64(res.RetryAttempts))
 		return json.Marshal(res)
 	})
 	if (err != nil || !created) && freshEntry {

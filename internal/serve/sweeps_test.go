@@ -199,7 +199,7 @@ func TestSweepPersistenceAcrossRestart(t *testing.T) {
 	if res.Cached != res.Total {
 		t.Errorf("restarted server served %d/%d points from the persisted cache", res.Cached, res.Total)
 	}
-	if cs := srv2.CacheStats(); cs.DiskHits != uint64(res.Total) {
+	if cs := srv2.cache.Stats(); cs.DiskHits != uint64(res.Total) {
 		t.Errorf("cache stats %+v", cs)
 	}
 }
@@ -437,8 +437,8 @@ func TestSweepErrorResponses(t *testing.T) {
 	})
 }
 
-// TestStatsIncludeJobsAndSweeps: /v1/stats carries the job-manager and
-// sweep counters, including the per-point cache-hit ratio.
+// TestStatsIncludeJobsAndSweeps: /metrics carries the job-manager and
+// sweep counters, from which the per-point cache-hit ratio follows.
 func TestStatsIncludeJobsAndSweeps(t *testing.T) {
 	_, ts := newTestServer(t, Config{JobTTL: 20 * time.Millisecond})
 	_, sb, _ := postSweep(t, ts.URL, gridSweep)
@@ -447,17 +447,18 @@ func TestStatsIncludeJobsAndSweeps(t *testing.T) {
 	_, sb2, _ := postSweep(t, ts.URL, gridSweep) // fresh job, cached points
 	pollJob(t, ts.URL, sb2.JobID)
 
-	var stats StatsBody
-	if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
-		t.Fatalf("stats status %d", status)
+	submitted := metric(t, ts.URL, "qla_jobs_events_total", `event="submitted"`)
+	completed := metric(t, ts.URL, "qla_jobs_events_total", `event="completed"`)
+	if submitted != 2 || completed != 2 {
+		t.Errorf("jobs submitted=%v completed=%v", submitted, completed)
 	}
-	if stats.Jobs.Submitted != 2 || stats.Jobs.Completed != 2 {
-		t.Errorf("job stats %+v", stats.Jobs)
+	requests := metric(t, ts.URL, "qla_http_requests_total", `route="POST /v1/sweeps"`)
+	points := metric(t, ts.URL, "qla_sweep_point_duration_seconds_count")
+	cached := metric(t, ts.URL, "qla_sweep_point_duration_seconds_count", `outcome="cached"`)
+	if requests != 2 || points != 24 || cached != 12 {
+		t.Errorf("sweep requests=%v points=%v cached=%v", requests, points, cached)
 	}
-	if stats.Sweeps.Requests != 2 || stats.Sweeps.Points != 24 || stats.Sweeps.PointsCached != 12 {
-		t.Errorf("sweep stats %+v", stats.Sweeps)
-	}
-	if got := stats.Sweeps.PointCacheHitRatio; got < 0.49 || got > 0.51 {
+	if got := cached / points; got < 0.49 || got > 0.51 {
 		t.Errorf("cache-hit ratio %f", got)
 	}
 }

@@ -3,10 +3,11 @@ package serve
 // Multi-tenant admission: every request carries a tenant identity
 // (X-QLA-Tenant header, "default" otherwise) that the serving stack
 // threads through rate limiting, job quotas, the fair scheduler and
-// /v1/stats. Throttling responses are unified here: 429s (per-tenant
-// rate/quota limits) and 503s (global queue bounds) share one JSON
-// error envelope, one backlog-scaled Retry-After policy, and headers
-// naming the refused tenant and the deciding limit.
+// the tenant-labelled metrics. Throttling responses are unified here:
+// 429s (per-tenant rate/quota limits) and 503s (global queue bounds)
+// share one JSON error envelope, one backlog-scaled Retry-After
+// policy, headers naming the refused tenant and the deciding limit,
+// and one qla_serve_throttled_total{tenant,limit} counter.
 
 import (
 	"fmt"
@@ -39,7 +40,7 @@ const (
 
 // tenantFrom resolves and validates the request's tenant identity. An
 // absent header means the default tenant; a malformed one is a client
-// error, not a new tenant — names land in stats maps and scheduler
+// error, not a new tenant — names land in metric labels and scheduler
 // queues, so their alphabet and length stay bounded.
 func tenantFrom(r *http.Request) (string, error) {
 	t := strings.TrimSpace(r.Header.Get(TenantHeader))
@@ -64,8 +65,8 @@ func tenantFrom(r *http.Request) (string, error) {
 // recently seen tenant's bucket is recycled.
 const tenantTableCap = 4096
 
-// tenantTable holds the per-tenant token buckets and serve-side
-// counters. One table is safe for concurrent use.
+// tenantTable holds the per-tenant token buckets. One table is safe
+// for concurrent use.
 type tenantTable struct {
 	rps   float64 // tokens accrued per second; <= 0 disables limiting
 	burst float64 // bucket depth
@@ -74,15 +75,11 @@ type tenantTable struct {
 	entries map[string]*tenantEntry
 }
 
+// tenantEntry is one tenant's bucket; last is when it was last
+// refilled, which is also when the tenant was last seen.
 type tenantEntry struct {
-	tokens   float64
-	last     time.Time
-	lastSeen time.Time
-
-	requests    uint64
-	rateLimited uint64
-	quotaDenied uint64
-	shed        uint64
+	tokens float64
+	last   time.Time
 }
 
 func newTenantTable(rps, burst float64) *tenantTable {
@@ -101,8 +98,8 @@ func (t *tenantTable) entryLocked(tenant string, now time.Time) *tenantEntry {
 			var victim string
 			var oldest time.Time
 			for name, v := range t.entries {
-				if victim == "" || v.lastSeen.Before(oldest) {
-					victim, oldest = name, v.lastSeen
+				if victim == "" || v.last.Before(oldest) {
+					victim, oldest = name, v.last
 				}
 			}
 			delete(t.entries, victim)
@@ -110,109 +107,35 @@ func (t *tenantTable) entryLocked(tenant string, now time.Time) *tenantEntry {
 		e = &tenantEntry{tokens: t.burst, last: now}
 		t.entries[tenant] = e
 	}
-	e.lastSeen = now
 	return e
 }
 
-// admit spends one rate-limit token for tenant, counting the request
-// either way. When refused it returns the whole seconds until the
-// bucket accrues a token — the client-facing wait the 429 quotes.
+// admit spends one rate-limit token for tenant. When refused it
+// returns the whole seconds until the bucket accrues a token — the
+// client-facing wait the 429 quotes. With limiting off it takes no
+// lock at all.
 func (t *tenantTable) admit(tenant string) (ok bool, tokenWait int) {
+	if t.rps <= 0 {
+		return true, 0
+	}
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entryLocked(tenant, now)
-	e.requests++
-	if t.rps <= 0 {
-		return true, 0
-	}
 	e.tokens = math.Min(t.burst, e.tokens+now.Sub(e.last).Seconds()*t.rps)
 	e.last = now
 	if e.tokens >= 1 {
 		e.tokens--
 		return true, 0
 	}
-	e.rateLimited++
 	return false, int(math.Ceil((1 - e.tokens) / t.rps))
-}
-
-// note bumps a tenant's refusal counter for limits decided outside the
-// token bucket (job quotas, global sheds).
-func (t *tenantTable) note(tenant, limit string) {
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e := t.entryLocked(tenant, now)
-	switch limit {
-	case throttleQuota:
-		e.quotaDenied++
-	case throttleQueue:
-		e.shed++
-	}
-}
-
-// TenantStatsBody is one tenant's slice of GET /v1/stats: serve-side
-// admission counters merged with the job store's quota ledger and the
-// scheduler's fair-share counters.
-type TenantStatsBody struct {
-	// Requests counts run and sweep submissions seen; RateLimited,
-	// QuotaDenied and Shed count the refusals by deciding limit.
-	Requests    uint64 `json:"requests"`
-	RateLimited uint64 `json:"rate_limited"`
-	QuotaDenied uint64 `json:"quota_denied"`
-	Shed        uint64 `json:"shed"`
-	// JobsRunning / JobsStored / JobResultBytes mirror the job store's
-	// per-tenant ledgers (what -tenant-max-jobs caps).
-	JobsRunning    int   `json:"jobs_running"`
-	JobsStored     int   `json:"jobs_stored"`
-	JobResultBytes int64 `json:"job_result_bytes"`
-	// SchedGrants / SchedWaits / SchedWaiting mirror the scheduler's
-	// per-tenant fair-share counters.
-	SchedGrants  uint64 `json:"sched_grants"`
-	SchedWaits   uint64 `json:"sched_waits"`
-	SchedWaiting int    `json:"sched_waiting"`
-}
-
-// tenantStats assembles the per-tenant stats map from the three
-// subsystems that keep tenant ledgers.
-func (s *Server) tenantStats() map[string]TenantStatsBody {
-	out := make(map[string]TenantStatsBody)
-	s.tenants.mu.Lock()
-	for name, e := range s.tenants.entries {
-		out[name] = TenantStatsBody{
-			Requests:    e.requests,
-			RateLimited: e.rateLimited,
-			QuotaDenied: e.quotaDenied,
-			Shed:        e.shed,
-		}
-	}
-	s.tenants.mu.Unlock()
-	for name, js := range s.jobs.Tenants() {
-		ts := out[name]
-		ts.JobsRunning, ts.JobsStored, ts.JobResultBytes = js.Running, js.Stored, js.ResultBytes
-		out[name] = ts
-	}
-	for name, ss := range s.pool.Stats().Tenants {
-		ts := out[name]
-		ts.SchedGrants, ts.SchedWaits, ts.SchedWaiting = ss.Grants, ss.Waits, ss.Waiting
-		out[name] = ts
-	}
-	return out
 }
 
 // throttle writes one unified refusal — the single path every 429 and
 // throttling 503 goes through: the JSON error envelope, Retry-After,
 // and the tenant/limit headers clients use to tell limits apart.
 func (s *Server) throttle(w http.ResponseWriter, status int, tenant, limit string, retryAfter int, err error) {
-	if status == http.StatusServiceUnavailable {
-		s.shedRequests.Add(1)
-	} else {
-		s.throttled429.Add(1)
-	}
-	if limit != throttleRate {
-		// admit already counted rate refusals under the bucket lock.
-		s.tenants.note(tenant, limit)
-	}
+	s.throttled.With(tenant, limit).Inc()
 	w.Header().Set(TenantHeader, tenant)
 	w.Header().Set(ThrottleHeader, limit)
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))

@@ -74,7 +74,7 @@ func TestInteractiveNotStarvedByBulk(t *testing.T) {
 	// Wait until bulk work actually occupies the pool.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st := srv.SchedulerStats()
+		st := srv.pool.Stats()
 		if st.Classes[sched.ClassBulk.String()].InUse >= 1 {
 			break
 		}
@@ -93,29 +93,25 @@ func TestInteractiveNotStarvedByBulk(t *testing.T) {
 	}
 	t.Logf("interactive run completed in %v under bulk load", time.Since(start))
 
-	st := srv.SchedulerStats()
+	st := srv.pool.Stats()
 	if st.InteractiveReserve != 1 {
 		t.Errorf("stats interactive_reserve = %d, want 1", st.InteractiveReserve)
 	}
 	if got := st.Classes[sched.ClassBulk.String()].SlotCap; got != 1 {
 		t.Errorf("bulk slot_cap = %d, want 1", got)
 	}
-	if st.Tenants["tenant-b"].Grants == 0 {
+
+	if n := metric(t, ts.URL, "qla_sched_interactive_reserve"); n != 1 {
+		t.Errorf("qla_sched_interactive_reserve = %v", n)
+	}
+	if n := metric(t, ts.URL, "qla_sched_queue_wait_seconds_count", `class="interactive"`); n == 0 {
+		t.Error("/metrics has no interactive-class grants")
+	}
+	if n := metric(t, ts.URL, "qla_sched_queue_wait_seconds_count", `tenant="tenant-b"`); n == 0 {
 		t.Error("tenant-b recorded no scheduler grants")
 	}
-
-	var body StatsBody
-	if status := getJSON(t, ts.URL+"/v1/stats", &body); status != http.StatusOK {
-		t.Fatalf("stats: %d", status)
-	}
-	if body.Scheduler.InteractiveReserve != 1 {
-		t.Errorf("/v1/stats scheduler.interactive_reserve = %d", body.Scheduler.InteractiveReserve)
-	}
-	if _, ok := body.Scheduler.Classes["interactive"]; !ok {
-		t.Error("/v1/stats scheduler.classes missing interactive")
-	}
-	if _, ok := body.Tenants["tenant-b"]; !ok {
-		t.Errorf("/v1/stats tenants missing tenant-b: %v", body.Tenants)
+	if n := metric(t, ts.URL, "qla_http_requests_total", `tenant="tenant-b"`); n == 0 {
+		t.Error("/metrics has no requests from tenant-b")
 	}
 }
 
@@ -151,16 +147,13 @@ func TestTenantRateLimit429(t *testing.T) {
 		t.Fatalf("other tenant: %d, want 200", resp.StatusCode)
 	}
 
-	var body StatsBody
-	if status := getJSON(t, ts.URL+"/v1/stats", &body); status != http.StatusOK {
-		t.Fatalf("stats: %d", status)
+	if n := metric(t, ts.URL, "qla_serve_throttled_total"); n != 1 {
+		t.Errorf("throttled = %v, want 1", n)
 	}
-	if body.Throttled429 != 1 {
-		t.Errorf("throttled_429 = %d, want 1", body.Throttled429)
-	}
-	tb := body.Tenants["rl"]
-	if tb.RateLimited != 1 || tb.Requests != 2 {
-		t.Errorf("tenant rl stats = %+v, want requests=2 rate_limited=1", tb)
+	rateLimited := metric(t, ts.URL, "qla_serve_throttled_total", `tenant="rl"`, `limit="rate"`)
+	requests := metric(t, ts.URL, "qla_http_requests_total", `route="POST /v1/run"`, `tenant="rl"`)
+	if rateLimited != 1 || requests != 2 {
+		t.Errorf("tenant rl: requests=%v rate_limited=%v, want 2 and 1", requests, rateLimited)
 	}
 	_ = srv
 }
@@ -197,14 +190,10 @@ func TestTenantJobQuota429(t *testing.T) {
 		t.Fatalf("other tenant sweep: %d, want 202", resp.StatusCode)
 	}
 
-	var body StatsBody
-	if status := getJSON(t, ts.URL+"/v1/stats", &body); status != http.StatusOK {
-		t.Fatalf("stats: %d", status)
+	if got := metric(t, ts.URL, "qla_serve_throttled_total", `tenant="q"`, `limit="quota"`); got != 1 {
+		t.Errorf("tenant q quota throttles = %v, want 1", got)
 	}
-	if got := body.Tenants["q"].QuotaDenied; got != 1 {
-		t.Errorf("tenant q quota_denied = %d, want 1", got)
-	}
-	if body.Jobs.QuotaDenied != 1 {
-		t.Errorf("jobs quota_denied = %d, want 1", body.Jobs.QuotaDenied)
+	if got := metric(t, ts.URL, "qla_jobs_events_total", `event="quota_denied"`); got != 1 {
+		t.Errorf("jobs quota_denied = %v, want 1", got)
 	}
 }

@@ -108,8 +108,9 @@ type Runner struct {
 	// serving layer wires lease-ttl/2.
 	RenewEvery time.Duration
 	// Metrics, when non-nil, records every point's final outcome —
-	// duration by outcome, retry attempts, gate deferrals. Shared
-	// across sweeps: the serving layer builds one per process.
+	// duration by outcome, retries, gate deferrals. Shared across
+	// sweeps: the serving layer builds one per process, and it is the
+	// only place the serving stack counts sweep points.
 	Metrics *PointMetrics
 }
 
@@ -117,25 +118,34 @@ type Runner struct {
 // records nothing.
 type PointMetrics struct {
 	// Duration is observed once per settled point, labeled by outcome:
-	// "ok" (fresh compute), "cached" (any tier replay), or "error".
+	// "ok" (fresh compute), "cached" (any tier replay), or "error" —
+	// its counts are the settled, cached and failed point totals.
 	Duration *obs.HistogramVec
-	// Retries counts extra attempts beyond each point's first.
-	Retries *obs.Counter
+	// Retried counts points that needed more than one attempt; Retries
+	// the extra attempts beyond each point's first.
+	Retried, Retries *obs.Counter
 	// Defers counts gate deferrals (probes parked on a peer's lease).
 	Defers *obs.Counter
 }
 
 // NewPointMetrics registers the per-point instruments on reg.
 func NewPointMetrics(reg *obs.Registry) *PointMetrics {
-	return &PointMetrics{
+	m := &PointMetrics{
 		Duration: reg.HistogramVec("qla_sweep_point_duration_seconds",
 			"Wall time of one settled sweep point, by outcome (ok, cached, error).",
 			obs.LatencyBuckets, "outcome"),
+		Retried: reg.Counter("qla_sweep_points_retried_total",
+			"Sweep points that needed more than one attempt."),
 		Retries: reg.Counter("qla_sweep_point_retries_total",
 			"Extra per-point attempts beyond the first."),
 		Defers: reg.Counter("qla_sweep_point_defers_total",
 			"Point probes parked because a fleet peer held the lease."),
 	}
+	// Every outcome renders (at zero) before the first point settles.
+	for _, outcome := range []string{"ok", "cached", "error"} {
+		m.Duration.With(outcome)
+	}
+	return m
 }
 
 func (m *PointMetrics) observe(pr PointResult) {
@@ -148,6 +158,7 @@ func (m *PointMetrics) observe(pr PointResult) {
 	}
 	m.Duration.With(outcome).Observe(pr.Elapsed.Seconds())
 	if pr.Attempts > 1 {
+		m.Retried.Inc()
 		m.Retries.Add(uint64(pr.Attempts - 1))
 	}
 	if pr.Deferred > 0 {

@@ -19,15 +19,14 @@
 //   - NewJob / ParseJob run circuits through the ARQ pipeline: exact
 //     stabilizer execution, noisy Pauli-frame Monte Carlo, pulse-schedule
 //     lowering.
-//   - The top-level experiment functions (Table2, Figure7, Figure9,
-//     ECLatency, Equation2, SchedulerSweep, SyndromeRates, …) remain as
-//     thin wrappers over the registry for callers that want one-line
-//     access without building a Spec.
+//
+// Every table and figure is reached the same way: build a Spec naming
+// the experiment and run it with Engine.Run, which adds context
+// cancellation, parallelism control and machine configuration.
 package qla
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"qla/internal/adder"
@@ -260,140 +259,20 @@ func NewWorkerPool(capacity int) *WorkerPool { return sched.New(capacity) }
 // width unconditionally, so concurrent runs share a global budget.
 func WithScheduler(s EngineScheduler) EngineOption { return engine.WithScheduler(s) }
 
-// defaultEngine backs the deprecated one-line experiment wrappers.
-var defaultEngine = engine.New()
-
-// runExperiment is the shared wrapper plumbing: run the named
-// experiment on the default engine and hand back the typed payload.
-func runExperiment[T any](spec Spec) (T, error) {
-	res, err := defaultEngine.Run(context.Background(), spec)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	data, ok := res.Data.(T)
-	if !ok {
-		var zero T
-		return zero, fmt.Errorf("qla: experiment %s returned %T", spec.Experiment, res.Data)
-	}
-	return data, nil
-}
-
-// mustExperiment backs the wrappers whose original signatures have no
-// error return. Their specs are wrapper-built and always valid, so a
-// failure here can only mean a misconfigured registry — a programming
-// error worth a panic rather than a silently returned zero value.
-func mustExperiment[T any](spec Spec) T {
-	data, err := runExperiment[T](spec)
-	if err != nil {
-		// The engine already prefixes the experiment name.
-		panic(fmt.Sprintf("qla: %v", err))
-	}
-	return data
-}
-
-// Experiments (see EXPERIMENTS.md for the paper-vs-measured record).
-// These remain as thin wrappers over the registry; new code should
-// prefer Engine.Run, which adds context cancellation, parallelism
-// control and machine configuration.
-
-// Table2 regenerates the paper's Table 2 (Shor's algorithm sizing for
-// N = 128, 512, 1024, 2048) under the expected parameters.
-//
-// Deprecated: use Engine.Run with the "table2" experiment.
-func Table2() ([]ShorResources, error) {
-	return runExperiment[[]ShorResources](Spec{Experiment: "table2"})
-}
+// Experiments (see EXPERIMENTS.md for the paper-vs-measured record)
+// run through Engine.Run; the helpers below cover the model pieces that
+// are not registry experiments.
 
 // EstimateShor sizes Shor's algorithm for an arbitrary modulus width.
 func EstimateShor(nBits int, p TechParams) (ShorResources, error) {
 	return shor.Estimate(nBits, p)
 }
 
-// Figure7 runs the threshold Monte Carlo at both recursion levels over
-// the given physical error rates and returns the two curves and the
-// interpolated pseudo-threshold crossing.
-//
-// Deprecated: use Engine.Run with the "figure7" experiment.
-func Figure7(physErrors []float64, trialsL1, trialsL2 int, seed uint64) (l1, l2 []ThresholdPoint, crossing float64, err error) {
-	data, err := runExperiment[engine.Figure7Data](Spec{
-		Experiment: "figure7",
-		Params: ExperimentParams{
-			"phys-errors": physErrors,
-			"trials":      trialsL1,
-			"trials-l2":   trialsL2,
-			"seed":        seed,
-		},
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return data.L1, data.L2, data.Crossing, nil
-}
-
 // Figure7Errors is the paper's Figure-7 sweep range.
 var Figure7Errors = threshold.Figure7Errors
 
-// SyndromeRates measures the non-trivial syndrome rates at levels 1 and 2
-// under the expected parameters (Section 4.1.1).
-//
-// Deprecated: use Engine.Run with the "syndrome-rates" experiment.
-func SyndromeRates(trials int, seed uint64) (l1, l2 float64, err error) {
-	data, err := runExperiment[engine.SyndromeRateData](Spec{
-		Experiment: "syndrome-rates",
-		Params:     ExperimentParams{"trials": trials, "seed": seed},
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return data.Level1, data.Level2, nil
-}
-
 // DefaultLink returns the calibrated Figure-9 repeater-channel model.
 func DefaultLink() LinkModel { return teleport.DefaultLinkParams() }
-
-// Figure9 sweeps connection time over total distance for each island
-// separation of Figure 9.
-//
-// Deprecated: use Engine.Run with the "figure9" experiment.
-func Figure9(distances []int) []Fig9Point {
-	return mustExperiment[engine.Figure9Data](Spec{
-		Experiment: "figure9",
-		Params:     ExperimentParams{"distances": distances},
-	}).Points
-}
-
-// ECLatency evaluates Equation 1 under the given parameters, returning
-// the level-1 and level-2 EC-step times and the ancilla preparation time.
-//
-// Deprecated: use Engine.Run with the "ec-latency" experiment.
-func ECLatency(p TechParams) ECLatencySummary {
-	return mustExperiment[ECLatencySummary](Spec{
-		Experiment: "ec-latency",
-		Machine:    MachineSpec{Tech: &p},
-	})
-}
-
-// Equation2 evaluates Gottesman's local-architecture failure estimate.
-//
-// Deprecated: use Engine.Run with the "equation2" experiment.
-func Equation2(p0, pth float64, level int) float64 {
-	return mustExperiment[engine.Equation2Data](Spec{
-		Experiment: "equation2",
-		Params:     ExperimentParams{"p0": p0, "pth": pth, "level": level},
-	}).Failure
-}
-
-// SchedulerSweep runs the Section-5 bandwidth experiment at the given
-// channel bandwidths (the paper's canonical workload).
-//
-// Deprecated: use Engine.Run with the "scheduler-sweep" experiment.
-func SchedulerSweep(bandwidths []int) ([]BandwidthResult, error) {
-	return runExperiment[[]BandwidthResult](Spec{
-		Experiment: "scheduler-sweep",
-		Params:     ExperimentParams{"bandwidths": bandwidths},
-	})
-}
 
 // Arithmetic circuits (Section 5 workload components).
 
@@ -403,19 +282,6 @@ type (
 	// AdderComparison pairs ripple vs lookahead at one width.
 	AdderComparison = adder.Comparison
 )
-
-// CompareAdders builds, verifies and measures the Cuccaro ripple-carry
-// baseline against the DKRS carry-lookahead adder (the paper's QCLA
-// choice) at the given operand width.
-//
-// Deprecated: use Engine.Run with the "compare-adders" experiment.
-func CompareAdders(nBits int) AdderComparison {
-	data := mustExperiment[engine.AddersData](Spec{
-		Experiment: "compare-adders",
-		Params:     ExperimentParams{"widths": []int{nBits}, "with-modular": false},
-	})
-	return data.Comparisons[0]
-}
 
 // ModAddMetrics measures one modular-adder circuit (the VBE
 // construction from four adder passes — the building block the paper's
@@ -445,19 +311,6 @@ type (
 // CodeCatalog returns the implemented codes: both 3-qubit repetition
 // codes, the perfect [[5,1,3]], Steane's [[7,1,3]] and Shor's [[9,1,3]].
 func CodeCatalog() []*Code { return codes.All() }
-
-// CodeAblation compares syndrome-extraction costs across the catalog
-// under the given technology parameters.
-//
-// Deprecated: use Engine.Run with the "code-ablation" experiment
-// (which adds the decoder Monte Carlo sweep).
-func CodeAblation(p TechParams) []CodeCost {
-	return mustExperiment[engine.CodeAblationData](Spec{
-		Experiment: "code-ablation",
-		Machine:    MachineSpec{Tech: &p},
-		Params:     ExperimentParams{"mc-trials": 0},
-	}).Costs
-}
 
 // QCCD physical simulation (Figures 2-4 substrate).
 
@@ -492,60 +345,6 @@ type (
 	// ChainResult is a repeater-chain Monte Carlo outcome.
 	ChainResult = commsim.ChainResult
 )
-
-// RunChain executes the repeater protocol gate by gate on the
-// stabilizer backend and compares against the Werner-model prediction.
-//
-// Deprecated: use Engine.Run with the "run-chain" experiment.
-func RunChain(cfg ChainConfig) (ChainResult, error) {
-	eng := defaultEngine
-	if cfg.Parallelism != 0 {
-		// The config's worker-pool bound maps onto the engine's; the
-		// measurements are bit-identical either way.
-		eng = engine.New(engine.WithParallelism(cfg.Parallelism))
-	}
-	params := ExperimentParams{
-		"links":         cfg.Links,
-		"link-eps":      cfg.LinkEps,
-		"purify-rounds": cfg.PurifyRounds,
-		"swap-eps":      cfg.SwapEps,
-		"trials":        cfg.Trials,
-		"seed":          cfg.Seed,
-	}
-	if cfg.Backend != "" {
-		params["backend"] = cfg.Backend
-	}
-	res, err := eng.Run(context.Background(), Spec{
-		Experiment: "run-chain",
-		Params:     params,
-	})
-	if err != nil {
-		return ChainResult{}, err
-	}
-	return res.Data.(ChainResult), nil
-}
-
-// CompareCommStrategies contrasts naive end-to-end teleportation with
-// the repeater chain at equal total channel noise, on the full backend.
-//
-// Deprecated: thin wrapper over the "compare-comm" registry experiment;
-// build a Spec and use Engine.Run for parallelism and cancellation.
-func CompareCommStrategies(perLinkEps float64, links, purifyRounds, trials int, seed uint64) (commsim.NaiveVsRepeater, error) {
-	res, err := defaultEngine.Run(context.Background(), Spec{
-		Experiment: "compare-comm",
-		Params: ExperimentParams{
-			"link-eps":      perLinkEps,
-			"links":         links,
-			"purify-rounds": purifyRounds,
-			"trials":        trials,
-			"seed":          seed,
-		},
-	})
-	if err != nil {
-		return commsim.NaiveVsRepeater{}, err
-	}
-	return res.Data.(commsim.NaiveVsRepeater), nil
-}
 
 // Classical control (Section 6 resource management).
 

@@ -1,16 +1,64 @@
 package qla
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"qla/internal/commsim"
+	"qla/internal/engine"
 )
+
+// runData runs spec on a fresh engine and returns its typed payload.
+func runData[T any](tb testing.TB, spec Spec) T {
+	tb.Helper()
+	res, err := NewEngine().Run(context.Background(), spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, ok := res.Data.(T)
+	if !ok {
+		tb.Fatalf("%s returned %T", spec.Experiment, res.Data)
+	}
+	return data
+}
+
+// compareAdders runs the compare-adders experiment at one width.
+func compareAdders(tb testing.TB, n int) AdderComparison {
+	return runData[engine.AddersData](tb, Spec{
+		Experiment: "compare-adders",
+		Params:     ExperimentParams{"widths": []int{n}, "with-modular": false},
+	}).Comparisons[0]
+}
+
+// codeAblation runs the code-ablation cost table (no decoder Monte
+// Carlo) under p.
+func codeAblation(tb testing.TB, p TechParams) []CodeCost {
+	return runData[engine.CodeAblationData](tb, Spec{
+		Experiment: "code-ablation",
+		Machine:    MachineSpec{Tech: &p},
+		Params:     ExperimentParams{"mc-trials": 0},
+	}).Costs
+}
+
+// runChainSpec is the run-chain Spec for a chain configuration.
+func runChainSpec(cfg ChainConfig) Spec {
+	return Spec{Experiment: "run-chain", Params: ExperimentParams{
+		"links":         cfg.Links,
+		"link-eps":      cfg.LinkEps,
+		"purify-rounds": cfg.PurifyRounds,
+		"swap-eps":      cfg.SwapEps,
+		"trials":        cfg.Trials,
+		"seed":          cfg.Seed,
+	}}
+}
 
 // Facade coverage for the extension systems: adder circuits, the code
 // catalog, the QCCD shuttle simulator, the gate-level interconnect
 // Monte Carlo, classical control and multi-chip planning.
 
 func TestFacadeCompareAdders(t *testing.T) {
-	cmp := CompareAdders(16)
+	cmp := compareAdders(t, 16)
 	if cmp.Ripple.ToffoliDepth != 32 {
 		t.Fatalf("ripple depth %d, want 32", cmp.Ripple.ToffoliDepth)
 	}
@@ -45,7 +93,7 @@ func TestFacadeCodeCatalog(t *testing.T) {
 			t.Errorf("%s: %v", c.Name, err)
 		}
 	}
-	costs := CodeAblation(ExpectedParams())
+	costs := codeAblation(t, ExpectedParams())
 	if len(costs) != len(cat) {
 		t.Fatalf("ablation rows %d", len(costs))
 	}
@@ -82,17 +130,13 @@ func TestFacadeShuttleSim(t *testing.T) {
 }
 
 func TestFacadeRunChain(t *testing.T) {
-	res, err := RunChain(ChainConfig{Links: 2, LinkEps: 0.05, Trials: 400, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runData[ChainResult](t, runChainSpec(ChainConfig{Links: 2, LinkEps: 0.05, Trials: 400, Seed: 5}))
 	if res.ErrorRate < 0 || res.ErrorRate > res.PredictedError*1.5+0.05 {
 		t.Fatalf("error rate %g vs prediction %g", res.ErrorRate, res.PredictedError)
 	}
-	cmp, err := CompareCommStrategies(0.04, 6, 1, 600, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmp := runData[commsim.NaiveVsRepeater](t, Spec{Experiment: "compare-comm", Params: ExperimentParams{
+		"link-eps": 0.04, "links": 6, "purify-rounds": 1, "trials": 600, "seed": 9,
+	}})
 	if cmp.Repeater.ErrorRate > cmp.Naive.ErrorRate {
 		t.Fatal("repeater should not lose to naive teleportation")
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"qla"
+	"qla/internal/engine"
 	"qla/internal/serve"
 )
 
@@ -79,44 +80,68 @@ measure 3
 	}
 }
 
-func TestFacadeExperiments(t *testing.T) {
-	// Table 2.
-	rows, err := qla.Table2()
+// runData runs spec on a fresh engine and returns its typed payload.
+func runData[T any](t *testing.T, spec qla.Spec) T {
+	t.Helper()
+	res, err := qla.NewEngine().Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, ok := res.Data.(T)
+	if !ok {
+		t.Fatalf("%s returned %T", spec.Experiment, res.Data)
+	}
+	return data
+}
+
+func TestFacadeExperiments(t *testing.T) {
+	// Table 2.
+	rows := runData[[]qla.ShorResources](t, qla.Spec{Experiment: "table2"})
 	if len(rows) != 4 || rows[0].LogicalQubits != 37971 {
 		t.Errorf("Table 2 head row wrong: %+v", rows[0])
 	}
 	// Equation 2.
 	p0 := qla.ExpectedParams().AverageComponentFailure()
-	if pf := qla.Equation2(p0, 7.5e-5, 2); pf < 0.8e-16 || pf > 1.2e-16 {
+	eq2 := runData[engine.Equation2Data](t, qla.Spec{
+		Experiment: "equation2",
+		Params:     qla.ExperimentParams{"p0": p0, "pth": 7.5e-5, "level": 2},
+	})
+	if pf := eq2.Failure; pf < 0.8e-16 || pf > 1.2e-16 {
 		t.Errorf("Equation2 = %.3g", pf)
 	}
 	// EC latency.
-	sum := qla.ECLatency(qla.ExpectedParams())
+	tech := qla.ExpectedParams()
+	sum := runData[qla.ECLatencySummary](t, qla.Spec{
+		Experiment: "ec-latency",
+		Machine:    qla.MachineSpec{Tech: &tech},
+	})
 	if sum.ECLevel2 < sum.ECLevel1 {
 		t.Error("level-2 EC should cost more than level-1")
 	}
 	// Figure 9.
-	pts := qla.Figure9([]int{4000})
-	if len(pts) != 7 {
-		t.Errorf("Figure9 returned %d points", len(pts))
+	fig9 := runData[engine.Figure9Data](t, qla.Spec{
+		Experiment: "figure9",
+		Params:     qla.ExperimentParams{"distances": []int{4000}},
+	})
+	if len(fig9.Points) != 7 {
+		t.Errorf("Figure9 returned %d points", len(fig9.Points))
 	}
 	// Scheduler.
-	sched, err := qla.SchedulerSweep([]int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := runData[[]qla.BandwidthResult](t, qla.Spec{
+		Experiment: "scheduler-sweep",
+		Params:     qla.ExperimentParams{"bandwidths": []int{2}},
+	})
 	if !sched[0].Overlapped {
 		t.Error("bandwidth 2 should overlap")
 	}
 	// Figure 7 at smoke scale.
-	l1, l2, _, err := qla.Figure7([]float64{4e-3}, 3000, 1500, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2[0].FailRate <= l1[0].FailRate {
+	fig7 := runData[engine.Figure7Data](t, qla.Spec{
+		Experiment: "figure7",
+		Params: qla.ExperimentParams{
+			"phys-errors": []float64{4e-3}, "trials": 3000, "trials-l2": 1500, "seed": 3,
+		},
+	})
+	if fig7.L2[0].FailRate <= fig7.L1[0].FailRate {
 		t.Error("above threshold, level 2 should fail more")
 	}
 }
