@@ -3,10 +3,13 @@
 // values are the marshaled Result bytes of the run — legal to replay
 // verbatim because fixed-seed Monte Carlo results are bit-identical at
 // any parallelism, so a cached body is indistinguishable from a fresh
-// execution. The cache bounds itself by a byte budget with LRU
-// eviction, and de-duplicates concurrent identical requests
-// (singleflight): N callers asking for the same key while it computes
-// share one execution and receive the same bytes.
+// execution. Values read back from disk or fetched from a peer must be
+// valid JSON to enter the memory tier; anything else is a miss, so a
+// stored value can be spliced into a sweep aggregate unchecked. The
+// cache bounds itself by a byte budget with LRU eviction, and
+// de-duplicates concurrent identical requests (singleflight): N
+// callers asking for the same key while it computes share one
+// execution and receive the same bytes.
 //
 // WithDir adds an optional file persistence tier: stored values are
 // also written through to one file per key, and a memory miss consults
@@ -28,6 +31,7 @@ package cache
 import (
 	"container/list"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -334,13 +338,19 @@ func safeKey(key string) bool {
 }
 
 // loadFile reads the persisted value for key, if the tier is enabled
-// and holds one.
+// and holds a valid one. A file that is not JSON (a foreign or torn
+// write, bit rot) is a miss: the caller recomputes and the write-through
+// replaces it.
 func (c *Cache) loadFile(key string) ([]byte, bool) {
 	if c.dir == "" || !safeKey(key) {
 		return nil, false
 	}
 	val, err := os.ReadFile(filepath.Join(c.dir, key))
 	if err != nil {
+		return nil, false
+	}
+	if !json.Valid(val) {
+		c.logf("cache: ignoring %s in the disk tier: not valid JSON", key)
 		return nil, false
 	}
 	return val, true

@@ -280,8 +280,8 @@ func TestConcurrentMixedKeys(t *testing.T) {
 func TestPersistenceWriteThroughAndReload(t *testing.T) {
 	dir := t.TempDir()
 	c1 := New(0, WithDir(dir))
-	got, hit := mustGet(t, c1, "aaaa", "persisted")
-	if hit || string(got) != "persisted" {
+	got, hit := mustGet(t, c1, "aaaa", `"persisted"`)
+	if hit || string(got) != `"persisted"` {
 		t.Fatalf("first store: hit=%v val=%q", hit, got)
 	}
 	if s := c1.Stats(); !s.Persistent || s.DiskWrites != 1 || s.PersistErrors != 0 {
@@ -298,7 +298,7 @@ func TestPersistenceWriteThroughAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit || string(val) != "persisted" || computed.Load() != 0 {
+	if !hit || string(val) != `"persisted"` || computed.Load() != 0 {
 		t.Fatalf("reload: hit=%v val=%q computed=%d", hit, val, computed.Load())
 	}
 	s := c2.Stats()
@@ -317,16 +317,16 @@ func TestPersistenceWriteThroughAndReload(t *testing.T) {
 // TestPersistenceSurvivesMemoryEviction: an LRU-evicted entry replays
 // from disk instead of recomputing.
 func TestPersistenceSurvivesMemoryEviction(t *testing.T) {
-	c := New(20, WithDir(t.TempDir())) // fits one 12-byte entry, not two
-	mustGet(t, c, "aaaa", "value-aa")
-	mustGet(t, c, "bbbb", "value-bb") // evicts aaaa from memory
+	c := New(20, WithDir(t.TempDir())) // fits one 14-byte entry, not two
+	mustGet(t, c, "aaaa", `"value-aa"`)
+	mustGet(t, c, "bbbb", `"value-bb"`) // evicts aaaa from memory
 	if s := c.Stats(); s.Evictions != 1 {
 		t.Fatalf("stats %+v", s)
 	}
 	val, hit, err := c.GetOrCompute(context.Background(), "aaaa", func() ([]byte, error) {
 		return []byte("recomputed"), nil
 	})
-	if err != nil || !hit || string(val) != "value-aa" {
+	if err != nil || !hit || string(val) != `"value-aa"` {
 		t.Fatalf("evicted entry not replayed from disk: hit=%v val=%q err=%v", hit, val, err)
 	}
 }

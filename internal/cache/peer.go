@@ -5,7 +5,10 @@
 // a fresh computation — probe order memory → disk → peers → compute.
 // Content addressing makes the tier trivially coherent: a key's bytes
 // are bit-identical wherever they were computed, so a peer's body is
-// legal to store and replay verbatim once its hash header checks out.
+// legal to store and replay verbatim once its hash header checks out
+// and it parses as JSON. Bodies are read into a buffer sized by their
+// Content-Length, and a body the memory tier's budget could never hold
+// is refused unread.
 //
 // Peers fail independently of the local disk, so each carries its own
 // circuit breaker with the WithDegrade knobs: after degradeAfter
@@ -20,6 +23,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -130,8 +134,9 @@ func (c *Cache) peersDegraded() int {
 
 // fetchPeer performs one GET against one peer: (val, true, nil) on a
 // validated hit, (nil, false, nil) on a clean 404 miss, an error for
-// everything else — transport failures, unexpected statuses, and
-// bodies whose hash header does not match.
+// everything else — transport failures, unexpected statuses, bodies
+// over the cache budget or shorter than declared, bodies whose hash
+// header does not match, and bodies that are not JSON.
 func (c *Cache) fetchPeer(ctx context.Context, base, key string) ([]byte, bool, error) {
 	req, err := http.NewRequest(http.MethodGet, base+PeerPath+key, nil)
 	if err != nil {
@@ -155,14 +160,51 @@ func (c *Cache) fetchPeer(ctx context.Context, base, key string) ([]byte, bool, 
 	default:
 		return nil, false, fmt.Errorf("peer %s: status %d for %s", base, resp.StatusCode, key)
 	}
-	val, err := io.ReadAll(resp.Body)
+	// The largest value the memory tier could store under key: an entry
+	// is charged its key and value lengths.
+	limit := int64(-1)
+	if c.maxBytes > 0 {
+		limit = c.maxBytes - int64(len(key))
+	}
+	val, err := readBody(resp, limit)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("peer %s: %s: %w", base, key, err)
 	}
 	if got, want := resp.Header.Get(HashHeader), BodyHash(val); got != want {
 		return nil, false, fmt.Errorf("peer %s: body hash mismatch for %s (header %q)", base, key, got)
 	}
+	if !json.Valid(val) {
+		return nil, false, fmt.Errorf("peer %s: body for %s is not valid JSON", base, key)
+	}
 	return val, true, nil
+}
+
+// readBody reads a response body of at most limit bytes (limit < 0:
+// unbounded). A declared Content-Length over the limit is refused
+// unread, one within it sizes the buffer exactly, and a body that ends
+// before its declared length is an error; without a declared length the
+// read stops one byte past the limit. An unbounded read never trusts a
+// declared length to size its buffer: it grows with what arrives.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if limit < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	n := resp.ContentLength
+	if n > limit {
+		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte cache budget", n, limit)
+	}
+	if n >= 0 {
+		val := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, val); err != nil {
+			return nil, fmt.Errorf("body shorter than its %d-byte length: %w", n, err)
+		}
+		return val, nil
+	}
+	val, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(val)) > limit {
+		err = fmt.Errorf("body exceeds the %d-byte cache budget", limit)
+	}
+	return val, err
 }
 
 // Peek returns the locally stored bytes for key — memory first (with

@@ -35,7 +35,7 @@ func peerServer(t *testing.T, values map[string][]byte) *httptest.Server {
 // written through to the local disk, and counted as a peer hit — and
 // the compute func never runs.
 func TestPeerHit(t *testing.T) {
-	ts := peerServer(t, map[string][]byte{"k1": []byte("peer-bytes")})
+	ts := peerServer(t, map[string][]byte{"k1": []byte(`"peer-bytes"`)})
 	dir := t.TempDir()
 	c := New(0, WithDir(dir), WithPeers(ts.URL))
 
@@ -44,7 +44,7 @@ func TestPeerHit(t *testing.T) {
 		computed = true
 		return []byte("fresh"), nil
 	})
-	if err != nil || !hit || string(got) != "peer-bytes" {
+	if err != nil || !hit || string(got) != `"peer-bytes"` {
 		t.Fatalf("GetOrCompute = %q, hit=%v, err=%v", got, hit, err)
 	}
 	if computed {
@@ -55,7 +55,7 @@ func TestPeerHit(t *testing.T) {
 		t.Fatalf("stats after peer hit: %+v", s)
 	}
 	// Write-through: the bytes now live on the local disk too.
-	if b, err := os.ReadFile(filepath.Join(dir, "k1")); err != nil || string(b) != "peer-bytes" {
+	if b, err := os.ReadFile(filepath.Join(dir, "k1")); err != nil || string(b) != `"peer-bytes"` {
 		t.Fatalf("peer hit not written through to disk: %q, %v", b, err)
 	}
 	// Second call is a plain memory hit; the peer is not consulted.
@@ -170,7 +170,7 @@ func TestPeerCorruptBody(t *testing.T) {
 // again once the peer answers.
 func TestPeerRecovers(t *testing.T) {
 	var healthy atomic.Bool
-	val := []byte("peer-bytes")
+	val := []byte(`"peer-bytes"`)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !healthy.Load() {
 			http.Error(w, "warming up", http.StatusInternalServerError)
@@ -206,11 +206,11 @@ func TestPeerRecovers(t *testing.T) {
 // TestPeek: local tiers only — memory, then disk — never peers, never
 // compute.
 func TestPeek(t *testing.T) {
-	ts := peerServer(t, map[string][]byte{"remote": []byte("rv")})
+	ts := peerServer(t, map[string][]byte{"remote": []byte(`"rv"`)})
 	dir := t.TempDir()
 	c := New(0, WithDir(dir), WithPeers(ts.URL))
 	mustGet(t, c, "mem", "mv")
-	if err := os.WriteFile(filepath.Join(dir, "disk"), []byte("dv"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "disk"), []byte(`"dv"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -218,7 +218,7 @@ func TestPeek(t *testing.T) {
 	if v, ok := c.Peek("mem"); !ok || string(v) != "mv" {
 		t.Fatalf("Peek(mem) = %q, %v", v, ok)
 	}
-	if v, ok := c.Peek("disk"); !ok || string(v) != "dv" {
+	if v, ok := c.Peek("disk"); !ok || string(v) != `"dv"` {
 		t.Fatalf("Peek(disk) = %q, %v", v, ok)
 	}
 	// A key only a peer holds is a miss: Peek serves what this replica
@@ -236,10 +236,10 @@ func TestPeek(t *testing.T) {
 // without computing, and reports absence without poisoning the
 // singleflight table.
 func TestPrefetch(t *testing.T) {
-	ts := peerServer(t, map[string][]byte{"remote": []byte("rv")})
+	ts := peerServer(t, map[string][]byte{"remote": []byte(`"rv"`)})
 	dir := t.TempDir()
 	c := New(0, WithDir(dir), WithPeers(ts.URL))
-	if err := os.WriteFile(filepath.Join(dir, "disk"), []byte("dv"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "disk"), []byte(`"dv"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,7 +253,7 @@ func TestPrefetch(t *testing.T) {
 		t.Fatal("failed prefetch left a flight registered")
 	}
 	// The peer-fetched value was written through to the local disk.
-	if b, err := os.ReadFile(filepath.Join(dir, "remote")); err != nil || string(b) != "rv" {
+	if b, err := os.ReadFile(filepath.Join(dir, "remote")); err != nil || string(b) != `"rv"` {
 		t.Fatalf("prefetched value not persisted: %q, %v", b, err)
 	}
 	// Both are now memory hits; no recompute, no second peer fetch.
@@ -282,7 +282,7 @@ func TestContainsSkipsDegradedDisk(t *testing.T) {
 	// stat would now succeed, so a "stored" answer proves Contains
 	// still touched the degraded tier.
 	restore()
-	if err := os.WriteFile(filepath.Join(dir, "ondisk"), []byte("dv"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "ondisk"), []byte(`"dv"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if stored, _ := c.Contains("ondisk"); stored {
@@ -290,7 +290,75 @@ func TestContainsSkipsDegradedDisk(t *testing.T) {
 	}
 	// The read path is deliberately unaffected: a degraded tier skips
 	// writes and probes, not hits.
-	if got, hit := mustGet(t, c, "ondisk", "fresh"); !hit || string(got) != "dv" {
+	if got, hit := mustGet(t, c, "ondisk", "fresh"); !hit || string(got) != `"dv"` {
 		t.Fatalf("Get while degraded = %q, hit=%v; want the disk value", got, hit)
+	}
+}
+
+// TestPeerInvalidJSON: a body whose hash header matches but which is
+// not JSON is a peer error — never stored, never spliced into a sweep
+// aggregate — and the value is computed locally.
+func TestPeerInvalidJSON(t *testing.T) {
+	ts := peerServer(t, map[string][]byte{"k1": []byte(`{"truncated":`)})
+	dir := t.TempDir()
+	c := New(0, WithDir(dir), WithPeers(ts.URL))
+	got, hit, err := c.GetOrCompute(context.Background(), "k1", func() ([]byte, error) {
+		return []byte(`"fresh"`), nil
+	})
+	if err != nil || hit || string(got) != `"fresh"` {
+		t.Fatalf("invalid peer body not rejected: %q, hit=%v, err=%v", got, hit, err)
+	}
+	if s := c.Stats(); s.PeerErrors != 1 || s.PeerHits != 0 || s.Misses != 1 {
+		t.Fatalf("stats after invalid body: %+v", s)
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "k1")); err != nil || string(b) != `"fresh"` {
+		t.Fatalf("disk holds %q, %v; want the computed bytes", b, err)
+	}
+}
+
+// TestPeerBodyBounds: peer bodies are read into a buffer of their
+// declared length; a body the memory budget could never hold — by its
+// declared length or, undeclared, by what arrives — and a body shorter
+// than declared are peer errors, and the value is computed instead.
+func TestPeerBodyBounds(t *testing.T) {
+	big := []byte(`"` + strings.Repeat("x", 100) + `"`)
+	small := []byte(`"` + strings.Repeat("y", 20) + `"`)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch strings.TrimPrefix(r.URL.Path, PeerPath) {
+		case "declared":
+			w.Header().Set(HashHeader, BodyHash(big))
+			w.Write(big) // a small single write: Content-Length is set
+		case "streamed":
+			w.Header().Set(HashHeader, BodyHash(big))
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush() // no Content-Length: chunked
+			w.Write(big)
+		case "short":
+			w.Header().Set(HashHeader, BodyHash(small))
+			w.Header().Set("Content-Length", "40")
+			w.Write(small)
+		default:
+			w.Header().Set(HashHeader, BodyHash(small))
+			w.Write(small)
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	c := New(64, WithPeers(ts.URL), WithDegrade(100, time.Hour))
+	for i, key := range []string{"declared", "streamed", "short"} {
+		got, hit := mustGet(t, c, key, `"local"`)
+		if hit || string(got) != `"local"` {
+			t.Fatalf("%s: served %q (hit=%v) from a bad peer body", key, got, hit)
+		}
+		if s := c.Stats(); s.PeerErrors != uint64(i+1) || s.PeerHits != 0 {
+			t.Fatalf("%s: stats %+v", key, s)
+		}
+	}
+	got, hit := mustGet(t, c, "fits", `"local"`)
+	if !hit || string(got) != string(small) {
+		t.Fatalf("fitting body not served: %q, hit=%v", got, hit)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("a %d-byte body landed in a %d-byte buffer", len(got), cap(got))
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"qla/internal/iontrap"
 	"qla/internal/pauli"
+	"qla/internal/stabilizer"
 )
 
 // TestDistance3CodesCorrectWeight1 is the core decoder guarantee: every
@@ -45,6 +46,113 @@ func TestRepetitionCodesAreAsymmetric(t *testing.T) {
 	}
 	if d.Corrects(z) {
 		t.Fatal("decoder cannot correct an invisible Z error")
+	}
+}
+
+// TestBitflipEncoderStabilized: the Figure 4 CNOT fan-out encodes
+// |0>_L — every stabilizer generator and the logical Z read +1.
+func TestBitflipEncoderStabilized(t *testing.T) {
+	c := Bitflip3()
+	s := stabilizer.New(3)
+	s.CNOT(0, 1)
+	s.CNOT(0, 2)
+	for i, g := range c.Stabilizers {
+		if e := s.Expectation(g); e != 1 {
+			t.Errorf("<generator %d> = %d after encoding", i, e)
+		}
+	}
+	if e := s.Expectation(c.LogicalZ[0]); e != 1 {
+		t.Errorf("<Z_L> = %d on |0>_L", e)
+	}
+}
+
+// TestBitflipSingleXErrorsCorrected: the table decoder locates every
+// single bit flip on the qubit it hit, and a clean block needs no
+// correction.
+func TestBitflipSingleXErrorsCorrected(t *testing.T) {
+	c := Bitflip3()
+	d, err := NewDecoder(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 3; q++ {
+		x := pauli.NewIdentity(3)
+		x.Set(q, 'X')
+		if corr, ok := d.Decode(x); !ok || !corr.EqualUpToPhase(x) {
+			t.Errorf("X on qubit %d misdecoded as %v", q, corr)
+		}
+		if !d.Corrects(x) {
+			t.Errorf("single X on qubit %d caused a logical failure", q)
+		}
+	}
+	clean := pauli.NewIdentity(3)
+	if c.SyndromeOf(clean) != 0 || !d.Corrects(clean) {
+		t.Error("clean block should decode trivially")
+	}
+}
+
+// TestBitflipDoubleXErrorsFail: the decoder is the majority vote, so
+// any two bit flips outvote the third qubit into a logical X — the
+// code's X-distance is 3.
+func TestBitflipDoubleXErrorsFail(t *testing.T) {
+	d, err := NewDecoder(Bitflip3(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
+		x := pauli.NewIdentity(3)
+		x.Set(pair[0], 'X')
+		x.Set(pair[1], 'X')
+		if d.Corrects(x) {
+			t.Errorf("double X on qubits %v should defeat the majority vote", pair)
+		}
+	}
+}
+
+// TestBitflipZPatternsInvisible: no Z-error pattern at all produces a
+// bit-flip syndrome — the ablation headline for choosing a CSS code.
+func TestBitflipZPatternsInvisible(t *testing.T) {
+	c := Bitflip3()
+	for mask := 1; mask < 8; mask++ {
+		z := pauli.NewIdentity(3)
+		for q := 0; q < 3; q++ {
+			if mask>>q&1 == 1 {
+				z.Set(q, 'Z')
+			}
+		}
+		if s := c.SyndromeOf(z); s != 0 {
+			t.Errorf("Z pattern %03b shows syndrome %b", mask, s)
+		}
+	}
+}
+
+// TestBitflipZErrorBreaksLogicalStateOnBackend: end to end on the
+// exact tableau backend — encode |+>_L with the CNOT fan-out, hit one
+// qubit with Z, and the logical X expectation flips while every
+// stabilizer stays +1: an undetectable logical error, the reason the
+// QLA uses a CSS code.
+func TestBitflipZErrorBreaksLogicalStateOnBackend(t *testing.T) {
+	c := Bitflip3()
+	s := stabilizer.New(3)
+	s.H(0)
+	s.CNOT(0, 1)
+	s.CNOT(0, 2)
+	for i, g := range c.Stabilizers {
+		if e := s.Expectation(g); e != 1 {
+			t.Fatalf("<generator %d> = %d after encoding", i, e)
+		}
+	}
+	if e := s.Expectation(c.LogicalX[0]); e != 1 {
+		t.Fatalf("<X_L> = %d on encoded |+>", e)
+	}
+	s.Z(0)
+	for i, g := range c.Stabilizers {
+		if e := s.Expectation(g); e != 1 {
+			t.Errorf("stabilizer %d saw the Z error (%d); it should not", i, e)
+		}
+	}
+	if e := s.Expectation(c.LogicalX[0]); e != -1 {
+		t.Errorf("<X_L> = %d after Z error, want -1 (undetected logical flip)", e)
 	}
 }
 

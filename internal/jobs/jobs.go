@@ -14,9 +14,11 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -58,9 +60,10 @@ type Config struct {
 	// MaxJobs bounds the job store, running and finished together.
 	MaxJobs int
 	// MaxResultBytes bounds the total result bytes retained across
-	// finished jobs (the per-point payloads duplicate what the result
-	// cache holds, so the store must carry its own budget; negative =
-	// unbounded). When a settling job pushes the total over budget,
+	// finished jobs (negative = unbounded). A result is charged its
+	// full length even where its chunks alias bytes the result cache
+	// also holds: the cache may evict an entry that a job keeps alive.
+	// When a settling job pushes the total over budget,
 	// older finished jobs are evicted first; the newest result is
 	// always kept even if it alone exceeds the budget — dropping it
 	// would turn a completed sweep into an unretrievable one.
@@ -171,7 +174,7 @@ type Job struct {
 	state           State
 	cancelRequested bool
 	progress        Progress
-	result          []byte
+	result          Body
 	charged         bool // result bytes counted against the store budget
 	err             error
 	finished        time.Time
@@ -203,6 +206,34 @@ type SubmitOptions struct {
 	BypassQuota bool
 }
 
+// Body is a job result held as byte chunks that, written back to back,
+// form the result bytes. Chunks may alias memory another owner holds
+// (a sweep's point payloads alias the result cache's entries), so
+// neither side may modify them once the job settles.
+type Body [][]byte
+
+// Len returns the result's length in bytes.
+func (b Body) Len() int64 {
+	var n int64
+	for _, c := range b {
+		n += int64(len(c))
+	}
+	return n
+}
+
+// WriteTo writes the chunks to w in order, without concatenating them.
+func (b Body) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for _, c := range b {
+		n, err := w.Write(c)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
 // Submit registers a job under id and starts run in its own goroutine,
 // detached from the submitter (a disconnecting client must not kill a
 // sweep other clients may be watching). If a job with the same id is
@@ -218,6 +249,16 @@ type SubmitOptions struct {
 // result. A nil error with the context cancelled still records the job
 // as done — the work finished despite the cancel racing it.
 func (m *Manager) Submit(id string, opts SubmitOptions, run func(ctx context.Context, report func(Progress)) ([]byte, error)) (j *Job, created bool, err error) {
+	return m.SubmitBody(id, opts, func(ctx context.Context, report func(Progress)) (Body, error) {
+		res, err := run(ctx, report)
+		return Body{res}, err
+	})
+}
+
+// SubmitBody is Submit for a run whose result is a Body: the chunks
+// are retained as returned and charged against the byte budgets at
+// their total length; Job.Body hands them back unjoined.
+func (m *Manager) SubmitBody(id string, opts SubmitOptions, run func(ctx context.Context, report func(Progress)) (Body, error)) (j *Job, created bool, err error) {
 	if id == "" {
 		return nil, false, fmt.Errorf("jobs: empty job ID")
 	}
@@ -290,7 +331,7 @@ func (m *Manager) dropLocked(id string, j *Job) {
 	delete(m.jobs, id)
 	j.mu.Lock()
 	if j.charged {
-		n := int64(len(j.result))
+		n := j.result.Len()
 		m.resultBytes -= n
 		if j.tenant != "" {
 			m.creditTenantBytesLocked(j.tenant, n)
@@ -381,7 +422,7 @@ func (m *Manager) noteResult(j *Job) {
 		return // evicted before settling finished accounting
 	}
 	j.mu.Lock()
-	n := int64(len(j.result))
+	n := j.result.Len()
 	if j.charged || n == 0 {
 		j.mu.Unlock()
 		return
@@ -432,7 +473,7 @@ func (m *Manager) noteResult(j *Job) {
 // execute runs the job body and records the terminal state. A panic
 // escaping run must not strand a running job (pollers would wait
 // forever); it is converted to a failure.
-func (j *Job) execute(ctx context.Context, run func(ctx context.Context, report func(Progress)) ([]byte, error)) {
+func (j *Job) execute(ctx context.Context, run func(ctx context.Context, report func(Progress)) (Body, error)) {
 	defer j.cancel() // release the context's resources once settled
 	completed := false
 	defer func() {
@@ -448,7 +489,7 @@ func (j *Job) execute(ctx context.Context, run func(ctx context.Context, report 
 
 // settle records the terminal state, wakes subscribers and charges the
 // result against the manager's byte budget.
-func (j *Job) settle(res []byte, err error) {
+func (j *Job) settle(res Body, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	switch {
@@ -526,8 +567,22 @@ func (j *Job) Snapshot() Snapshot {
 }
 
 // Result returns the stored result bytes together with the snapshot
-// that qualifies them; the bytes are non-nil only in StateDone.
+// that qualifies them; the bytes are non-nil only in StateDone. A
+// result held in several chunks is joined into a fresh slice.
 func (j *Job) Result() ([]byte, Snapshot) {
+	body, snap := j.Body()
+	switch len(body) {
+	case 0:
+		return nil, snap
+	case 1:
+		return body[0], snap
+	}
+	return bytes.Join(body, nil), snap
+}
+
+// Body returns the stored result chunks together with the snapshot
+// that qualifies them; the chunks are non-nil only in StateDone.
+func (j *Job) Body() (Body, Snapshot) {
 	snap := j.Snapshot()
 	j.mu.Lock()
 	res := j.result

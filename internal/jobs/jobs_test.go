@@ -286,6 +286,53 @@ func TestResultByteBudget(t *testing.T) {
 	}
 }
 
+// TestBodyChunks: a chunked result is kept as the very chunks the run
+// returned, charged at its total length against the byte budgets,
+// written back to back, and joined only by Result.
+func TestBodyChunks(t *testing.T) {
+	m := NewManager(Config{MaxResultBytes: 100, TenantMaxResultBytes: 100})
+	shared := []byte(`"payload"`)
+	body := Body{[]byte(`{"a":`), shared, []byte(`,"b":`), shared, []byte(`}`)}
+	j, _, err := m.SubmitBody("chunked", SubmitOptions{Tenant: "t", Total: 1}, func(ctx context.Context, report func(Progress)) (Body, error) {
+		return body, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, j)
+	want := `{"a":"payload","b":"payload"}`
+	if s := m.Stats(); s.ResultBytes != int64(len(want)) {
+		t.Fatalf("charged %d bytes, want the encoded length %d", s.ResultBytes, len(want))
+	}
+	got, snap := j.Body()
+	if snap.State != StateDone || len(got) != len(body) || &got[1][0] != &shared[0] || &got[3][0] != &shared[0] {
+		t.Fatalf("stored chunks were not the returned ones: %+v %q", snap, got)
+	}
+	var w strings.Builder
+	if n, err := got.WriteTo(&w); err != nil || n != got.Len() || w.String() != want {
+		t.Fatalf("WriteTo = %d, %v: %q", n, err, w.String())
+	}
+	if res, _ := j.Result(); string(res) != want {
+		t.Fatalf("Result = %q", res)
+	}
+	// The refund on eviction matches the charge.
+	next, _, err := m.Submit("next", SubmitOptions{Tenant: "t", Total: 1}, func(ctx context.Context, report func(Progress)) ([]byte, error) {
+		return make([]byte, 90), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, next)
+	// Settling publishes the state before it charges the budget.
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Stats().Evicted != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if s := m.Stats(); s.Evicted != 1 || s.ResultBytes != 90 {
+		t.Fatalf("stats after eviction %+v", s)
+	}
+}
+
 // TestTTLEviction: finished jobs expire; Get and Submit both collect.
 func TestTTLEviction(t *testing.T) {
 	m := NewManager(Config{TTL: 10 * time.Millisecond})

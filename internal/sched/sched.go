@@ -241,7 +241,8 @@ func NewFair(cfg Config) *Pool {
 		return float64(p.Stats().InUse)
 	})
 	reg.GaugeFunc("qla_sched_waiting", "Acquirers queued for a scheduler slot.", nil, func() float64 {
-		return float64(p.Stats().Waiting)
+		waiting, _ := p.Backlog()
+		return float64(waiting)
 	})
 	reg.Gauge("qla_sched_capacity", "The scheduler's global slot budget.").Set(float64(p.capacity))
 	reg.Gauge("qla_sched_interactive_reserve", "Slots withheld from bulk work for interactive arrivals.").Set(float64(p.reserve))
@@ -517,6 +518,18 @@ type Stats struct {
 	// Classes breaks the pool down by priority class, keyed by class
 	// name ("interactive", "bulk").
 	Classes map[string]ClassStats
+}
+
+// Backlog returns the queued acquirers and the global slot budget —
+// what a load-shed check reads on every uncached request — without
+// building a Stats snapshot.
+func (p *Pool) Backlog() (waiting, capacity int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, cq := range p.classes {
+		waiting += cq.waiting
+	}
+	return waiting, p.capacity
 }
 
 // Stats returns a snapshot of the pool.

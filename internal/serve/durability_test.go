@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -106,6 +108,58 @@ func TestLoadShedSweepSubmission(t *testing.T) {
 	status, sb2, raw := postSweep(t, ts.URL, gridSweep)
 	if status != http.StatusOK || !sb2.Existing || sb2.JobID != sb.JobID {
 		t.Fatalf("existing sweep under overload: status %d body %+v %s", status, sb2, raw)
+	}
+}
+
+// TestOverloadedAllocatesNothing: the load-shed check runs on every
+// uncached /v1/run and every sweep submission, so it reads the backlog
+// without building a scheduler stats snapshot.
+func TestOverloadedAllocatesNothing(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	if allocs := testing.AllocsPerRun(100, func() { srv.overloaded() }); allocs != 0 {
+		t.Fatalf("overloaded allocates %v times per call", allocs)
+	}
+}
+
+// TestCorruptDiskEntryRecomputed: a cache file that is not JSON is a
+// miss, not bytes to replay — /v1/run computes afresh, answers
+// X-Cache: miss, and the write-through replaces the file.
+func TestCorruptDiskEntryRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{CacheDir: dir})
+	_, _, want := postRun(t, ts.URL, tinySpec(61))
+	spec, err := engine.DecodeSpec([]byte(tinySpec(61)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := engine.MakeCanonical(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, canon.Hash)
+	if err := os.WriteFile(path, want[:len(want)/2], 0o644); err != nil { // a torn write
+		t.Fatal(err)
+	}
+
+	// A fresh process over the same directory: only the disk tier holds
+	// the entry.
+	_, ts2 := newTestServer(t, Config{CacheDir: dir})
+	status, xc, body := postRun(t, ts2.URL, tinySpec(61))
+	if status != http.StatusOK || xc != "miss" {
+		t.Fatalf("corrupt entry: status=%d X-Cache=%q body=%s", status, xc, body)
+	}
+	// Fresh bytes: the same data as the first run, its own timing.
+	var first, again struct {
+		Data json.RawMessage `json:"data"`
+	}
+	if err := json.Unmarshal(want, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &again); err != nil || !bytes.Equal(first.Data, again.Data) {
+		t.Fatalf("recomputed body %s (%v); want the data %s", body, err, first.Data)
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, body) {
+		t.Fatalf("corrupt file not rewritten: %q, %v", onDisk, err)
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -533,6 +534,9 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	obs.L(r.Context(), s.log).Info("peer cache fetch served", "hash", hash, "bytes", len(val))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(cache.HashHeader, cache.BodyHash(val))
+	// The declared length lets the fetching replica read into a buffer
+	// of exactly the value's size.
+	w.Header().Set("Content-Length", strconv.Itoa(len(val)))
 	w.Write(val)
 }
 

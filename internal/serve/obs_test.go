@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -418,9 +419,11 @@ func TestFleetTraceOneID(t *testing.T) {
 	})
 	// A's points wait on the fault seam until B has settled one: left
 	// alone, A can finish the whole grid before the forwarded copy
-	// registers on B, and no lease is ever asked for. Every point of
-	// B's is a miss, so its first settled point needed a lease A
-	// granted.
+	// registers on B, and no lease is ever asked for. B's points in
+	// turn wait until A tracks the sweep: A builds its lease table when
+	// its job starts, which can trail the forward, and a claim that
+	// lands first is a 404 — no veto, and no grant. Every point of B's
+	// is a miss, so its first settled point needed a lease A granted.
 	sw, err := sweep.Expand(mustDecodeSpec(t, gridSweep))
 	if err != nil {
 		t.Fatal(err)
@@ -436,6 +439,24 @@ func TestFleetTraceOneID(t *testing.T) {
 			case <-time.After(time.Millisecond):
 			}
 		}
+	}
+	// Once seen, A's table stays up until A's job ends, and that needs
+	// one of B's points settled first; later points of B's must not
+	// wait on a table A has since dropped.
+	var aTracks atomic.Bool
+	srvs[1].fault = func(ctx context.Context, _ string) error {
+		for !aTracks.Load() {
+			if _, ok := srvs[0].fleet.ledger(sw.Hash); ok {
+				aTracks.Store(true)
+				break
+			}
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(time.Millisecond):
+			}
+		}
+		return nil
 	}
 
 	const trace = "trace-fleet-e2e-0001"

@@ -343,8 +343,8 @@ func (s *Server) Close() error {
 // per worker, capped) so a saturated server asks clients to back off
 // proportionally instead of quoting a constant.
 func (s *Server) retryAfterSeconds() int {
-	st := s.pool.Stats()
-	ra := 1 + st.Waiting/max(st.Capacity, 1)
+	waiting, capacity := s.pool.Backlog()
+	ra := 1 + waiting/max(capacity, 1)
 	if ra > 30 {
 		ra = 30
 	}
@@ -359,7 +359,7 @@ func (s *Server) overloaded() (shed bool, retryAfter int) {
 	if s.cfg.MaxQueue < 0 {
 		return false, 0
 	}
-	if s.pool.Stats().Waiting < s.cfg.MaxQueue {
+	if waiting, _ := s.pool.Backlog(); waiting < s.cfg.MaxQueue {
 		return false, 0
 	}
 	return true, s.retryAfterSeconds()
@@ -369,9 +369,10 @@ func (s *Server) overloaded() (shed bool, retryAfter int) {
 // unified throttle path (limit "queue": the global backlog bound
 // decided, not a per-tenant limit).
 func (s *Server) shed(w http.ResponseWriter, tenant string, retryAfter int, what string) {
+	waiting, _ := s.pool.Backlog()
 	s.throttle(w, http.StatusServiceUnavailable, tenant, throttleQueue, retryAfter,
 		fmt.Errorf("server overloaded (%d runs queued, bound %d): %s shed; retry after %ds",
-			s.pool.Stats().Waiting, s.cfg.MaxQueue, what, retryAfter))
+			waiting, s.cfg.MaxQueue, what, retryAfter))
 }
 
 // Config returns the server's configuration with all defaults resolved.

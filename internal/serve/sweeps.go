@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"qla/internal/jobs"
@@ -186,7 +187,7 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 		}
 	}
 	opts := jobs.SubmitOptions{Tenant: tenant, Total: len(sw.Points), BypassQuota: quotaExempt}
-	job, created, err := s.jobs.Submit(sw.Hash, opts, func(ctx context.Context, report func(jobs.Progress)) ([]byte, error) {
+	job, created, err := s.jobs.SubmitBody(sw.Hash, opts, func(ctx context.Context, report func(jobs.Progress)) (jobs.Body, error) {
 		runCtx, cancel := context.WithTimeout(obs.WithTrace(ctx, trace), timeout)
 		defer cancel()
 		// Fleet mode (every call below is a nil-safe no-op without
@@ -246,7 +247,9 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 		if runErr != nil {
 			return nil, runErr
 		}
-		return json.Marshal(res)
+		// The job keeps the encoded metadata and references to the
+		// points' payloads — the cache's own bytes — not a copy.
+		return res.MarshalChunks()
 	})
 	if (err != nil || !created) && freshEntry {
 		// The submission was rejected, or joined an existing job that
@@ -353,14 +356,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobResult is GET /v1/jobs/{id}/result: the aggregated sweep
-// Result bytes once the job is done; 409 while it runs, 410 after a
-// cancel, 500 with the job error after a failure.
+// Result bytes once the job is done — the stored chunks written back to
+// back, nothing re-encoded; 409 while it runs, 410 after a cancel, 500
+// with the job error after a failure.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobForRequest(w, r)
 	if !ok {
 		return
 	}
-	res, snap := j.Result()
+	body, snap := j.Body()
 	switch snap.State {
 	case jobs.StateRunning:
 		writeError(w, http.StatusConflict,
@@ -372,7 +376,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Sweep-Hash", snap.ID)
-		w.Write(res)
+		w.Header().Set("Content-Length", strconv.FormatInt(body.Len(), 10))
+		body.WriteTo(w)
 	}
 }
 

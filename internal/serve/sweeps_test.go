@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"qla/internal/jobs"
 	"qla/internal/sweep"
@@ -201,6 +202,73 @@ func TestSweepPersistenceAcrossRestart(t *testing.T) {
 	}
 	if cs := srv2.cache.Stats(); cs.DiskHits != uint64(res.Total) {
 		t.Errorf("cache stats %+v", cs)
+	}
+}
+
+// TestFinishedSweepReferencesCachedBytes: a finished sweep over cached
+// points holds its point payloads by reference — each shares its
+// backing array with the cache entry — and the result route writes them
+// out as exactly the bytes json.Marshal gives for the same Result.
+func TestFinishedSweepReferencesCachedBytes(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	ss, err := sweep.DecodeSpec([]byte(gridSweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := sweep.Expand(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range sw.Points {
+		if status, _, body := postRun(t, ts.URL, string(pt.Canonical.JSON)); status != http.StatusOK {
+			t.Fatalf("priming point %d: status %d: %s", i, status, body)
+		}
+	}
+	_, sb, _ := postSweep(t, ts.URL, gridSweep)
+	if snap := pollJob(t, ts.URL, sb.JobID); snap.Progress.Cached != len(sw.Points) {
+		t.Fatalf("sweep over primed points: %+v", snap)
+	}
+
+	job, ok := srv.jobs.Get(sb.JobID)
+	if !ok {
+		t.Fatal("finished job not stored")
+	}
+	body, _ := job.Body()
+	if len(body) != 2*len(sw.Points)+1 {
+		t.Fatalf("%d chunks for %d points", len(body), len(sw.Points))
+	}
+	for i, pt := range sw.Points {
+		stored, ok := srv.cache.Peek(pt.Canonical.Hash)
+		if !ok {
+			t.Fatalf("point %d not cached", i)
+		}
+		if got := body[2*i+1]; unsafe.SliceData(got) != unsafe.SliceData(stored) || len(got) != len(stored) {
+			t.Errorf("point %d: the job holds a copy of the cached bytes", i)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + sb.JobID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(raw)) || int64(len(raw)) != body.Len() {
+		t.Fatalf("Content-Length %d, body %d bytes, stored %d", resp.ContentLength, len(raw), body.Len())
+	}
+	var res sweep.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Fatalf("result bytes differ from json.Marshal of the same Result:\n got %s\nwant %s", raw, want)
 	}
 }
 
