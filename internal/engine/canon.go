@@ -8,14 +8,15 @@ package engine
 // Canonical form: the experiment's registry name, every parameter
 // resolved (defaults included, values coerced to their declared kind,
 // seeds included), and the machine selection with the package defaults
-// made explicit. encoding/json marshals map keys sorted, so the
-// canonical JSON encoding is byte-stable.
+// made explicit. The encoding (encode.go) writes map keys sorted, so
+// it is byte-stable.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 
 	"qla/internal/iontrap"
 )
@@ -39,23 +40,32 @@ func canonicalize(spec Spec) (*Experiment, Spec, iontrap.Params, error) {
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", exp.Name, err))
 	}
-	if !exp.UsesMachine && spec.Machine != (MachineSpec{}) {
-		return fail(fmt.Errorf("%s: experiment takes no machine configuration", exp.Name))
-	}
-	tech, err := spec.Machine.TechParams()
+	machine, tech, err := resolveMachine(exp, spec.Machine)
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", exp.Name, err))
 	}
-	// Full machine validation up front: an experiment that only reads
-	// rc.Tech would otherwise silently ignore a negative level.
-	if _, err := spec.Machine.Options(); err != nil {
-		return fail(fmt.Errorf("%s: %w", exp.Name, err))
+	return exp, Spec{Experiment: exp.Name, Machine: machine, Params: params}, tech, nil
+}
+
+// resolveMachine validates m in full for exp and returns its canonical
+// form with the technology parameters it selects. The validation is
+// complete even where the experiment reads only part of the machine:
+// one that reads only rc.Tech would otherwise ignore a negative level.
+func resolveMachine(exp *Experiment, m MachineSpec) (MachineSpec, iontrap.Params, error) {
+	if !exp.UsesMachine && m != (MachineSpec{}) {
+		return MachineSpec{}, iontrap.Params{}, fmt.Errorf("experiment takes no machine configuration")
 	}
-	canon := Spec{Experiment: exp.Name, Params: params}
+	tech, err := m.TechParams()
+	if err != nil {
+		return MachineSpec{}, iontrap.Params{}, err
+	}
+	if err := m.checkSizes(); err != nil {
+		return MachineSpec{}, iontrap.Params{}, err
+	}
 	if exp.UsesMachine {
-		canon.Machine = spec.Machine.normalize()
+		m = m.normalize()
 	}
-	return exp, canon, tech, nil
+	return m, tech, nil
 }
 
 // normalize makes the machine defaults explicit so equivalent
@@ -102,23 +112,22 @@ type Canonical struct {
 	Hash string
 
 	// Resolved during MakeCanonical so Engine.RunCanonical need not
-	// repeat the validation pass; nil/zero in a hand-built Canonical,
-	// which RunCanonical re-canonicalizes defensively.
-	exp  *Experiment
-	tech iontrap.Params
+	// repeat the validation pass; nil in a hand-built Canonical, which
+	// RunCanonical re-canonicalizes defensively.
+	exp *Experiment
 }
 
 // MakeCanonical canonicalizes, encodes and hashes spec in one pass.
 func MakeCanonical(spec Spec) (Canonical, error) {
-	exp, canon, tech, err := canonicalize(spec)
+	exp, canon, _, err := canonicalize(spec)
 	if err != nil {
 		return Canonical{}, err
 	}
-	raw, err := json.Marshal(canon)
+	raw, err := appendSpec(make([]byte, 0, 256), canon)
 	if err != nil {
 		return Canonical{}, err
 	}
-	return Canonical{Spec: canon, JSON: raw, Hash: HashBytes(raw), exp: exp, tech: tech}, nil
+	return Canonical{Spec: canon, JSON: raw, Hash: HashBytes(raw), exp: exp}, nil
 }
 
 // HashBytes returns the hex SHA-256 content address of raw — the
@@ -127,11 +136,190 @@ func MakeCanonical(spec Spec) (Canonical, error) {
 // cache's persistence tier.
 func HashBytes(raw []byte) string {
 	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
+	var buf [2 * sha256.Size]byte
+	hex.Encode(buf[:], sum[:])
+	return string(buf[:])
+}
+
+// Base is a canonical Spec compiled for deriving variants of it — the
+// points of a sweep grid — without resolving its defaults or encoding
+// the fields they share again. Derive returns exactly what
+// MakeCanonical returns for the variant's Spec.
+type Base struct {
+	Canonical
+	head    []byte      // the encoding up to the machine field
+	machine []byte      // the machine field's encoding; empty when omitted
+	params  []baseParam // the resolved parameters in key order
+}
+
+// baseParam is one resolved parameter of a Base, encoded as a derived
+// point encodes it.
+type baseParam struct {
+	name  string
+	key   []byte // `"name":`
+	value any
+	enc   []byte
+}
+
+// NewBase canonicalizes spec, validating it as MakeCanonical does, and
+// compiles it for Derive.
+func NewBase(spec Spec) (*Base, error) {
+	c, err := MakeCanonical(spec)
+	if err != nil {
+		return nil, err
+	}
+	b := &Base{Canonical: c, params: make([]baseParam, 0, len(c.Spec.Params))}
+	// The pieces share one buffer. MakeCanonical has encoded every
+	// field already, so none fails here.
+	buf := appendSpecHead(make([]byte, 0, 2*len(c.JSON)), c.Spec.Experiment)
+	b.head = buf[:len(buf):len(buf)]
+	buf, _ = appendMachineField(buf, c.Spec.Machine)
+	b.machine = buf[len(b.head):len(buf):len(buf)]
+	for _, name := range slices.Sorted(maps.Keys(c.Spec.Params)) {
+		v := c.Spec.Params[name]
+		start := len(buf)
+		buf = appendKey(buf, name)
+		mid := len(buf)
+		buf, _ = AppendValue(buf, derivedValue(v))
+		b.params = append(b.params, baseParam{name: name, key: buf[start:mid:mid], value: v, enc: buf[mid:len(buf):len(buf)]})
+	}
+	return b, nil
+}
+
+// Setting is one parameter value checked once against a Base's
+// experiment, for use in any number of Derive calls on that Base.
+type Setting struct {
+	// Value is the value coerced to the parameter's declared kind, and
+	// JSON its encoding.
+	Value any
+	JSON  []byte
+	name  string
+	enc   []byte // the encoding of the value a derived Spec holds
+	slot  int    // the parameter's index in the Base; -1 if unset there
+}
+
+// Setting checks v as a value of the named parameter exactly as
+// canonicalization checks a given value: coercion to the declared kind
+// and the OneOf restriction. Like CoerceValue's, its error carries no
+// experiment or parameter prefix; the caller adds its own context.
+func (b *Base) Setting(name string, v any) (Setting, error) {
+	def, ok := b.exp.Param(name)
+	if !ok {
+		return Setting{}, fmt.Errorf("unknown parameter %q (known: %s)", name, paramNames(b.exp.Params))
+	}
+	cv, err := def.resolve(v)
+	if err != nil {
+		return Setting{}, err
+	}
+	raw, err := AppendValue(nil, cv)
+	if err != nil {
+		return Setting{}, err
+	}
+	enc := raw
+	switch cv.(type) {
+	case []float64, []int:
+		// An empty list encodes as the null a derived Spec holds.
+		enc, _ = AppendValue(nil, derivedValue(cv))
+	}
+	s := Setting{Value: cv, JSON: raw, name: name, enc: enc, slot: -1}
+	for i, p := range b.params {
+		if p.name == name {
+			s.slot = i
+		}
+	}
+	return s, nil
+}
+
+// Derive returns the canonical form of the base Spec with its machine
+// selection replaced by m and set applied over its parameters: what
+// MakeCanonical returns for that Spec. A machine other than the base's
+// is validated and normalized in full; a Setting was checked when it
+// was made. Slices and the technology parameters are copied, so no
+// derived Spec shares them with another or with the base.
+func (b *Base) Derive(m MachineSpec, set []Setting) (Canonical, error) {
+	c := Canonical{exp: b.exp}
+	sameMachine := m == b.Spec.Machine
+	size := len(b.JSON)
+	for j := range set {
+		size += len(set[j].enc)
+	}
+	if !sameMachine {
+		size += 64 // room for machine fields the base omits
+	}
+	raw := append(make([]byte, 0, size), b.head...)
+	if sameMachine {
+		raw = append(raw, b.machine...)
+		if m.Tech != nil {
+			tech := *m.Tech
+			m.Tech = &tech
+		}
+	} else {
+		var err error
+		if m, _, err = resolveMachine(b.exp, m); err != nil {
+			return Canonical{}, fmt.Errorf("%s: %w", b.exp.Name, err)
+		}
+		if raw, err = appendMachineField(raw, m); err != nil {
+			return Canonical{}, err
+		}
+	}
+	// Each parameter goes into the map once, with its setting if it has
+	// one, and its encoding follows the base's key order.
+	params := make(Params, len(b.params)+len(set))
+	if len(b.params) > 0 {
+		raw = append(raw, `,"params":{`...)
+	}
+	for i, p := range b.params {
+		v, enc := p.value, p.enc
+		for j := range set {
+			if set[j].slot == i {
+				v, enc = set[j].Value, set[j].enc
+			}
+		}
+		params[p.name] = derivedValue(v)
+		if i > 0 {
+			raw = append(raw, ',')
+		}
+		raw = append(append(raw, p.key...), enc...)
+	}
+	added := false
+	for j := range set {
+		if set[j].slot < 0 {
+			params[set[j].name] = derivedValue(set[j].Value)
+			added = true
+		}
+	}
+	c.Spec = Spec{Experiment: b.Spec.Experiment, Machine: m, Params: params}
+	if added {
+		// A parameter the base leaves unset shifts the keys after it.
+		var err error
+		if raw, err = appendSpec(raw[:0], c.Spec); err != nil {
+			return Canonical{}, err
+		}
+	} else {
+		if len(b.params) > 0 {
+			raw = append(raw, '}')
+		}
+		raw = append(raw, '}')
+	}
+	c.JSON, c.Hash = raw, HashBytes(raw)
+	return c, nil
+}
+
+// derivedValue is the value canonicalization makes of an already
+// coerced parameter value: the value itself, or for a slice a fresh
+// copy (nil when empty, as coercion copies).
+func derivedValue(v any) any {
+	switch x := v.(type) {
+	case []float64:
+		return append([]float64(nil), x...)
+	case []int:
+		return append([]int(nil), x...)
+	}
+	return v
 }
 
 // CanonicalJSON returns the byte-stable JSON encoding of the canonical
-// form of spec (parameter keys sorted by encoding/json).
+// form of spec (parameter keys sorted).
 func CanonicalJSON(spec Spec) ([]byte, error) {
 	c, err := MakeCanonical(spec)
 	if err != nil {

@@ -71,14 +71,8 @@ func (m MachineSpec) Options() ([]core.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Level < 0 {
-		return nil, fmt.Errorf("engine: negative recursion level %d", m.Level)
-	}
-	if m.Bandwidth < 0 {
-		return nil, fmt.Errorf("engine: negative channel bandwidth %d", m.Bandwidth)
-	}
-	if m.LogicalQubits < 0 {
-		return nil, fmt.Errorf("engine: negative logical-qubit count %d", m.LogicalQubits)
+	if err := m.checkSizes(); err != nil {
+		return nil, err
 	}
 	opts := []core.Option{core.WithParams(tech)}
 	if m.Level > 0 {
@@ -88,6 +82,20 @@ func (m MachineSpec) Options() ([]core.Option, error) {
 		opts = append(opts, core.WithBandwidth(m.Bandwidth))
 	}
 	return opts, nil
+}
+
+// checkSizes rejects negative sizes.
+func (m MachineSpec) checkSizes() error {
+	if m.Level < 0 {
+		return fmt.Errorf("engine: negative recursion level %d", m.Level)
+	}
+	if m.Bandwidth < 0 {
+		return fmt.Errorf("engine: negative channel bandwidth %d", m.Bandwidth)
+	}
+	if m.LogicalQubits < 0 {
+		return fmt.Errorf("engine: negative logical-qubit count %d", m.LogicalQubits)
+	}
+	return nil
 }
 
 // Result is the outcome of one Engine.Run: the typed data payload plus
@@ -200,7 +208,11 @@ func (e *Engine) RunCanonical(ctx context.Context, c Canonical) (Result, error) 
 		}
 		c = mc
 	}
-	return e.run(ctx, c.exp, c.Spec, c.tech)
+	tech, err := c.Spec.Machine.TechParams()
+	if err != nil {
+		return Result{}, err
+	}
+	return e.run(ctx, c.exp, c.Spec, tech)
 }
 
 // run executes an already-canonicalized spec.

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -66,14 +67,17 @@ type ParamDef struct {
 	OneOf []string
 }
 
-// allows reports whether v satisfies the OneOf restriction.
-func (d *ParamDef) allows(v string) bool {
-	for _, ok := range d.OneOf {
-		if v == ok {
-			return true
-		}
+// resolve checks one given value of the parameter: it coerces v to the
+// declared kind and enforces the OneOf restriction.
+func (d *ParamDef) resolve(v any) (any, error) {
+	v, err := coerce(d.Kind, v)
+	if err != nil {
+		return nil, err
 	}
-	return false
+	if s, ok := v.(string); ok && len(d.OneOf) > 0 && !slices.Contains(d.OneOf, s) {
+		return nil, fmt.Errorf("invalid value %q (want one of %s)", s, quotedList(d.OneOf))
+	}
+	return v, nil
 }
 
 // Params carries experiment parameters by name. In a Spec the values may
@@ -133,13 +137,9 @@ func resolveParams(defs []ParamDef, given Params) (Params, error) {
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown parameter %q (known: %s)", name, paramNames(defs))
 		}
-		v, err := coerce(d.Kind, given[name])
+		v, err := d.resolve(given[name])
 		if err != nil {
 			return nil, fmt.Errorf("engine: parameter %q: %w", name, err)
-		}
-		if s, ok := v.(string); ok && len(d.OneOf) > 0 && !d.allows(s) {
-			return nil, fmt.Errorf("engine: parameter %q: invalid value %q (want one of %s)",
-				name, s, quotedList(d.OneOf))
 		}
 		out[name] = v
 	}

@@ -7,9 +7,18 @@ package engine
 // the same content address (otherwise the cache key would depend on
 // how many times a spec bounced through the wire format).
 //
+// It is also the oracle of the hand-written encoder: the canonical
+// bytes of every spec that canonicalizes are json.Marshal's, and the
+// input read as one string and as one float encodes as json.Marshal
+// encodes it, failing exactly where json.Marshal fails.
+//
 //	go test ./internal/engine -run '^$' -fuzz FuzzSpecDecode -fuzztime 30s
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,14 +58,28 @@ func FuzzSpecDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkAgainstMarshal(t, string(raw), AppendString(nil, string(raw)), nil)
+		if len(raw) >= 8 {
+			f := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			got, err := appendFloat(nil, f)
+			checkAgainstMarshal(t, f, got, err)
+		}
 		spec, err := DecodeSpec(raw)
 		if err != nil {
 			return // malformed input must error, and it did
 		}
-		hash, err := SpecHash(spec)
+		if canon, err := Canonicalize(spec); err == nil {
+			got, err := appendSpec(nil, canon)
+			checkAgainstMarshal(t, canon, got, err)
+		}
+		c, err := MakeCanonical(spec)
 		if err != nil {
 			return // decodes but fails validation: also fine
 		}
+		if want, err := json.Marshal(c.Spec); err != nil || !bytes.Equal(c.JSON, want) {
+			t.Fatalf("canonical JSON is not json.Marshal's (err %v):\n got %s\nwant %s", err, c.JSON, want)
+		}
+		hash := c.Hash
 		// A spec that hashes must round-trip through its canonical JSON
 		// to the same address.
 		cj, err := CanonicalJSON(spec)

@@ -103,6 +103,10 @@ type Manager struct {
 	mu          sync.Mutex
 	jobs        map[string]*Job
 	resultBytes int64
+	// nextExpiry is the earliest time a stored finished job passes its
+	// TTL (zero when none is finished): lookups scan the store for
+	// expired jobs only once it has passed.
+	nextExpiry time.Time
 	// tenantRunning / tenantBytes are the per-tenant quota ledgers;
 	// entries are pruned the moment they hit zero, so the maps stay
 	// bounded by the live store, not by tenant-name cardinality.
@@ -351,29 +355,50 @@ func (m *Manager) creditTenantBytesLocked(tenant string, n int64) {
 	}
 }
 
-// noteSettled balances the Submit-time running increment; settle calls
-// it exactly once per job, whether or not the job is still stored.
-func (m *Manager) noteSettled(j *Job) {
+// noteSettled records that j finished at finished: it arms the expiry
+// scan for the job and balances the Submit-time running increment.
+// settle calls it exactly once per job, whether or not the job is
+// still stored.
+func (m *Manager) noteSettled(j *Job, finished time.Time) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.noteExpiryLocked(finished.Add(m.cfg.TTL))
 	if j.tenant == "" {
 		return
 	}
-	m.mu.Lock()
 	m.tenantRunning[j.tenant]--
 	if m.tenantRunning[j.tenant] <= 0 {
 		delete(m.tenantRunning, j.tenant)
 	}
-	m.mu.Unlock()
 }
 
-// evictExpiredLocked drops finished jobs older than the TTL.
+// evictExpiredLocked drops finished jobs older than the TTL. Until the
+// earliest expiry has passed there is nothing to drop, so it returns
+// without looking at the store.
 func (m *Manager) evictExpiredLocked(now time.Time) {
+	if m.nextExpiry.IsZero() || !now.After(m.nextExpiry) {
+		return
+	}
+	m.nextExpiry = time.Time{}
 	for id, j := range m.jobs {
 		j.mu.Lock()
-		expired := j.state.Finished() && now.Sub(j.finished) > m.cfg.TTL
+		fin, exp := j.state.Finished(), j.finished.Add(m.cfg.TTL)
 		j.mu.Unlock()
-		if expired {
-			m.dropLocked(id, j)
+		if !fin {
+			continue
 		}
+		if now.After(exp) {
+			m.dropLocked(id, j)
+		} else {
+			m.noteExpiryLocked(exp)
+		}
+	}
+}
+
+// noteExpiryLocked keeps nextExpiry the earliest pending expiry.
+func (m *Manager) noteExpiryLocked(exp time.Time) {
+	if m.nextExpiry.IsZero() || exp.Before(m.nextExpiry) {
+		m.nextExpiry = exp
 	}
 }
 
@@ -506,9 +531,10 @@ func (j *Job) settle(res Body, err error) {
 		j.err = err
 		j.mgr.failed.Inc()
 	}
+	finished := j.finished
 	j.wakeLocked()
 	j.mu.Unlock()
-	j.mgr.noteSettled(j)
+	j.mgr.noteSettled(j, finished)
 	if err == nil {
 		j.mgr.noteResult(j)
 	}

@@ -359,6 +359,38 @@ func TestTTLEviction(t *testing.T) {
 	}
 }
 
+// TestTTLEvictionAfterScan: lookups scan the store only once the
+// earliest expiry has passed, so a job that finishes after a scan has
+// run — here while an expired job was being collected — must still
+// arm its own expiry and leave on time.
+func TestTTLEvictionAfterScan(t *testing.T) {
+	const ttl = 20 * time.Millisecond
+	m := NewManager(Config{TTL: ttl})
+	early, _, _ := m.Submit("early", SubmitOptions{Total: 1}, func(ctx context.Context, report func(Progress)) ([]byte, error) {
+		return []byte("r"), nil
+	})
+	wait(t, early)
+	run, release := gated([]byte("late"), nil)
+	late, _, _ := m.Submit("late", SubmitOptions{Total: 1}, run)
+	time.Sleep(2 * ttl)
+	// This lookup scans: it drops "early" and finds "late" running.
+	if _, ok := m.Get("early"); ok {
+		t.Fatal("early job survived its TTL")
+	}
+	release()
+	wait(t, late)
+	if _, ok := m.Get("late"); !ok {
+		t.Fatal("late job vanished before its TTL")
+	}
+	time.Sleep(2 * ttl)
+	if _, ok := m.Get("late"); ok {
+		t.Fatal("a job that finished after the scan survived its TTL")
+	}
+	if s := m.Stats(); s.Evicted != 2 || s.Stored != 0 {
+		t.Errorf("stats %+v", s)
+	}
+}
+
 // TestSubscribeMonotonic: a subscriber observes non-decreasing Done
 // counts ending at total, and a wake for the terminal state.
 func TestSubscribeMonotonic(t *testing.T) {
@@ -414,27 +446,52 @@ func TestSubmitValidation(t *testing.T) {
 // BenchmarkJobManager measures the manager's per-job overhead: submit,
 // one progress report, completion, result retrieval. The sweep points
 // themselves dwarf this; the benchmark guards against the bookkeeping
-// ever growing into the request path.
+// ever growing into the request path. The lookups case times the Get
+// calls a hot sweep makes (submit, event stream, result) against a
+// full store of 256 finished jobs, the default bound.
 func BenchmarkJobManager(b *testing.B) {
-	m := NewManager(Config{MaxJobs: 64})
 	body := []byte(`{"ok":true}`)
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		id := fmt.Sprintf("job-%d", i)
-		j, _, err := m.Submit(id, SubmitOptions{Total: 1}, func(ctx context.Context, report func(Progress)) ([]byte, error) {
-			report(Progress{Total: 1, Done: 1})
-			return body, nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wake, stop := j.Subscribe()
-		for !j.Snapshot().State.Finished() {
-			<-wake
-		}
-		stop()
-		if res, snap := j.Result(); snap.State != StateDone || len(res) == 0 {
-			b.Fatalf("result %q %+v", res, snap)
-		}
+	done := func(ctx context.Context, report func(Progress)) ([]byte, error) {
+		report(Progress{Total: 1, Done: 1})
+		return body, nil
 	}
+	b.Run("lifecycle", func(b *testing.B) {
+		m := NewManager(Config{MaxJobs: 64})
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			j, _, err := m.Submit(fmt.Sprintf("job-%d", i), SubmitOptions{Total: 1}, done)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wake, stop := j.Subscribe()
+			for !j.Snapshot().State.Finished() {
+				<-wake
+			}
+			stop()
+			if res, snap := j.Result(); snap.State != StateDone || len(res) == 0 {
+				b.Fatalf("result %q %+v", res, snap)
+			}
+		}
+	})
+	b.Run("lookups/stored=256", func(b *testing.B) {
+		const stored = 256
+		m := NewManager(Config{MaxJobs: stored})
+		ids := make([]string, stored)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("job-%d", i)
+			j, _, err := m.Submit(ids[i], SubmitOptions{Total: 1}, done)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for !j.Snapshot().State.Finished() {
+				time.Sleep(time.Microsecond)
+			}
+		}
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			if _, ok := m.Get(ids[i%stored]); !ok {
+				b.Fatal("stored job not found")
+			}
+		}
+	})
 }

@@ -2,64 +2,98 @@ package sweep
 
 import (
 	"bytes"
-	"encoding/json"
+	"strconv"
+
+	"qla/internal/engine"
 )
 
 // MarshalChunks returns the JSON encoding of r — byte for byte what
 // json.Marshal(r) produces — as chunks that, written back to back, form
-// the document. The metadata is encoded once into one exact-size
-// buffer; each point's Result payload is a chunk of its own, aliasing
-// r's bytes (for a cached point, the cache entry's), so the payloads
-// are neither copied nor scanned. That is byte-identical to
-// json.Marshal because stored payloads are already what it emits for
-// a RawMessage: compact, HTML-escaped JSON, marshaled by the engine
-// and validated by the cache on the way in from disk or a peer.
+// the document. The metadata is written once, by the engine's JSON
+// appenders, into one exact-size buffer; each point's Result payload is
+// a chunk of its own, aliasing r's bytes (for a cached point, the cache
+// entry's), so the payloads are neither copied nor scanned. That is
+// byte-identical to json.Marshal because stored payloads are already
+// what it emits for a RawMessage: compact, HTML-escaped JSON, marshaled
+// by the engine and validated by the cache on the way in from disk or
+// a peer.
 func (r *Result) MarshalChunks() ([][]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf) // escapes HTML exactly like json.Marshal
-	// The envelope without its points ends in `"points":null}` (Points
-	// is the last field); the encoder appends a newline to every value.
-	head := *r
-	head.Points = nil
-	if err := enc.Encode(&head); err != nil {
-		return nil, err
+	buf := make([]byte, 0, 256+192*len(r.Points))
+	buf = engine.AppendString(append(buf, `{"experiment":`...), r.Experiment)
+	buf = engine.AppendString(append(buf, `,"sweep_hash":`...), r.SweepHash)
+	buf = append(buf, `,"fields":`...)
+	if r.Fields == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i, f := range r.Fields {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = engine.AppendString(buf, f)
+		}
+		buf = append(buf, ']')
 	}
+	buf = appendInt(buf, `,"total":`, int64(r.Total))
+	buf = appendInt(buf, `,"ok":`, int64(r.OK))
+	buf = appendInt(buf, `,"cached":`, int64(r.Cached))
+	buf = appendInt(buf, `,"failed":`, int64(r.Failed))
+	buf = appendNonZero(buf, `,"retried":`, r.Retried)
+	buf = appendNonZero(buf, `,"retry_attempts":`, r.RetryAttempts)
+	buf = appendNonZero(buf, `,"deferred":`, r.Deferred)
+	buf = appendInt(buf, `,"elapsed_ns":`, int64(r.Elapsed))
 	if r.Points == nil {
-		buf.Truncate(buf.Len() - len("\n"))
-		return [][]byte{buf.Bytes()}, nil
+		return [][]byte{append(buf, `,"points":null}`...)}, nil
 	}
-	buf.Truncate(buf.Len() - len("null}\n"))
-	buf.WriteByte('[')
+	buf = append(buf, `,"points":[`...)
 	var (
 		cuts     []int // payloads[k] splices into the metadata at cuts[k]
 		payloads [][]byte
-		pt       PointResult
+		err      error
 	)
 	for i := range r.Points {
+		pt := &r.Points[i]
 		if i > 0 {
-			buf.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		// Without its payload a point ends in its last metadata field
-		// (Result is the last field and omitempty); the payload goes
-		// back in before the closing brace.
-		pt = r.Points[i]
-		payload := pt.Result
-		pt.Result = nil
-		if err := enc.Encode(&pt); err != nil {
-			return nil, err
+		buf = appendInt(buf, `{"index":`, int64(pt.Index))
+		buf = append(buf, `,"coords":`...)
+		if pt.Coords == nil {
+			buf = append(buf, "null"...)
+		} else {
+			buf = append(buf, '[')
+			for j, c := range pt.Coords {
+				if j > 0 {
+					buf = append(buf, ',')
+				}
+				if buf, err = engine.AppendValue(buf, c); err != nil {
+					return nil, err
+				}
+			}
+			buf = append(buf, ']')
 		}
-		buf.Truncate(buf.Len() - len("}\n"))
-		if len(payload) > 0 {
-			buf.WriteString(`,"result":`)
-			cuts = append(cuts, buf.Len())
-			payloads = append(payloads, payload)
+		buf = engine.AppendString(append(buf, `,"spec_hash":`...), pt.SpecHash)
+		buf = engine.AppendString(append(buf, `,"status":`...), pt.Status)
+		if pt.Cached {
+			buf = append(buf, `,"cached":true`...)
 		}
-		buf.WriteByte('}')
+		buf = appendInt(buf, `,"elapsed_ns":`, int64(pt.Elapsed))
+		if pt.Error != "" {
+			buf = engine.AppendString(append(buf, `,"error":`...), pt.Error)
+		}
+		buf = appendNonZero(buf, `,"attempts":`, pt.Attempts)
+		buf = appendNonZero(buf, `,"deferred":`, pt.Deferred)
+		if len(pt.Result) > 0 {
+			buf = append(buf, `,"result":`...)
+			cuts = append(cuts, len(buf))
+			payloads = append(payloads, pt.Result)
+		}
+		buf = append(buf, '}')
 	}
-	buf.WriteString("]}")
+	buf = append(buf, "]}"...)
 	// A finished job holds the metadata for its lifetime: keep it in a
-	// buffer of its exact size, not the encoder's grown one.
-	meta := bytes.Clone(buf.Bytes())
+	// buffer of its exact size, not the grown one.
+	meta := bytes.Clone(buf)
 	chunks := make([][]byte, 0, 2*len(payloads)+1)
 	prev := 0
 	for k, cut := range cuts {
@@ -67,4 +101,18 @@ func (r *Result) MarshalChunks() ([][]byte, error) {
 		prev = cut
 	}
 	return append(chunks, meta[prev:]), nil
+}
+
+// appendInt appends a key and an integer value.
+func appendInt(dst []byte, key string, n int64) []byte {
+	return strconv.AppendInt(append(dst, key...), n, 10)
+}
+
+// appendNonZero appends a key and n unless n is zero (an omitempty
+// integer field).
+func appendNonZero(dst []byte, key string, n int) []byte {
+	if n == 0 {
+		return dst
+	}
+	return appendInt(dst, key, int64(n))
 }

@@ -58,6 +58,19 @@ func TestMarshalChunksMatchesMarshal(t *testing.T) {
 				{Index: 1, Coords: []any{"current", 42, uint64(1) << 63, 1e21, false, 1e-7}, SpecHash: "c1", Status: "ok", Result: json.RawMessage(`{}`)},
 			},
 		}},
+		{"every axis kind", Result{
+			Experiment: "figure7", SweepHash: "k1nd", Fields: []string{"params.phys-errors", "params.levels", "params.flag", "params.seed", "params.p", "params.backend"},
+			Total: 3, OK: 2, Failed: 1,
+			Points: []PointResult{
+				{Index: 0, Coords: []any{[]float64{1e-7, 0.004, 1e21}, []int{1, 2, -3}, true, uint64(1)<<53 + 1, 2.5e-9, "batch"},
+					SpecHash: "k0", Status: "ok", Elapsed: 12, Attempts: 1, Result: hot},
+				{Index: 1, Coords: []any{[]float64{}, []int{}, false, uint64(math.MaxUint64), math.Copysign(0, -1), "scalar"},
+					SpecHash: "k1", Status: "ok", Cached: true, Attempts: 1, Result: other},
+				{Index: 2, Coords: []any{[]float64(nil), []int(nil), true, uint64(9007199254740993), 1e20, "<gpu>"},
+					SpecHash: "k2", Status: "error", Attempts: 2,
+					Error: "bad\x00\b\f\r\x1f\x7f \xc3\x28 \xe2\x82 \xed\xa0\x80 \xf0\x90\x80 trailing\xff"},
+			},
+		}},
 		{"ok point without payload", Result{
 			Experiment: "x", Total: 1, OK: 1,
 			Points: []PointResult{{Index: 0, Coords: []any{}, SpecHash: "e0", Status: "ok"}},

@@ -8,10 +8,19 @@ package sweep
 // same per-point hashes (otherwise the job ID would depend on how many
 // times a sweep bounced through the wire format).
 //
+// It is also the oracle of the derived points and of the hand-written
+// encoding: every point's Canonical — JSON and hash — is what
+// engine.MakeCanonical makes of the point's Spec, and the sweep's
+// canonical JSON is json.Marshal's.
+//
 //	go test ./internal/sweep -run '^$' -fuzz FuzzSweepDecode -fuzztime 30s
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
+
+	"qla/internal/engine"
 )
 
 func FuzzSweepDecode(f *testing.F) {
@@ -22,6 +31,10 @@ func FuzzSweepDecode(f *testing.F) {
 		`{"base":{"experiment":"run-chain","params":{"trials":10}},"axes":[{"field":"params.links","values":[2,3]}]}`,
 		`{"base":{"experiment":"figure7"},"axes":[{"field":"params.phys-errors","values":[[0.001],[0.002]]}]}`,
 		`{"base":{"experiment":"table1"},"axes":[{"field":"machine.level","values":[1]}]}`,
+		`{"base":{"experiment":"figure7","params":{"phys-errors":[0.002],"backend":"batch"}},"axes":[{"field":"params.trials","values":[64,128]},{"field":"params.seed","values":[1,2]}]}`,
+		`{"base":{"experiment":"figure7"},"axes":[{"field":"params.backend","values":["batch","gpu"]}]}`,
+		`{"base":{"experiment":"figure7","params":{"phys-errors":[]}},"axes":[{"field":"params.phys-errors","values":[[],[0.001]]}]}`,
+		`{"base":{"experiment":"equation2","machine":{"tech":{"Name":"lab<&>","CellSizeUM":10}}},"axes":[{"field":"params.p0","values":[1e-7,0.001]},{"field":"machine.bandwidth","values":[1,3]}]}`,
 		`{"base":{"experiment":"ec-latency"},"axes":[]}`,
 		`{"base":{"experiment":"ec-latency"},"axes":[{"field":"machine.level","values":[0,2]}]}`,
 		`{"axes":[{"field":"machine.level","values":[1]}]}`,
@@ -43,6 +56,18 @@ func FuzzSweepDecode(f *testing.F) {
 		sw, err := Expand(s)
 		if err != nil {
 			return // decodes but fails validation: also fine
+		}
+		if want, err := json.Marshal(sw.Spec); err != nil || !bytes.Equal(sw.JSON, want) {
+			t.Fatalf("sweep JSON is not json.Marshal's (err %v):\n got %s\nwant %s", err, sw.JSON, want)
+		}
+		for i, pt := range sw.Points {
+			want, err := engine.MakeCanonical(pt.Canonical.Spec)
+			if err != nil {
+				t.Fatalf("point %d does not canonicalize: %v", i, err)
+			}
+			if !bytes.Equal(pt.Canonical.JSON, want.JSON) || pt.Canonical.Hash != want.Hash {
+				t.Fatalf("point %d derived\n %s\nMakeCanonical\n %s", i, pt.Canonical.JSON, want.JSON)
+			}
 		}
 		back, err := DecodeSpec(sw.JSON)
 		if err != nil {

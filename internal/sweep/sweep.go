@@ -27,8 +27,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"qla/internal/engine"
@@ -136,16 +136,20 @@ func ReadFile(path string) (Spec, error) {
 // Distinct axis assignments that canonicalize to the same point (say,
 // machine.level values 0 and 2, where 0 means the default 2) are
 // rejected rather than silently collapsed.
+//
+// The base is canonicalized once and every axis value checked once;
+// each point then derives from the compiled base, so a point costs its
+// encoding and hash rather than a full canonicalization.
 func Expand(s Spec) (*Sweep, error) {
-	base, err := engine.Canonicalize(s.Base)
+	base, err := engine.NewBase(s.Base)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: base spec: %w", err)
 	}
-	exp, ok := engine.Lookup(base.Experiment)
+	exp, ok := engine.Lookup(base.Spec.Experiment)
 	if !ok {
-		return nil, fmt.Errorf("sweep: base experiment %q vanished from the registry", base.Experiment)
+		return nil, fmt.Errorf("sweep: base experiment %q vanished from the registry", base.Spec.Experiment)
 	}
-	if base.Experiment == "machine-sweep" {
+	if exp.Name == "machine-sweep" {
 		// A sweep of sweeps would multiply grids: each of up to
 		// MaxPoints points would itself fan out up to MaxPoints runs,
 		// amplifying one request far past the documented bound. The
@@ -159,18 +163,18 @@ func Expand(s Spec) (*Sweep, error) {
 		return nil, fmt.Errorf("sweep: %d axes exceeds the maximum %d", len(s.Axes), MaxAxes)
 	}
 
-	// Canonicalize the axes: coerce every value to its declared kind and
+	// Canonicalize the axes: check every value once against its field —
+	// coerced to the declared kind, a parameter's OneOf enforced — and
 	// reject duplicates within an axis (they would expand to duplicate
 	// points), unknown fields, and empty value lists.
+	axes := make([]axis, len(s.Axes))
 	canonAxes := make([]Axis, len(s.Axes))
 	fields := make([]string, len(s.Axes))
-	seenField := map[string]bool{}
 	total := 1
 	for i, ax := range s.Axes {
-		if seenField[ax.Field] {
+		if slices.Contains(fields[:i], ax.Field) {
 			return nil, fmt.Errorf("sweep: duplicate axis field %q", ax.Field)
 		}
-		seenField[ax.Field] = true
 		if len(ax.Values) == 0 {
 			return nil, fmt.Errorf("sweep: axis %q has no values", ax.Field)
 		}
@@ -178,33 +182,45 @@ func Expand(s Spec) (*Sweep, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]any, len(ax.Values))
-		seenVal := map[string]bool{}
+		a := axis{field: ax.Field, values: make([]any, len(ax.Values))}
+		if name, ok := strings.CutPrefix(ax.Field, "params."); ok {
+			a.param = name
+			a.settings = make([]engine.Setting, len(ax.Values))
+		}
+		seenVal := make(map[string]bool, len(ax.Values))
 		for j, v := range ax.Values {
-			cv, err := engine.CoerceValue(kind, v)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: axis %q value %d: %w", ax.Field, j, err)
-			}
-			key, err := json.Marshal(cv)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: axis %q value %d: %w", ax.Field, j, err)
+			var key []byte
+			if a.param != "" {
+				st, err := base.Setting(a.param, v)
+				if err != nil {
+					return nil, fmt.Errorf("sweep: axis %q value %d: %w", ax.Field, j, err)
+				}
+				a.settings[j], a.values[j], key = st, st.Value, st.JSON
+			} else {
+				cv, err := engine.CoerceValue(kind, v)
+				if err == nil {
+					key, err = engine.AppendValue(nil, cv)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("sweep: axis %q value %d: %w", ax.Field, j, err)
+				}
+				a.values[j] = cv
 			}
 			if seenVal[string(key)] {
 				return nil, fmt.Errorf("sweep: axis %q repeats value %s", ax.Field, key)
 			}
 			seenVal[string(key)] = true
-			vals[j] = cv
 		}
-		canonAxes[i] = Axis{Field: ax.Field, Values: vals}
+		axes[i] = a
+		canonAxes[i] = Axis{Field: ax.Field, Values: a.values}
 		fields[i] = ax.Field
-		if total > MaxPoints/len(vals) {
+		if total > MaxPoints/len(a.values) {
 			return nil, fmt.Errorf("sweep: grid exceeds the maximum %d points", MaxPoints)
 		}
-		total *= len(vals)
+		total *= len(a.values)
 	}
-
-	canon := Spec{Base: base, Axes: canonAxes}
-	raw, err := json.Marshal(canon)
+	canon := Spec{Base: base.Spec, Axes: canonAxes}
+	raw, err := canon.appendJSON(nil, base.JSON)
 	if err != nil {
 		return nil, err
 	}
@@ -212,44 +228,98 @@ func Expand(s Spec) (*Sweep, error) {
 		Spec:       canon,
 		JSON:       raw,
 		Hash:       engine.HashBytes(raw),
-		Experiment: base.Experiment,
+		Experiment: base.Spec.Experiment,
 		Fields:     fields,
 		Points:     make([]Point, 0, total),
 	}
 
-	// Row-major enumeration, last axis fastest.
-	seenPoint := map[string]int{}
-	coords := make([]any, len(canonAxes))
-	idx := make([]int, len(canonAxes))
+	// Distinct parameter values encode distinctly, so only a machine
+	// axis, whose values normalize (level 0 is level 2), can make two
+	// points one run: only then are the points' hashes compared.
+	var seenPoint map[string]int
+	for _, a := range axes {
+		if a.param == "" {
+			seenPoint = make(map[string]int, total)
+		}
+	}
+
+	// Row-major enumeration, last axis fastest. Every point's
+	// coordinates are a capped window of one shared array.
+	allCoords := make([]any, total*len(axes))
+	idx := make([]int, len(axes))
+	set := make([]engine.Setting, 0, len(axes))
 	for n := 0; n < total; n++ {
-		rem := n
-		for i := len(canonAxes) - 1; i >= 0; i-- {
-			idx[i] = rem % len(canonAxes[i].Values)
-			rem /= len(canonAxes[i].Values)
-		}
-		spec := base
-		spec.Params = maps.Clone(base.Params)
-		if spec.Params == nil {
-			spec.Params = engine.Params{}
-		}
-		for i, ax := range canonAxes {
-			coords[i] = ax.Values[idx[i]]
-			if err := applyAxis(&spec, ax.Field, coords[i]); err != nil {
-				return nil, fmt.Errorf("sweep: point %d (%s): %w", n, coordsString(fields, coords), err)
+		if n > 0 {
+			// Advance idx like an odometer, the last axis fastest.
+			for i := len(axes) - 1; i >= 0; i-- {
+				if idx[i]++; idx[i] < len(axes[i].values) {
+					break
+				}
+				idx[i] = 0
 			}
 		}
-		c, err := engine.MakeCanonical(spec)
-		if err != nil {
+		coords := allCoords[n*len(axes) : (n+1)*len(axes) : (n+1)*len(axes)]
+		machine := base.Spec.Machine
+		set = set[:0]
+		for i, a := range axes {
+			coords[i] = a.values[idx[i]]
+			if a.param != "" {
+				set = append(set, a.settings[idx[i]])
+			} else {
+				setMachine(&machine, a.field, coords[i])
+			}
+		}
+		sw.Points = append(sw.Points, Point{Coords: coords})
+		pt := &sw.Points[n]
+		if pt.Canonical, err = base.Derive(machine, set); err != nil {
 			return nil, fmt.Errorf("sweep: point %d (%s): %w", n, coordsString(fields, coords), err)
 		}
-		if prev, dup := seenPoint[c.Hash]; dup {
-			return nil, fmt.Errorf("sweep: points %d and %d (%s) canonicalize to the same run %s",
-				prev, n, coordsString(fields, coords), c.Hash[:12])
+		if seenPoint == nil {
+			continue
 		}
-		seenPoint[c.Hash] = n
-		sw.Points = append(sw.Points, Point{Coords: append([]any(nil), coords...), Canonical: c})
+		hash := pt.Canonical.Hash
+		if prev, dup := seenPoint[hash]; dup {
+			return nil, fmt.Errorf("sweep: points %d and %d (%s) canonicalize to the same run %s",
+				prev, n, coordsString(fields, coords), hash[:12])
+		}
+		seenPoint[hash] = n
 	}
 	return sw, nil
+}
+
+// appendJSON appends the encoding of s — json.Marshal's bytes — given
+// the encoding of its base. The axes and their value lists of an
+// expanded sweep are never nil, so none encodes as null.
+func (s Spec) appendJSON(dst, base []byte) ([]byte, error) {
+	dst = append(append(dst, `{"base":`...), base...)
+	dst = append(dst, `,"axes":[`...)
+	for i, ax := range s.Axes {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = engine.AppendString(append(dst, `{"field":`...), ax.Field)
+		dst = append(dst, `,"values":[`...)
+		for j, v := range ax.Values {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = engine.AppendValue(dst, v); err != nil {
+				return nil, err
+			}
+		}
+		dst = append(dst, "]}"...)
+	}
+	return append(dst, "]}"...), nil
+}
+
+// axis is one canonicalized grid dimension: its coerced values and, on
+// a parameter axis, each value checked against the base.
+type axis struct {
+	field    string
+	param    string // the parameter name of a params.<name> axis
+	values   []any
+	settings []engine.Setting
 }
 
 // axisKind resolves the declared kind of an axis field, validating the
@@ -272,40 +342,34 @@ func axisKind(exp *engine.Experiment, field string) (engine.Kind, error) {
 	return 0, fmt.Errorf("sweep: unknown axis field %q (want machine.param_set, machine.level, machine.bandwidth, machine.logical_qubits, or params.<name>)", field)
 }
 
-// applyAxis writes one coerced axis value into the point spec.
-func applyAxis(spec *engine.Spec, field string, v any) error {
-	if name, ok := strings.CutPrefix(field, "params."); ok {
-		spec.Params[name] = v
-		return nil
-	}
+// setMachine writes one coerced machine-axis value into m.
+func setMachine(m *engine.MachineSpec, field string, v any) {
 	switch field {
 	case "machine.param_set":
-		spec.Machine.ParamSet = v.(string)
+		m.ParamSet = v.(string)
 	case "machine.level":
-		spec.Machine.Level = v.(int)
+		m.Level = v.(int)
 	case "machine.bandwidth":
-		spec.Machine.Bandwidth = v.(int)
+		m.Bandwidth = v.(int)
 	case "machine.logical_qubits":
-		spec.Machine.LogicalQubits = v.(int)
-	default:
-		return fmt.Errorf("unknown axis field %q", field)
+		m.LogicalQubits = v.(int)
 	}
-	return nil
 }
 
 // coordsString renders one point's coordinates for error text and the
 // table view: "machine.level=2, params.trials=1000".
 func coordsString(fields []string, coords []any) string {
-	var sb strings.Builder
+	var b []byte
 	for i, f := range fields {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		raw, err := json.Marshal(coords[i])
+		b = append(append(b, f...), '=')
+		enc, err := engine.AppendValue(b, coords[i])
 		if err != nil {
-			raw = []byte(fmt.Sprintf("%v", coords[i]))
+			enc = fmt.Appendf(b, "%v", coords[i])
 		}
-		fmt.Fprintf(&sb, "%s=%s", f, raw)
+		b = enc
 	}
-	return sb.String()
+	return string(b)
 }

@@ -134,6 +134,8 @@ func TestExpandValidation(t *testing.T) {
 		{"nested sweep", Spec{Base: engine.Spec{Experiment: "sweep"}, Axes: []Axis{axis("machine.level", 1)}}, "cannot be swept"},
 		{"duplicate point", Spec{Base: ec, Axes: []Axis{axis("machine.level", 0, 2)}}, "same run"},
 		{"negative level point", Spec{Base: ec, Axes: []Axis{axis("machine.level", -1, 1)}}, "negative recursion level"},
+		{"param value outside OneOf", Spec{Base: engine.Spec{Experiment: "figure7"}, Axes: []Axis{axis("params.backend", "batch", "gpu")}},
+			`axis "params.backend" value 1: invalid value "gpu"`},
 		{"grid too big", Spec{Base: engine.Spec{Experiment: "equation2"}, Axes: []Axis{
 			axis("machine.level", manyVals...), axis("params.level", manyVals...),
 		}}, "exceeds the maximum"},
