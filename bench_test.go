@@ -7,6 +7,7 @@
 package qla_test
 
 import (
+	"context"
 	"testing"
 
 	"qla"
@@ -55,8 +56,10 @@ func BenchmarkTable2Shor(b *testing.B) {
 
 // benchFig7Trial runs one threshold level under both Monte Carlo
 // backends so `go test -bench Fig7` prints the scalar-vs-batch ns/trial
-// side by side (the bit-sliced backend packs 64 trials per word and
-// must come out >10× faster at level 2).
+// side by side. The bit-sliced backend packs 64 trials per word; at
+// level 2 it must stay at least 10× faster, which CI's kernel gate
+// checks in one process at -benchtime 0.2s (steady state on a 2-core
+// Xeon: ~28×).
 func benchFig7Trial(b *testing.B, level int, seed uint64) {
 	for _, backend := range []string{threshold.BackendScalar, threshold.BackendBatch} {
 		b.Run(backend, func(b *testing.B) {
@@ -78,6 +81,22 @@ func benchFig7Trial(b *testing.B, level int, seed uint64) {
 func BenchmarkFig7Level1Trial(b *testing.B) { benchFig7Trial(b, 1, 1) }
 
 func BenchmarkFig7Level2Trial(b *testing.B) { benchFig7Trial(b, 2, 2) }
+
+// BenchmarkFig7Cold runs one cold figure7 per iteration at the shape of
+// perfbench's run-cold workload: p = 3e-3, 6,400 level-1 and 1,600
+// level-2 trials on the batch backend, a new seed each iteration, on
+// one worker. ns/op is the compute a never-seen run costs the server.
+func BenchmarkFig7Cold(b *testing.B) {
+	eng := qla.NewEngine(qla.WithParallelism(1))
+	for i := 0; i < b.N; i++ {
+		spec := qla.Spec{Experiment: "figure7", Params: qla.ExperimentParams{
+			"phys-errors": []float64{3e-3}, "trials": 6400, "seed": i + 1, "backend": threshold.BackendBatch,
+		}}
+		if _, err := eng.Run(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkFig7Crossing(b *testing.B) {
 	// The full two-curve sweep with the interpolated pseudo-threshold.

@@ -1,65 +1,12 @@
 package noise
 
 import (
-	"math"
 	"math/bits"
 	"math/rand/v2"
 
 	"qla/internal/iontrap"
 	"qla/internal/pauliframe"
 )
-
-// maskSampler draws 64-lane Bernoulli(p) hit masks. Instead of one
-// uniform draw per (site, lane) pair it flattens the pairs into one
-// stream and jumps between hits with geometric gaps — the standard
-// skip-ahead trick — so a site costs O(1) plus O(actual hits). At the
-// Figure-7 error rates (p ~ 1e-3) that replaces 64 RNG draws per site
-// with ~0.06 on average.
-type maskSampler struct {
-	p      float64
-	invLog float64 // 1 / log1p(-p), negative
-	skip   int64   // lanes to skip before the next hit
-}
-
-func newMaskSampler(p float64, rng *rand.Rand) *maskSampler {
-	s := &maskSampler{p: p}
-	if p > 0 && p < 1 {
-		s.invLog = 1 / math.Log1p(-p)
-		s.skip = s.gap(rng)
-	}
-	return s
-}
-
-// gap samples the number of misses before the next hit (Geometric(p)).
-func (s *maskSampler) gap(rng *rand.Rand) int64 {
-	u := rng.Float64()
-	if u == 0 {
-		return 1 << 40 // log(0) would overflow the conversion; cap the gap
-	}
-	g := math.Log(u) * s.invLog
-	if g >= 1<<40 {
-		return 1 << 40
-	}
-	return int64(g)
-}
-
-// mask consumes one site's worth (64 lanes) of the Bernoulli stream and
-// returns its hit mask.
-func (s *maskSampler) mask(rng *rand.Rand) uint64 {
-	if s.p <= 0 {
-		return 0
-	}
-	if s.p >= 1 {
-		return ^uint64(0)
-	}
-	var m uint64
-	for s.skip < pauliframe.Lanes {
-		m |= 1 << uint64(s.skip)
-		s.skip += 1 + s.gap(rng)
-	}
-	s.skip -= pauliframe.Lanes
-	return m
-}
 
 // BatchModel samples errors for 64 independent trials at once,
 // injecting them lane-wise into a pauliframe.Batch. Each error site
@@ -70,6 +17,13 @@ func (s *maskSampler) mask(rng *rand.Rand) uint64 {
 // control flow (ancilla retries, syndrome re-extraction) exact: lanes
 // outside the mask see no error and no frame change.
 //
+// A circuit resolves its error sites once, as Site handles (Site,
+// MoveSite), and visits them through Site.Hits; callers that pass the
+// probability per visit use Depolarize1. Both share one sampler per
+// distinct probability, so all sites of equal probability draw from
+// one Bernoulli stream, and each sampler draws its first skip at its
+// first visit: binding handles consumes no randomness.
+//
 // The deterministic-fault mode mirrors Model's: when ForceEnabled, no
 // randomness is consumed at all; the site whose sequence number equals
 // ForceSite injects error variant ForceChoice into lane ForceLane
@@ -77,7 +31,10 @@ func (s *maskSampler) mask(rng *rand.Rand) uint64 {
 // site is silent. Because sites are numbered once per batched site
 // visit, a batch in which only ForceLane's control flow deviates
 // visits sites in exactly the scalar backend's order — the property
-// the batch-vs-scalar single-fault equivalence tests rely on.
+// the batch-vs-scalar single-fault equivalence tests rely on. Set the
+// Force fields before the first site visit (or Reseed after setting
+// them): a sampler that has drawn its skip serves no-hit visits
+// without consulting them.
 type BatchModel struct {
 	P   iontrap.Params
 	Rng *rand.Rand
@@ -93,18 +50,10 @@ type BatchModel struct {
 
 	siteCounter int64
 	pcg         *rand.PCG
-	// samplers caches one skip-ahead state per distinct probability
-	// (gate/prep/measure classes plus the few move-path compositions);
-	// a linear scan beats a map at these counts.
+	// samplers holds one skip-ahead state per distinct probability
+	// (the op classes plus a few move-path compositions); a linear scan
+	// beats a map at these counts, and handles skip it entirely.
 	samplers []*maskSampler
-	// movePs caches MoveFailure(cells, corners) per path shape: the
-	// threshold schedule uses two shapes millions of times each.
-	movePs []moveP
-}
-
-type moveP struct {
-	cells, corners int
-	p              float64
 }
 
 // NewBatchModel returns a batch model over params p with a
@@ -117,43 +66,39 @@ func NewBatchModel(p iontrap.Params, seed uint64) *BatchModel {
 // Reseed rewinds the model to the state NewBatchModel(P, seed) would
 // produce, reusing its allocations: the RNG stream restarts from the
 // seed, the site counter and injection statistics zero, and every
-// cached sampler re-derives its skip-ahead state from the fresh
-// stream. Callers running many independently seeded blocks through one
-// model (one block per Reseed) avoid a model + RNG + sampler
-// allocation per block. The fresh-model equivalence is exact when the
-// model visits a single probability (each block then draws the skip
-// state first, exactly as a fresh model's first site would); with
-// several cached probabilities the skip states are re-derived in cache
-// order rather than first-visit order, which is still a valid
-// deterministic stream, just not the fresh model's.
+// sampler returns to undrawn, redrawing its skip at its next visit as
+// a fresh model's sampler would at its first. Handles stay bound.
+// Callers running many independently seeded blocks through one model
+// (one block per Reseed) avoid a model + RNG + sampler allocation per
+// block.
 func (m *BatchModel) Reseed(seed uint64) {
 	m.pcg.Seed(seed, seed^0xa5a5a5a5deadbeef)
 	m.siteCounter = 0
 	m.Injected = [iontrap.NumOpClasses]int64{}
 	for _, s := range m.samplers {
-		if s.p > 0 && s.p < 1 {
-			s.skip = s.gap(m.Rng)
-		}
+		s.skip = undrawn
 	}
 }
 
 // Sites returns the number of potential error sites visited so far.
 func (m *BatchModel) Sites() int64 { return m.siteCounter }
 
+// sampler returns the model's sampler for probability p, creating it
+// undrawn on first use.
 func (m *BatchModel) sampler(p float64) *maskSampler {
 	for _, s := range m.samplers {
 		if s.p == p {
 			return s
 		}
 	}
-	s := newMaskSampler(p, m.Rng)
+	s := newMaskSampler(p)
 	m.samplers = append(m.samplers, s)
 	return s
 }
 
-// site implements one 64-lane error site: the lane mask of trials that
-// inject, already restricted to the execution mask.
-func (m *BatchModel) site(p float64, mask uint64) uint64 {
+// hits is one full 64-lane site visit on sampler s: the lane mask of
+// trials that inject, already restricted to the execution mask.
+func (m *BatchModel) hits(s *maskSampler, mask uint64) uint64 {
 	idx := m.siteCounter
 	m.siteCounter++
 	if m.ForceEnabled {
@@ -162,14 +107,55 @@ func (m *BatchModel) site(p float64, mask uint64) uint64 {
 		}
 		return 0
 	}
-	if p <= 0 {
-		return 0
-	}
-	return m.sampler(p).mask(m.Rng) & mask
+	return s.mask(m.Rng) & mask
 }
 
-// forced reports whether a hit in force mode must use ForceChoice.
-func (m *BatchModel) forced() bool { return m.ForceEnabled }
+// site visits a site of probability p (the by-probability entry point).
+func (m *BatchModel) site(p float64, mask uint64) uint64 {
+	return m.hits(m.sampler(p), mask)
+}
+
+// A Site is an error site of fixed probability and op class, resolved
+// once so that each visit skips the probability lookup.
+type Site struct {
+	s     *maskSampler
+	m     *BatchModel
+	class iontrap.OpClass
+}
+
+// Site returns the handle of op class c's sites, at probability
+// P.Fail[c].
+func (m *BatchModel) Site(c iontrap.OpClass) Site {
+	return Site{s: m.sampler(m.P.Fail[c]), m: m, class: c}
+}
+
+// MoveSite returns the handle of a shuttle across cells and corners,
+// at probability P.MoveFailure(cells, corners), counted as OpMoveCell.
+func (m *BatchModel) MoveSite(cells, corners int) Site {
+	return Site{s: m.sampler(m.P.MoveFailure(cells, corners)), m: m, class: iontrap.OpMoveCell}
+}
+
+// Hits visits the site for the lanes in mask and returns the lanes it
+// hits, counting them in Injected. The common visit, whose 64 lanes all
+// fall inside the sampler's current skip, is inlined: it advances the
+// skip and the site counter and returns 0.
+func (h *Site) Hits(mask uint64) uint64 {
+	if h.s.skip < pauliframe.Lanes {
+		return h.visit(mask)
+	}
+	h.s.skip -= pauliframe.Lanes
+	h.m.siteCounter++
+	return 0
+}
+
+// visit is Hits' full path, kept out of line so Hits stays inlinable.
+//
+//go:noinline
+func (h *Site) visit(mask uint64) uint64 {
+	hits := h.m.hits(h.s, mask)
+	h.m.Injected[h.class] += int64(bits.OnesCount64(hits))
+	return hits
+}
 
 // Depolarize1 injects a uniformly random non-identity Pauli on q, per
 // hit lane, with probability p.
@@ -178,11 +164,18 @@ func (m *BatchModel) Depolarize1(f *pauliframe.Batch, q int, p float64, mask uin
 	if hits == 0 {
 		return 0
 	}
+	m.Pauli1(f, q, hits)
+	return int64(bits.OnesCount64(hits))
+}
+
+// Pauli1 injects a uniformly random non-identity Pauli on q in every
+// lane of hits (variant ForceChoice in force mode).
+func (m *BatchModel) Pauli1(f *pauliframe.Batch, q int, hits uint64) {
 	var xm, ym, zm uint64
 	for h := hits; h != 0; h &= h - 1 {
 		lane := uint64(1) << uint(bits.TrailingZeros64(h))
 		k := m.ForceChoice % 3
-		if !m.forced() {
+		if !m.ForceEnabled {
 			k = m.Rng.IntN(3)
 		}
 		switch k {
@@ -196,22 +189,17 @@ func (m *BatchModel) Depolarize1(f *pauliframe.Batch, q int, p float64, mask uin
 	}
 	f.InjectX(q, xm|ym)
 	f.InjectZ(q, zm|ym)
-	return int64(bits.OnesCount64(hits))
 }
 
-// Depolarize2 injects a uniformly random non-identity two-qubit Pauli
-// on (a,b), per hit lane, with probability p (one of the 15 non-II
-// pairs, same indexing as Model.Depolarize2).
-func (m *BatchModel) Depolarize2(f *pauliframe.Batch, a, b int, p float64, mask uint64) int64 {
-	hits := m.site(p, mask)
-	if hits == 0 {
-		return 0
-	}
+// Pauli2 injects a uniformly random non-identity two-qubit Pauli on
+// (a,b) in every lane of hits: one of the 15 non-II pairs, same
+// indexing as Model.Depolarize2 (variant ForceChoice in force mode).
+func (m *BatchModel) Pauli2(f *pauliframe.Batch, a, b int, hits uint64) {
 	var ax, az, bx, bz uint64
 	for h := hits; h != 0; h &= h - 1 {
 		lane := uint64(1) << uint(bits.TrailingZeros64(h))
 		k := m.ForceChoice % 15
-		if !m.forced() {
+		if !m.ForceEnabled {
 			k = m.Rng.IntN(15)
 		}
 		k++ // 1..15, base-4 digits (pa, pb), not both I
@@ -236,58 +224,6 @@ func (m *BatchModel) Depolarize2(f *pauliframe.Batch, a, b int, p float64, mask 
 	f.InjectZ(a, az)
 	f.InjectX(b, bx)
 	f.InjectZ(b, bz)
-	return int64(bits.OnesCount64(hits))
-}
-
-// GateError1 injects the post-gate error for a 1-qubit gate on q in the
-// masked lanes.
-func (m *BatchModel) GateError1(f *pauliframe.Batch, q int, mask uint64) {
-	m.Injected[iontrap.OpSingle] += m.Depolarize1(f, q, m.P.Fail[iontrap.OpSingle], mask)
-}
-
-// GateError2 injects the post-gate error for a 2-qubit gate on (a,b) in
-// the masked lanes.
-func (m *BatchModel) GateError2(f *pauliframe.Batch, a, b int, mask uint64) {
-	m.Injected[iontrap.OpDouble] += m.Depolarize2(f, a, b, m.P.Fail[iontrap.OpDouble], mask)
-}
-
-// PrepError injects preparation errors: hit lanes come up flipped.
-func (m *BatchModel) PrepError(f *pauliframe.Batch, q int, mask uint64) {
-	hits := m.site(m.P.Fail[iontrap.OpPrep], mask)
-	if hits != 0 {
-		f.InjectX(q, hits)
-		m.Injected[iontrap.OpPrep] += int64(bits.OnesCount64(hits))
-	}
-}
-
-// MeasureFlips samples readout errors for the masked lanes, returning
-// the lane mask of flipped classical outcomes.
-func (m *BatchModel) MeasureFlips(mask uint64) uint64 {
-	hits := m.site(m.P.Fail[iontrap.OpMeasure], mask)
-	m.Injected[iontrap.OpMeasure] += int64(bits.OnesCount64(hits))
-	return hits
-}
-
-// MoveError injects the error of shuttling q across cells and corners
-// in the masked lanes.
-func (m *BatchModel) MoveError(f *pauliframe.Batch, q, cells, corners int, mask uint64) {
-	m.Injected[iontrap.OpMoveCell] += m.Depolarize1(f, q, m.moveFailure(cells, corners), mask)
-}
-
-func (m *BatchModel) moveFailure(cells, corners int) float64 {
-	for _, c := range m.movePs {
-		if c.cells == cells && c.corners == corners {
-			return c.p
-		}
-	}
-	p := m.P.MoveFailure(cells, corners)
-	m.movePs = append(m.movePs, moveP{cells: cells, corners: corners, p: p})
-	return p
-}
-
-// IdleError injects memory errors for one idle slot on q.
-func (m *BatchModel) IdleError(f *pauliframe.Batch, q int, mask uint64) {
-	m.Injected[iontrap.OpMemory] += m.Depolarize1(f, q, m.P.Fail[iontrap.OpMemory], mask)
 }
 
 // TotalInjected returns the total number of lane-errors injected.

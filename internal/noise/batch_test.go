@@ -96,7 +96,7 @@ func TestBatchDepolarize2Variants(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 4000 && len(seen) < 15; i++ {
 		f.Clear()
-		m.Depolarize2(f, 0, 1, 0.5, 1) // single lane isolates the variant
+		m.Pauli2(f, 0, 1, m.site(0.5, 1)) // single lane isolates the variant
 		pa := int(f.XBits(0)&1) | int(f.ZBits(0)&1)<<1
 		pb := int(f.XBits(1)&1) | int(f.ZBits(1)&1)<<1
 		if pa != 0 || pb != 0 {
@@ -144,48 +144,92 @@ func TestBatchForceMode(t *testing.T) {
 func TestBatchInjectedLedger(t *testing.T) {
 	p := iontrap.Uniform(0.5, 0.01)
 	m := NewBatchModel(p, 21)
-	f := pauliframe.NewBatch(2)
-	m.GateError1(f, 0, ^uint64(0))
-	m.GateError2(f, 0, 1, ^uint64(0))
-	m.PrepError(f, 0, ^uint64(0))
-	m.MeasureFlips(^uint64(0))
-	m.MoveError(f, 0, 3, 1, ^uint64(0))
+	sites := []Site{
+		m.Site(iontrap.OpSingle), m.Site(iontrap.OpDouble),
+		m.Site(iontrap.OpPrep), m.Site(iontrap.OpMeasure), m.MoveSite(3, 1),
+	}
+	var total int64
+	for i := range sites {
+		total += int64(bits.OnesCount64(sites[i].Hits(^uint64(0))))
+	}
 	for _, c := range []iontrap.OpClass{iontrap.OpSingle, iontrap.OpDouble, iontrap.OpPrep, iontrap.OpMeasure, iontrap.OpMoveCell} {
 		if m.Injected[c] == 0 {
 			t.Errorf("op class %v recorded no injections at p=0.5", c)
 		}
 	}
-	if m.TotalInjected() == 0 {
-		t.Error("total injected must be positive")
+	if m.TotalInjected() != total {
+		t.Errorf("total injected %d, want the %d lanes hit", m.TotalInjected(), total)
 	}
 	if m.Sites() != 5 {
 		t.Errorf("sites = %d, want 5", m.Sites())
 	}
 }
 
-// TestBatchModelReseedMatchesFresh: a reseeded model visiting one
-// probability must reproduce a freshly constructed model's hit masks
-// exactly — the property that lets block loops reuse one model instead
-// of allocating one per 64-trial block.
-func TestBatchModelReseedMatchesFresh(t *testing.T) {
-	const p = 0.03
-	reused := NewBatchModel(iontrap.Params{}, 0)
-	for _, seed := range []uint64{1, 99, 12345} {
-		fresh := NewBatchModel(iontrap.Params{}, seed)
-		reused.Reseed(seed)
-		ff := pauliframe.NewBatch(8)
-		rf := pauliframe.NewBatch(8)
-		for q := 0; q < 8; q++ {
-			fresh.Depolarize1(ff, q, p, ^uint64(0))
-			reused.Depolarize1(rf, q, p, ^uint64(0))
+// TestSiteHandlesMatchByProbability: bound handles draw exactly the
+// by-probability path's masks. Handles of equal probability share one
+// stream (here four op classes at p plus two move shapes), binding
+// draws nothing, and the inlined no-hit path advances the skip and the
+// site counter exactly as the full path does.
+func TestSiteHandlesMatchByProbability(t *testing.T) {
+	for _, p := range []float64{0, 3e-3, 0.05, 1} {
+		params := iontrap.Uniform(p, 1e-3)
+		bound := NewBatchModel(params, 5)
+		sites := []Site{
+			bound.Site(iontrap.OpSingle), bound.Site(iontrap.OpDouble),
+			bound.Site(iontrap.OpPrep), bound.Site(iontrap.OpMeasure),
+			bound.MoveSite(3, 0), bound.MoveSite(12, 2),
 		}
-		for q := 0; q < 8; q++ {
-			if ff.XBits(q) != rf.XBits(q) || ff.ZBits(q) != rf.ZBits(q) {
-				t.Fatalf("seed %d qubit %d: reseeded model diverged from fresh", seed, q)
+		probs := []float64{p, p, p, p, params.MoveFailure(3, 0), params.MoveFailure(12, 2)}
+		byProb := NewBatchModel(params, 5)
+		for i := 0; i < 20000; i++ {
+			k := (5*i + 4) % len(sites)        // first visits in an order unlike binding's
+			mask := ^uint64(0) >> uint(i%3*20) // full and partial execution masks
+			got, want := sites[k].Hits(mask), byProb.site(probs[k], mask)
+			if got != want {
+				t.Fatalf("p=%g visit %d (site %d): handle hit %x, by-probability %x", p, i, k, got, want)
 			}
 		}
-		if fresh.TotalInjected() != reused.TotalInjected() {
-			t.Fatalf("seed %d: injected %d vs %d", seed, fresh.TotalInjected(), reused.TotalInjected())
+		if bound.Sites() != byProb.Sites() {
+			t.Fatalf("p=%g: handle model counted %d sites, by-probability %d", p, bound.Sites(), byProb.Sites())
+		}
+	}
+}
+
+// TestBatchModelReseedMatchesFresh: a reseeded model must reproduce a
+// freshly constructed model's hit masks exactly — the property that
+// lets block loops reuse one model instead of allocating one per
+// 64-trial block. The reused model holds a sampler for every
+// probability before each reseed; in the two-probability case the
+// first sites hit before the second probability is visited, so a
+// reseed that redrew the skips eagerly, in cache order, would diverge
+// from the fresh model's first-visit order.
+func TestBatchModelReseedMatchesFresh(t *testing.T) {
+	for _, ps := range [][]float64{{0.03}, {0.3, 0.01}} {
+		visit := func(m *BatchModel) (*pauliframe.Batch, int64) {
+			f := pauliframe.NewBatch(8)
+			var n int64
+			for q := 0; q < 8; q++ {
+				p := ps[q*len(ps)/8] // each probability in turn
+				n += m.Depolarize1(f, q, p, ^uint64(0))
+			}
+			return f, n
+		}
+		reused := NewBatchModel(iontrap.Params{}, 0)
+		visit(reused)
+	seeds:
+		for _, seed := range []uint64{1, 99, 12345} {
+			reused.Reseed(seed)
+			ff, fn := visit(NewBatchModel(iontrap.Params{}, seed))
+			rf, rn := visit(reused)
+			for q := 0; q < 8; q++ {
+				if ff.XBits(q) != rf.XBits(q) || ff.ZBits(q) != rf.ZBits(q) {
+					t.Errorf("ps %v seed %d qubit %d: reseeded model diverged from fresh", ps, seed, q)
+					continue seeds
+				}
+			}
+			if fn == 0 || fn != rn {
+				t.Errorf("ps %v seed %d: injected %d fresh vs %d reseeded (want equal and non-zero)", ps, seed, fn, rn)
+			}
 		}
 	}
 }

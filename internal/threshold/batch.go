@@ -37,6 +37,8 @@ func popcount(m uint64) int64 { return int64(bits.OnesCount64(m)) }
 type bsim struct {
 	f *pauliframe.Batch
 	m *noise.BatchModel
+	// The schedule's error sites, resolved once (see newBsim).
+	single, double, prep, meas, intraMove, interMove noise.Site
 
 	// Lane-summed syndrome statistics per recursion level (1-indexed).
 	extractions [3]int64
@@ -44,37 +46,63 @@ type bsim struct {
 	prepRetries int64
 }
 
+// newBsim binds a block's simulator to its frame and noise model,
+// resolving each error site of the Figure-6 schedule once: the four op
+// classes and the two move shapes.
+func newBsim(f *pauliframe.Batch, m *noise.BatchModel) bsim {
+	intra, inter := layout.IntraBlockGateMove(), layout.InterBlockGateMove()
+	return bsim{
+		f: f, m: m,
+		single:    m.Site(iontrap.OpSingle),
+		double:    m.Site(iontrap.OpDouble),
+		prep:      m.Site(iontrap.OpPrep),
+		meas:      m.Site(iontrap.OpMeasure),
+		intraMove: m.MoveSite(intra.Cells, intra.Corners),
+		interMove: m.MoveSite(inter.Cells, inter.Corners),
+	}
+}
+
 func (s *bsim) prep0(q int, mask uint64) {
 	s.f.Reset(q, mask)
-	s.m.PrepError(s.f, q, mask)
+	if hits := s.prep.Hits(mask); hits != 0 {
+		s.f.InjectX(q, hits) // hit lanes come up flipped
+	}
 }
 
 func (s *bsim) h(q int, mask uint64) {
 	s.f.H(q, mask)
-	s.m.GateError1(s.f, q, mask)
+	s.gate1Noise(q, mask)
 }
 
 // gate1Noise charges a one-qubit gate that is a Pauli (frame-transparent).
 func (s *bsim) gate1Noise(q int, mask uint64) {
-	s.m.GateError1(s.f, q, mask)
+	if hits := s.single.Hits(mask); hits != 0 {
+		s.m.Pauli1(s.f, q, hits)
+	}
 }
 
 func (s *bsim) cnotIntra(c, t int, mask uint64) {
-	mv := layout.IntraBlockGateMove()
-	s.m.MoveError(s.f, t, mv.Cells, mv.Corners, mask)
-	s.f.CNOT(c, t, mask)
-	s.m.GateError2(s.f, c, t, mask)
+	s.cnot(c, t, t, &s.intraMove, mask)
 }
 
 func (s *bsim) cnotInter(c, t, travel int, mask uint64) {
-	mv := layout.InterBlockGateMove()
-	s.m.MoveError(s.f, travel, mv.Cells, mv.Corners, mask)
+	s.cnot(c, t, travel, &s.interMove, mask)
+}
+
+// cnot shuttles travel along the move site's path, then applies the
+// gate and its two-qubit error.
+func (s *bsim) cnot(c, t, travel int, move *noise.Site, mask uint64) {
+	if hits := move.Hits(mask); hits != 0 {
+		s.m.Pauli1(s.f, travel, hits)
+	}
 	s.f.CNOT(c, t, mask)
-	s.m.GateError2(s.f, c, t, mask)
+	if hits := s.double.Hits(mask); hits != 0 {
+		s.m.Pauli2(s.f, c, t, hits)
+	}
 }
 
 func (s *bsim) measureZ(q int, mask uint64) uint64 {
-	return s.f.MeasureZ(q, mask) ^ s.m.MeasureFlips(mask)
+	return s.f.MeasureZ(q, mask) ^ s.meas.Hits(mask)
 }
 
 func (s *bsim) measureX(q int, mask uint64) uint64 {
@@ -422,19 +450,21 @@ type blockStats struct {
 // final block of a run) with a per-block deterministic seed: fixed
 // Seed + Backend "batch" reproduces bit-identical statistics at any
 // parallelism, because blocks are independent and integer-summed.
-func runBlock(cfg Config, block uint64, lanes int) blockStats {
-	params := iontrap.Uniform(cfg.PhysError, cfg.MovePerCell)
+func runBlock(cfg Config, params iontrap.Params, block uint64, lanes int) blockStats {
 	seed := cfg.Seed ^ (block+1)*0x9e3779b97f4a7c15 ^ uint64(cfg.Level)<<60 ^ 0xb175c1ed
-	model := noise.NewBatchModel(params, seed)
-	return runBlockModel(cfg.Level, model, pauliframe.LaneMask(lanes))
+	active := pauliframe.LaneMask(lanes)
+	fail, st := runBlockModel(cfg.Level, noise.NewBatchModel(params, seed), active)
+	st.failures = popcount(fail & active)
+	return st
 }
 
 // runBlockModel runs the level-1 or level-2 gadget schedule once for
-// every lane in active, under the given (possibly force-mode) model.
-func runBlockModel(level int, model *noise.BatchModel, active uint64) blockStats {
-	var st blockStats
+// every lane in active, under the given (possibly force-mode) model. It
+// returns the lane mask of logical failures (lanes outside active
+// never fail) and the block's syndrome statistics.
+func runBlockModel(level int, model *noise.BatchModel, active uint64) (fail uint64, st blockStats) {
 	if level == 1 {
-		s := bsim{f: pauliframe.NewBatch(groupSize), m: model}
+		s := newBsim(pauliframe.NewBatch(groupSize), model)
 		g := makeGroup(0)
 		// Transversal logical one-qubit gate (Pauli: frame-transparent,
 		// contributes only its per-ion gate noise).
@@ -442,13 +472,12 @@ func runBlockModel(level int, model *noise.BatchModel, active uint64) blockStats
 			s.gate1Noise(q, active)
 		}
 		s.l1EC(g, active)
-		st.failures = popcount(s.dataResidualFailMask(g) & active)
 		st.extractions = s.extractions[1]
 		st.nontrivial = s.nontrivial[1]
 		st.prepRetries = s.prepRetries
-		return st
+		return s.dataResidualFailMask(g), st
 	}
-	s := bl2sim{bsim: bsim{f: pauliframe.NewBatch(l2FrameSize), m: model}}
+	s := bl2sim{bsim: newBsim(pauliframe.NewBatch(l2FrameSize), model)}
 	s.data, s.xSide, s.zSide, s.xVerif, s.zVerif = newL2Layout()
 	for b := 0; b < 7; b++ {
 		for _, q := range s.data[b].Data {
@@ -456,11 +485,10 @@ func runBlockModel(level int, model *noise.BatchModel, active uint64) blockStats
 		}
 	}
 	s.l2EC(active)
-	st.failures = popcount(s.residualFailMask() & active)
 	st.extractions = s.extractions[2]
 	st.nontrivial = s.nontrivial[2]
 	st.prepRetries = s.prepRetries
-	return st
+	return s.residualFailMask(), st
 }
 
 // SingleFaultTrialBatch is the batched counterpart of SingleFaultTrial:
@@ -480,26 +508,7 @@ func SingleFaultTrialBatch(level int, site int64, choice, lane int) (fail, other
 	if site < 0 {
 		model.ForceSite = -1 << 62
 	}
-	var failMask uint64
-	if level == 1 {
-		s := bsim{f: pauliframe.NewBatch(groupSize), m: model}
-		g := makeGroup(0)
-		for _, q := range g.Data {
-			s.gate1Noise(q, ^uint64(0))
-		}
-		s.l1EC(g, ^uint64(0))
-		failMask = s.dataResidualFailMask(g)
-	} else {
-		s := bl2sim{bsim: bsim{f: pauliframe.NewBatch(l2FrameSize), m: model}}
-		s.data, s.xSide, s.zSide, s.xVerif, s.zVerif = newL2Layout()
-		for b := 0; b < 7; b++ {
-			for _, q := range s.data[b].Data {
-				s.gate1Noise(q, ^uint64(0))
-			}
-		}
-		s.l2EC(^uint64(0))
-		failMask = s.residualFailMask()
-	}
+	failMask, _ := runBlockModel(level, model, ^uint64(0))
 	fail = failMask>>uint(lane)&1 == 1
 	othersClean = failMask&^(1<<uint(lane)) == 0
 	return fail, othersClean, model.Sites()

@@ -127,13 +127,14 @@ func runScalar(ctx context.Context, cfg Config) (blockStats, error) {
 // runBatched fans 64-trial blocks out over the worker pool; the final
 // block runs short when Trials is not a multiple of 64.
 func runBatched(ctx context.Context, cfg Config) (blockStats, error) {
+	params := iontrap.Uniform(cfg.PhysError, cfg.MovePerCell)
 	blocks := (cfg.Trials + pauliframe.Lanes - 1) / pauliframe.Lanes
 	return fanOut(ctx, cfg.Parallelism, blocks, func(block int) blockStats {
 		lanes := pauliframe.Lanes
 		if rem := cfg.Trials - block*pauliframe.Lanes; rem < lanes {
 			lanes = rem
 		}
-		return runBlock(cfg, uint64(block), lanes)
+		return runBlock(cfg, params, uint64(block), lanes)
 	})
 }
 
