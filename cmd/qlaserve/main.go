@@ -75,7 +75,7 @@ func main() {
 	selfID := flag.String("self-id", "", "replica identity used in lease claims, unique across the fleet (empty = random)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "per-point work lease lifetime; a SIGKILLed replica's claims expire after this and survivors take the points over (0 = 30s)")
 	fleetPoll := flag.Duration("fleet-poll", 0, "interval for polling peers' lease ledgers to prefetch their completed points (0 = 1s)")
-	peerTimeout := flag.Duration("peer-timeout", 0, "deadline for one peer HTTP call: cache fetches, lease claims, ledger polls (0 = 2s)")
+	peerTimeout := flag.Duration("peer-timeout", 0, "deadline for one peer HTTP call: cache fetches, lease claims, ledger polls; also caps how long the cache route holds a ?wait= long-poll (0 = 2s)")
 	interactiveReserve := flag.Int("interactive-reserve", 1, "worker slots bulk sweep work may never occupy, held for interactive /v1/run requests (clamped to workers-1; 0 = no reserve)")
 	tenantRPS := flag.Float64("tenant-rps", 0, "per-tenant submission rate limit in requests/second; over-rate submissions get 429 + Retry-After (0 = unlimited)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant rate-limit burst depth (0 = max(1, 2×tenant-rps))")

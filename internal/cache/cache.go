@@ -26,10 +26,15 @@
 // WithPeers adds a third, fleet-wide tier: other replicas' caches
 // reached over HTTP, consulted after a disk miss and before computing.
 // See peer.go.
+//
+// Await blocks until a key lands in the memory tier — whichever path
+// stores it: a computation, a disk load, a peer fetch or a prefetch —
+// so a caller that knows the bytes are coming (the peer route holding a
+// long-poll for a replica that deferred to this one) hears of them the
+// moment they exist instead of polling.
 package cache
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -54,9 +59,11 @@ type Cache struct {
 	maxBytes int64
 	dir      string // "" = no persistence tier
 	bytes    int64
-	ll       *list.List // front = most recently used
-	entries  map[string]*list.Element
+	entries  map[string]*entry
+	head     *entry // the LRU list runs from head (most recently used)
+	tail     *entry // to tail (next to evict)
 	inflight map[string]*flight
+	arrivals map[string]*arrival // Await callers per key not yet stored
 
 	// Disk-tier degradation: after degradeAfter consecutive persist
 	// errors the disk breaker opens and the tier downgrades to
@@ -88,9 +95,12 @@ type metrics struct {
 	peerRTT                                      *obs.Histogram
 }
 
+// entry is one stored value and its links in the LRU list; keeping
+// the links in the entry costs one allocation per stored key.
 type entry struct {
-	key string
-	val []byte
+	key        string
+	val        []byte
+	prev, next *entry
 }
 
 // flight is one in-progress computation. The leader writes val/err and
@@ -99,6 +109,15 @@ type flight struct {
 	done chan struct{}
 	val  []byte
 	err  error
+}
+
+// arrival is the rendezvous of the Await callers on one key: the store
+// that lands the key sets val and closes done; n counts the callers
+// still registered, so the last one to give up removes the entry.
+type arrival struct {
+	done chan struct{}
+	val  []byte
+	n    int
 }
 
 // Option configures a Cache.
@@ -197,9 +216,9 @@ func (c *Cache) instrument(reg *obs.Registry) {
 func New(maxBytes int64, opts ...Option) *Cache {
 	c := &Cache{
 		maxBytes:      maxBytes,
-		ll:            list.New(),
-		entries:       make(map[string]*list.Element),
+		entries:       make(map[string]*entry),
 		inflight:      make(map[string]*flight),
+		arrivals:      make(map[string]*arrival),
 		degradeAfter:  3,
 		probeInterval: 30 * time.Second,
 		peerTimeout:   defaultPeerTimeout,
@@ -239,9 +258,7 @@ func New(maxBytes int64, opts ...Option) *Cache {
 // computation other callers may still be waiting on.
 func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		val := el.Value.(*entry).val
+	if val, ok := c.getLocked(key); ok {
 		c.mu.Unlock()
 		c.m.memoryHits.Inc()
 		return val, true, nil
@@ -331,6 +348,45 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 	return val, false, err
 }
 
+// Await returns the bytes stored under key, blocking until a store
+// lands them in the memory tier or ctx ends. It never computes, reads
+// the disk or a peer, or joins a flight: it only watches the memory
+// tier, and every store path — a finished computation, a disk load, a
+// peer fetch, a prefetch — wakes it. A caller whose ctx ends first is
+// unregistered before Await returns, so an abandoned wait leaves
+// nothing behind.
+func (c *Cache) Await(ctx context.Context, key string) ([]byte, bool) {
+	c.mu.Lock()
+	if val, ok := c.getLocked(key); ok {
+		c.mu.Unlock()
+		return val, true
+	}
+	w := c.arrivals[key]
+	if w == nil {
+		w = &arrival{done: make(chan struct{})}
+		c.arrivals[key] = w
+	}
+	w.n++
+	c.mu.Unlock()
+	select {
+	case <-w.done:
+		return w.val, true
+	case <-ctx.Done():
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-w.done:
+		// The store won the race with the deadline: take the bytes.
+		return w.val, true
+	default:
+	}
+	if w.n--; w.n == 0 {
+		delete(c.arrivals, key)
+	}
+	return nil, false
+}
+
 // safeKey reports whether key can name a file in the persistence
 // directory (hex hashes always can).
 func safeKey(key string) bool {
@@ -339,18 +395,22 @@ func safeKey(key string) bool {
 
 // loadFile reads the persisted value for key, if the tier is enabled
 // and holds a valid one. A file that is not JSON (a foreign or torn
-// write, bit rot) is a miss: the caller recomputes and the write-through
-// replaces it.
+// write, bit rot) is a miss and is removed: left in place, Contains
+// would keep reporting the key as stored until a compute overwrote it.
 func (c *Cache) loadFile(key string) ([]byte, bool) {
 	if c.dir == "" || !safeKey(key) {
 		return nil, false
 	}
-	val, err := os.ReadFile(filepath.Join(c.dir, key))
+	path := filepath.Join(c.dir, key)
+	val, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false
 	}
 	if !json.Valid(val) {
-		c.logf("cache: ignoring %s in the disk tier: not valid JSON", key)
+		c.logf("cache: removing %s from the disk tier: not valid JSON", key)
+		// A file that will not go away is still a miss; the next
+		// write-through replaces it.
+		_ = os.Remove(path)
 		return nil, false
 	}
 	return val, true
@@ -426,30 +486,74 @@ func (c *Cache) Contains(key string) (stored, inflight bool) {
 	return stored, inflight
 }
 
-// storeLocked inserts the value at the front of the LRU list and evicts
-// from the back until the byte budget holds. A value larger than the
-// whole budget is not cached at all.
+// getLocked returns the stored value for key, marking it most
+// recently used.
+func (c *Cache) getLocked(key string) ([]byte, bool) {
+	e, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	c.touchLocked(e)
+	return e.val, true
+}
+
+// touchLocked moves e to the head of the LRU list.
+func (c *Cache) touchLocked(e *entry) {
+	if c.head != e {
+		c.unlinkLocked(e)
+		c.pushFrontLocked(e)
+	}
+}
+
+func (c *Cache) pushFrontLocked(e *entry) {
+	e.prev, e.next = nil, c.head
+	if c.head != nil {
+		c.head.prev = e
+	} else {
+		c.tail = e
+	}
+	c.head = e
+}
+
+func (c *Cache) unlinkLocked(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+// storeLocked inserts the value at the head of the LRU list, wakes the
+// key's Await callers, and evicts from the tail until the byte budget
+// holds. A value larger than the whole budget is not cached at all.
 func (c *Cache) storeLocked(key string, val []byte) {
 	cost := int64(len(val)) + int64(len(key))
 	if c.maxBytes > 0 && cost > c.maxBytes {
 		return
 	}
-	if el, ok := c.entries[key]; ok {
-		old := el.Value.(*entry)
-		c.bytes += int64(len(val)) - int64(len(old.val))
-		old.val = val
-		c.ll.MoveToFront(el)
+	if e, ok := c.entries[key]; ok {
+		c.bytes += int64(len(val)) - int64(len(e.val))
+		e.val = val
+		c.touchLocked(e)
 	} else {
-		c.entries[key] = c.ll.PushFront(&entry{key: key, val: val})
+		e := &entry{key: key, val: val}
+		c.entries[key] = e
+		c.pushFrontLocked(e)
 		c.bytes += cost
 	}
-	for c.maxBytes > 0 && c.bytes > c.maxBytes {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry)
-		c.ll.Remove(back)
+	if w := c.arrivals[key]; w != nil {
+		w.val = val
+		close(w.done)
+		delete(c.arrivals, key)
+	}
+	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.tail != nil {
+		e := c.tail
+		c.unlinkLocked(e)
 		delete(c.entries, e.key)
 		c.bytes -= int64(len(e.val)) + int64(len(e.key))
 		c.m.evictions.Inc()

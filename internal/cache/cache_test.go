@@ -5,6 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -149,6 +153,52 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if s.Bytes > 20 {
 		t.Errorf("bytes %d over budget", s.Bytes)
+	}
+}
+
+// TestLRUOrderMatchesModel drives random hits and stores of mixed
+// sizes through a small budget and checks, after every step, that the
+// stored keys are exactly those a reference LRU keeps, in the same
+// recency order.
+func TestLRUOrderMatchesModel(t *testing.T) {
+	const budget = 64
+	c := New(budget)
+	var model []string // most recently used first
+	size := map[string]int{}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for step := 0; step < 5000; step++ {
+		key := fmt.Sprintf("k%d", rng.IntN(12))
+		val := strings.Repeat("v", 1+rng.IntN(20))
+		_, hit := mustGet(t, c, key, val)
+		if i := slices.Index(model, key); i >= 0 {
+			if !hit {
+				t.Fatalf("step %d: %s missed while the model holds it", step, key)
+			}
+			model = append([]string{key}, slices.Delete(model, i, i+1)...)
+		} else {
+			if hit {
+				t.Fatalf("step %d: %s hit after the model evicted it", step, key)
+			}
+			model = append([]string{key}, model...)
+			size[key] = len(key) + len(val)
+			total := 0
+			for _, k := range model {
+				total += size[k]
+			}
+			for total > budget {
+				total -= size[model[len(model)-1]]
+				model = model[:len(model)-1]
+			}
+		}
+		var got []string
+		c.mu.Lock()
+		for e := c.head; e != nil; e = e.next {
+			got = append(got, e.key)
+		}
+		c.mu.Unlock()
+		if !slices.Equal(got, model) {
+			t.Fatalf("step %d: LRU order %v, model %v", step, got, model)
+		}
 	}
 }
 
@@ -361,6 +411,33 @@ func TestPersistenceErrorsNotWritten(t *testing.T) {
 	})
 	if err != nil || hit || string(val) != "fresh" {
 		t.Fatalf("hit=%v val=%q err=%v", hit, val, err)
+	}
+}
+
+// TestPersistenceCorruptFileRemoved: a disk-tier file that is not JSON
+// is removed when read, so Contains stops reporting the key as stored
+// even when the recompute fails and nothing overwrites the file.
+func TestPersistenceCorruptFileRemoved(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "torn")
+	if err := os.WriteFile(path, []byte(`{"torn":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(0, WithDir(dir))
+	if stored, _ := c.Contains("torn"); !stored {
+		t.Fatal("setup: the planted file does not read as stored")
+	}
+	_, hit, err := c.GetOrCompute(context.Background(), "torn", func() ([]byte, error) {
+		return nil, errors.New("compute down")
+	})
+	if err == nil || hit {
+		t.Fatalf("corrupt file served: hit=%v err=%v", hit, err)
+	}
+	if stored, _ := c.Contains("torn"); stored {
+		t.Fatal("Contains still reports the corrupt file as stored")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("corrupt file left on disk: %v", err)
 	}
 }
 

@@ -10,6 +10,11 @@
 // Content-Length, and a body the memory tier's budget could never hold
 // is refused unread.
 //
+// A peer may also be asked to hold the request (GET
+// /v1/cache/{hash}?wait=D): it answers as soon as the key lands in its
+// memory tier, or 404s once D passes. PrefetchWait long-polls every
+// peer this way at once, for a key a peer is still computing.
+//
 // Peers fail independently of the local disk, so each carries its own
 // circuit breaker with the WithDegrade knobs: after degradeAfter
 // consecutive errors the peer is skipped (one probe request allowed
@@ -95,30 +100,40 @@ func (c *Cache) loadPeers(ctx context.Context, key string) ([]byte, bool) {
 	if len(c.peers) == 0 || !safeKey(key) {
 		return nil, false
 	}
+	ctx = context.WithoutCancel(ctx)
 	for _, p := range c.peers {
 		if !p.br.Allow() {
 			continue
 		}
-		val, ok, err := c.fetchPeer(ctx, p.url, key)
-		// Logged once per episode: the steady state is silent skips.
-		switch p.br.Record(err) {
-		case breaker.Opened:
-			c.logf("cache: peer %s skipped after %d consecutive errors (last: %v); probing every %v",
-				p.url, c.degradeAfter, err, c.probeInterval)
-		case breaker.Closed:
-			c.logf("cache: peer %s restored after successful probe", p.url)
-		}
-		switch {
-		case err != nil:
-			c.m.peerErrors.Inc()
-		case !ok:
-			c.m.peerMisses.Inc()
-		default:
-			c.m.peerHits.Inc()
+		val, ok, err := c.fetchPeer(ctx, p.url, key, 0)
+		if c.recordPeer(p, ok, err) {
 			return val, true
 		}
 	}
 	return nil, false
+}
+
+// recordPeer feeds one fetch's outcome to the peer's breaker and the
+// tier counters, and reports whether it was a hit.
+func (c *Cache) recordPeer(p *peer, ok bool, err error) bool {
+	// Logged once per episode: the steady state is silent skips.
+	switch p.br.Record(err) {
+	case breaker.Opened:
+		c.logf("cache: peer %s skipped after %d consecutive errors (last: %v); probing every %v",
+			p.url, c.degradeAfter, err, c.probeInterval)
+	case breaker.Closed:
+		c.logf("cache: peer %s restored after successful probe", p.url)
+	}
+	switch {
+	case err != nil:
+		c.m.peerErrors.Inc()
+	case !ok:
+		c.m.peerMisses.Inc()
+	default:
+		c.m.peerHits.Inc()
+		return true
+	}
+	return false
 }
 
 // peersDegraded counts the peers their breaker currently skips.
@@ -136,9 +151,16 @@ func (c *Cache) peersDegraded() int {
 // validated hit, (nil, false, nil) on a clean 404 miss, an error for
 // everything else — transport failures, unexpected statuses, bodies
 // over the cache budget or shorter than declared, bodies whose hash
-// header does not match, and bodies that are not JSON.
-func (c *Cache) fetchPeer(ctx context.Context, base, key string) ([]byte, bool, error) {
-	req, err := http.NewRequest(http.MethodGet, base+PeerPath+key, nil)
+// header does not match, and bodies that are not JSON. A positive wait
+// asks the peer to hold the request that long for the key to land;
+// such a long-poll's latency is the holder's, so it is not observed as
+// a round trip.
+func (c *Cache) fetchPeer(ctx context.Context, base, key string, wait time.Duration) ([]byte, bool, error) {
+	u := base + PeerPath + key
+	if wait > 0 {
+		u += "?wait=" + wait.String()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -150,7 +172,9 @@ func (c *Cache) fetchPeer(ctx context.Context, base, key string) ([]byte, bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	c.m.peerRTT.Observe(time.Since(start).Seconds())
+	if wait <= 0 {
+		c.m.peerRTT.Observe(time.Since(start).Seconds())
+	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -214,13 +238,11 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 // transitive fetches, and never block on another replica.
 func (c *Cache) Peek(key string) ([]byte, bool) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		val := el.Value.(*entry).val
-		c.mu.Unlock()
+	val, ok := c.getLocked(key)
+	c.mu.Unlock()
+	if ok {
 		return val, true
 	}
-	c.mu.Unlock()
 	if val, ok := c.loadFile(key); ok {
 		c.m.diskHits.Inc()
 		c.mu.Lock()
@@ -257,12 +279,67 @@ func (c *Cache) Prefetch(key string) bool {
 		return true
 	}
 	val, ok := c.loadPeers(context.Background(), key)
-	if !ok {
+	if ok {
+		c.storePeerValue(key, val)
+	}
+	return ok
+}
+
+// PrefetchWait is Prefetch for a key a peer is still computing: after
+// the local tiers miss, it long-polls every peer at once — each is asked
+// to hold the request until the key lands in its memory tier or wait
+// passes — and stores the first validated body exactly as Prefetch
+// does. The wait is clamped to half the peer timeout, so a peer that
+// never gets the key answers a clean 404 well inside the client's
+// timeout: an empty long-poll is a peer miss, never an error for the
+// breaker. ctx cancels the polls, and once one body lands the rest are
+// cancelled; a cancelled poll is no peer's fault. It returns after
+// every poll has, reporting whether the value is now stored locally.
+func (c *Cache) PrefetchWait(ctx context.Context, key string, wait time.Duration) bool {
+	if _, ok := c.Peek(key); ok {
+		return true
+	}
+	wait = min(wait, c.peerTimeout/2)
+	if len(c.peers) == 0 || !safeKey(key) || wait <= 0 {
 		return false
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	bodies := make(chan []byte, len(c.peers))
+	polls := 0
+	for _, p := range c.peers {
+		if !p.br.Allow() {
+			continue
+		}
+		polls++
+		go func() {
+			val, ok, err := c.fetchPeer(ctx, p.url, key, wait)
+			if err != nil && ctx.Err() != nil {
+				bodies <- nil
+				return
+			}
+			if !c.recordPeer(p, ok, err) {
+				val = nil
+			}
+			bodies <- val
+		}()
+	}
+	stored := false
+	for ; polls > 0; polls-- {
+		if val := <-bodies; val != nil && !stored {
+			c.storePeerValue(key, val)
+			stored = true
+			cancel()
+		}
+	}
+	return stored
+}
+
+// storePeerValue stores a validated peer body in memory and writes it
+// through to the local disk.
+func (c *Cache) storePeerValue(key string, val []byte) {
 	c.mu.Lock()
 	c.storeLocked(key, val)
 	c.mu.Unlock()
 	c.writeFile(key, val)
-	return true
 }

@@ -22,6 +22,11 @@ package serve
 //     lapses, and crash replay (the journal) re-admits the dead
 //     replica's own job on restart.
 //
+// A point deferred to a peer's lease waits for the holder's bytes, not
+// for a timer: the runner long-polls every peer's cache route
+// (GET /v1/cache/{hash}?wait=D) and settles the point the moment one
+// answers with the validated body.
+//
 // A syncer goroutine per active sweep polls each peer's lease ledger
 // (GET /v1/leases/{sweep}) and prefetches completions into the local
 // cache, so the fleet's results converge onto every replica while the
@@ -89,6 +94,7 @@ type fleet struct {
 	// the only place they live.
 	forwarded, claimsSent, claimsDenied, claimErrors       *obs.Counter
 	leasesGranted, leaseDenials, prefetched, leaseRenewals *obs.Counter
+	awaited, awaitMisses                                   *obs.Counter
 }
 
 // fleetSweep tracks one active sweep's per-point lease table.
@@ -120,12 +126,13 @@ func newFleet(cfg Config, c *cache.Cache, logger *slog.Logger, reg *obs.Registry
 		f.breakers[p] = breaker.New(fleetDegradeAfter, fleetProbeEvery)
 	}
 	ev := reg.CounterVec("qla_fleet_events_total",
-		"Fleet protocol events: sweeps forwarded, lease claims sent/denied/failed, claims granted/denied to peers, completions prefetched, lease renewals.",
+		"Fleet protocol events: sweeps forwarded, lease claims sent/denied/failed, claims granted/denied to peers, completions prefetched, lease renewals, deferred points whose long-poll brought the bytes or ended empty.",
 		"event")
 	f.forwarded, f.claimsSent = ev.With("forwarded_sweeps"), ev.With("claims_sent")
 	f.claimsDenied, f.claimErrors = ev.With("claims_denied"), ev.With("claim_errors")
 	f.leasesGranted, f.leaseDenials = ev.With("leases_granted"), ev.With("lease_denials")
 	f.prefetched, f.leaseRenewals = ev.With("prefetched"), ev.With("lease_renewals")
+	f.awaited, f.awaitMisses = ev.With("awaited"), ev.With("await_misses")
 	return f
 }
 
@@ -315,6 +322,22 @@ func (f *fleet) renew(ctx context.Context, sweepHash, pointHash string) {
 			f.claimErrors.Inc()
 		}
 	}
+}
+
+// await is the sweep runner's deferral wait: a point deferred to a
+// peer's lease long-polls every peer's cache route for its bytes
+// instead of sleeping. The holder answers the moment the point lands in
+// its memory tier — and keeps answering after it retires the sweep, so
+// a waiter never sits out a lease whose holder is done. The cache
+// clamps the wait to half the peer timeout, so an empty long-poll is a
+// clean 404 rather than a client timeout that feeds the peer breaker.
+func (f *fleet) await(ctx context.Context, pointHash string, wait time.Duration) bool {
+	if f.cache.PrefetchWait(ctx, pointHash, wait) {
+		f.awaited.Inc()
+		return true
+	}
+	f.awaitMisses.Inc()
+	return false
 }
 
 // leaseBody is the POST /v1/leases/{sweep}/{point} response payload.
@@ -523,9 +546,28 @@ func (f *fleet) ledger(sweepHash string) (LeaseLedger, bool) {
 // local tiers only (memory, then disk; never a transitive peer fetch,
 // never a computation). The body's SHA-256 rides in a header so the
 // receiver can reject corruption. 404 is an ordinary miss.
+//
+// ?wait=D makes a miss a long-poll: the request is held until the bytes
+// land in the memory tier — a replica that deferred a point to this
+// one's lease hears of the result the moment it is stored — or until
+// min(D, PeerTimeout) passes, and then answers 200 or the usual 404.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
+	var hold time.Duration
+	if q := r.URL.Query().Get("wait"); q != "" {
+		d, err := time.ParseDuration(q)
+		if err != nil || d <= 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid wait %q (want a positive Go duration, e.g. 250ms)", q))
+			return
+		}
+		hold = min(d, s.cfg.PeerTimeout)
+	}
 	val, ok := s.cache.Peek(hash)
+	if !ok && hold > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), hold)
+		val, ok = s.cache.Await(ctx, hash)
+		cancel()
+	}
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no cached result for %q", hash))
 		return

@@ -8,11 +8,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"qla/internal/cache"
+	"qla/internal/engine"
+	"qla/internal/jobs"
 	"qla/internal/obs"
 	"qla/internal/sweep"
 )
@@ -20,7 +23,7 @@ import (
 // newFleetServers starts n replicas that list each other as peers.
 // Peer URLs must be known before serve.New runs, so the listeners are
 // bound first and handed to unstarted test servers.
-func newFleetServers(t *testing.T, n int, mutate func(i int, cfg *Config)) ([]*Server, []string) {
+func newFleetServers(t testing.TB, n int, mutate func(i int, cfg *Config)) ([]*Server, []string) {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -348,5 +351,172 @@ func TestFleetRenewExtendsOwnLease(t *testing.T) {
 	f.renew(ctx, sw.Hash, "nope")
 	if got := f.leaseRenewals.Value(); got != 1 {
 		t.Errorf("leaseRenewals = %d after no-op renewals, want 1", got)
+	}
+}
+
+// specHash is the content address POST /v1/run reports for spec.
+func specHash(t *testing.T, spec string) string {
+	t.Helper()
+	sp, err := engine.DecodeSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := engine.MakeCanonical(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canon.Hash
+}
+
+// getCache fetches GET /v1/cache/{hash} with the given query.
+func getCache(t *testing.T, base, hash, query string) (status int, body []byte, took time.Duration) {
+	t.Helper()
+	started := time.Now()
+	resp, err := http.Get(base + "/v1/cache/" + hash + query)
+	if err != nil {
+		t.Error(err)
+		return 0, nil, time.Since(started)
+	}
+	defer resp.Body.Close()
+	body, _ = io.ReadAll(resp.Body)
+	return resp.StatusCode, body, time.Since(started)
+}
+
+// TestCacheRouteLongPoll: GET /v1/cache/{hash}?wait=D holds a miss
+// until a concurrent POST /v1/run stores the bytes and then serves
+// them; with nothing landing it answers the usual 404 once the wait
+// passes, and it never holds a request past the peer timeout. A
+// malformed or non-positive wait is a 400.
+func TestCacheRouteLongPoll(t *testing.T) {
+	srv, ts := newTestServer(t, Config{PeerTimeout: 300 * time.Millisecond})
+	spec := tinySpec(72)
+	hash := specHash(t, spec)
+
+	type answer struct {
+		status int
+		body   []byte
+	}
+	held := make(chan answer, 1)
+	go func() {
+		status, body, _ := getCache(t, ts.URL, hash, "?wait=250ms")
+		held <- answer{status, body}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); srv.httpInflight.Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the long-poll never reached the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_, _, want := postRun(t, ts.URL, spec)
+	got := <-held
+	if got.status != http.StatusOK || string(got.body) != string(want) {
+		t.Fatalf("held request: status %d body %q, want the run's bytes", got.status, got.body)
+	}
+
+	status, _, took := getCache(t, ts.URL, strings.Repeat("00", 32), "?wait=50ms")
+	if status != http.StatusNotFound || took < 50*time.Millisecond {
+		t.Fatalf("empty long-poll: status %d after %v, want 404 after the 50ms wait", status, took)
+	}
+	status, _, took = getCache(t, ts.URL, strings.Repeat("00", 32), "?wait=1h")
+	if status != http.StatusNotFound || took < 300*time.Millisecond || took > 5*time.Second {
+		t.Fatalf("wait=1h: status %d after %v, want 404 at the 300ms peer timeout", status, took)
+	}
+	for _, q := range []string{"?wait=abc", "?wait=-1s", "?wait=0s"} {
+		if status, body, _ := getCache(t, ts.URL, hash, q); status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d %s, want 400", q, status, body)
+		}
+	}
+}
+
+// TestFleetAwaitMissCounted: a deferral long-poll that no peer answers
+// ends empty — counted as an await miss and a clean peer miss, never a
+// peer error — while one the holder answers counts as awaited.
+func TestFleetAwaitMissCounted(t *testing.T) {
+	srvs, urls := newFleetServers(t, 2, nil)
+	ctx := context.Background()
+	if srvs[0].fleet.await(ctx, strings.Repeat("00", 32), 50*time.Millisecond) {
+		t.Fatal("await of a hash no replica holds reported it stored")
+	}
+	if n := metric(t, urls[0], "qla_fleet_events_total", `event="await_misses"`); n != 1 {
+		t.Fatalf("await_misses = %v, want 1", n)
+	}
+	if n := metric(t, urls[0], "qla_cache_peer_misses_total"); n != 1 {
+		t.Fatalf("peer misses = %v, want 1", n)
+	}
+	if n := metric(t, urls[0], "qla_cache_peer_errors_total"); n != 0 {
+		t.Fatalf("peer errors = %v, want 0: an empty long-poll is not a failure", n)
+	}
+
+	spec := tinySpec(73)
+	postRun(t, urls[1], spec)
+	if !srvs[0].fleet.await(ctx, specHash(t, spec), time.Second) {
+		t.Fatal("await missed bytes the peer holds")
+	}
+	if n := metric(t, urls[0], "qla_fleet_events_total", `event="awaited"`); n != 1 {
+		t.Fatalf("awaited = %v, want 1", n)
+	}
+}
+
+// fleetFig7Sweep is a never-seen 8-point figure7 sweep of trials each:
+// its seeds start at first, so distinct firsts are distinct sweeps.
+func fleetFig7Sweep(trials, first int) string {
+	seeds := make([]string, 8)
+	for i := range seeds {
+		seeds[i] = strconv.Itoa(first + i)
+	}
+	return fmt.Sprintf(`{
+  "base": {"experiment": "figure7", "params": {"phys-errors": [0.003], "trials": %d}},
+  "axes": [{"field": "params.seed", "values": [%s]}]
+}`, trials, strings.Join(seeds, ", "))
+}
+
+// TestFleetDeferralAwaitsHolder: a replica that defers a point to a
+// peer's lease gets the holder's bytes by long-polling its cache route —
+// even after the holder has retired the sweep. With hour-long leases
+// and ledger polls neither lease expiry nor a poll can end a deferral,
+// so a waiter that slept instead of asking would stall its sweep for
+// the hour.
+func TestFleetDeferralAwaitsHolder(t *testing.T) {
+	_, urls := newFleetServers(t, 2, func(_ int, cfg *Config) {
+		cfg.LeaseTTL = time.Hour
+		cfg.FleetPoll = time.Hour
+	})
+	for k := 0; k < 3; k++ {
+		_, sb, raw := postSweep(t, urls[0], fleetFig7Sweep(640, 9000+8*k))
+		if sb.JobID == "" {
+			t.Fatalf("sweep %d: submit failed: %s", k, raw)
+		}
+		deadline := time.Now().Add(15 * time.Second)
+		var res [2]sweep.Result
+		for i, u := range urls {
+			for {
+				var snap jobs.Snapshot
+				status := getJSON(t, u+"/v1/jobs/"+sb.JobID, &snap)
+				if status == http.StatusOK && snap.State.Finished() {
+					if snap.State != jobs.StateDone {
+						t.Fatalf("sweep %d on replica %d: %s", k, i, snap.State)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("sweep %d on replica %d not done within 15s: status %d %+v", k, i, status, snap)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			getJSON(t, u+"/v1/jobs/"+sb.JobID+"/result", &res[i])
+			if res[i].OK != res[i].Total {
+				t.Fatalf("sweep %d on replica %d: ok %d of %d", k, i, res[i].OK, res[i].Total)
+			}
+		}
+		computed := (res[0].Total - res[0].Cached) + (res[1].Total - res[1].Cached)
+		if computed < res[0].Total || computed > res[0].Total+3 {
+			t.Fatalf("sweep %d: fleet computed %d points for a %d-point grid (cached %d and %d)",
+				k, computed, res[0].Total, res[0].Cached, res[1].Cached)
+		}
+	}
+	awaited := metric(t, urls[0], "qla_fleet_events_total", `event="awaited"`) +
+		metric(t, urls[1], "qla_fleet_events_total", `event="awaited"`)
+	if awaited == 0 {
+		t.Fatal("no deferral was settled by a long-poll")
 	}
 }

@@ -115,7 +115,8 @@ type Config struct {
 	// FleetPoll is the syncer's ledger-polling interval (0 = 1s).
 	FleetPoll time.Duration
 	// PeerTimeout bounds one peer HTTP call — cache fetches, lease
-	// claims, ledger polls (0 = 2s).
+	// claims, ledger polls — and how long the cache route holds a
+	// ?wait= long-poll (0 = 2s).
 	PeerTimeout time.Duration
 	// InteractiveReserve is the slot floor withheld from bulk sweep
 	// points so interactive /v1/run work is admitted without waiting
@@ -218,6 +219,9 @@ func New(cfg Config) *Server {
 	if cfg.InteractiveReserve > cfg.Workers-1 {
 		cfg.InteractiveReserve = cfg.Workers - 1
 	}
+	if cfg.PeerTimeout <= 0 {
+		cfg.PeerTimeout = 2 * time.Second
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -253,9 +257,6 @@ func New(cfg Config) *Server {
 		}
 		if cfg.FleetPoll <= 0 {
 			cfg.FleetPoll = time.Second
-		}
-		if cfg.PeerTimeout <= 0 {
-			cfg.PeerTimeout = 2 * time.Second
 		}
 		copts = append(copts, cache.WithPeers(cfg.Peers...), cache.WithPeerTimeout(cfg.PeerTimeout))
 	} else {

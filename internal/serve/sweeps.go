@@ -221,6 +221,9 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 			runner.Gate = func(gctx context.Context, pointHash string) sweep.GateDecision {
 				return s.fleet.gate(gctx, entry, sw.Hash, pointHash)
 			}
+			// A deferred point long-polls the fleet for the lease holder's
+			// bytes; only an empty poll leaves it sleeping out the deferral.
+			runner.Await = s.fleet.await
 			// Mid-compute lease renewal: a point still computing at
 			// half the lease TTL re-asserts its claim so peers do not
 			// re-run work that merely outlived the TTL. Renewal

@@ -19,13 +19,13 @@ import (
 // singleflight followers collapsed onto it.
 const defaultCancelGrace = 10 * time.Second
 
-// defaultDeferWait is how long a deferred point waits before probing
-// again — long enough that a leased-out point usually lands in the
-// shared cache meanwhile, short enough that a dead lessee's expired
-// lease is picked up promptly.
+// defaultDeferWait bounds how long a deferred point waits before probing
+// again — long enough that a leased-out point usually lands meanwhile
+// (with an Await hook, the wait ends the moment it does), short enough
+// that a dead lessee's expired lease is picked up promptly.
 const defaultDeferWait = 250 * time.Millisecond
 
-// ErrDeferred is the sentinel a Gate returns a point to the queue with:
+// ErrDeferred is the sentinel a deferred point's attempt ends with:
 // another fleet replica holds the point's lease, so this replica waits
 // and re-probes instead of computing a duplicate. Deferrals are not
 // attempts — the retry policy never sees them.
@@ -89,6 +89,13 @@ type Runner struct {
 	// DeferWait overrides how long a deferred point waits between
 	// probes (0 = 250ms).
 	DeferWait time.Duration
+	// Await, when non-nil, is how a deferred point waits: it may block
+	// for up to wait (the deferral) for the point's bytes to arrive from
+	// the replica holding its lease, and reports whether the point is now
+	// stored. A stored point re-probes at once and settles as a cache hit;
+	// otherwise the point sleeps out the rest of DeferWait. ctx is the
+	// sweep's: its cancellation must end the wait.
+	Await func(ctx context.Context, pointHash string, wait time.Duration) bool
 	// Offset rotates the order points are dispatched in (still landing
 	// by index): replica k of a fleet starts k·(points/replicas) in,
 	// so replicas meet in the middle instead of racing point by point.
@@ -346,8 +353,9 @@ func (r *Runner) Run(ctx context.Context, sw *Sweep, progress func(Progress)) (*
 // classifies as non-retryable. Between attempts the worker sleeps the
 // policy's jittered backoff (aborted by sweep cancellation). Gate
 // deferrals sit outside the attempt count entirely: a parked point
-// re-probes after DeferWait for as long as the sweep context lives —
-// lease expiry guarantees an abandoned point eventually admits.
+// re-probes once Await reports it stored, or after DeferWait, for as
+// long as the sweep context lives — lease expiry guarantees an
+// abandoned point eventually admits.
 func (r *Runner) runPoint(ctx context.Context, eng *engine.Engine, sw *Sweep, i int) PointResult {
 	pol := r.Retry.normalized()
 	wait := r.DeferWait
@@ -362,9 +370,13 @@ func (r *Runner) runPoint(ctx context.Context, eng *engine.Engine, sw *Sweep, i 
 			deferred++
 			pr.Deferred = deferred
 			pr.Attempts = attempt
+			attempt--
+			until := time.Now().Add(wait)
+			if r.Await != nil && r.Await(ctx, pr.SpecHash, wait) {
+				continue
+			}
 			select {
-			case <-time.After(wait):
-				attempt--
+			case <-time.After(time.Until(until)):
 				continue
 			case <-ctx.Done():
 				return pr
