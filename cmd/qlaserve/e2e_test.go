@@ -111,10 +111,11 @@ func TestCrashRecovery(t *testing.T) {
 
 // TestFleetFailover is the fleet-mode acceptance test, end to end
 // against real processes: two replicas share one sweep through the
-// peer cache tier and per-point work leasing; one replica is SIGKILLed
-// mid-sweep, and the survivor completes the whole grid with the dead
-// replica's pre-kill completions served from its own cache (the syncer
-// prefetched them while both were alive) rather than recomputed.
+// peer cache tier, whose probes wait on the peer computing a point;
+// one replica is SIGKILLed mid-sweep, and the survivor completes the
+// whole grid with the dead replica's pre-kill completions served from
+// its own cache (the syncer prefetched them while both were alive)
+// rather than recomputed.
 func TestFleetFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real server processes")
@@ -126,7 +127,6 @@ func TestFleetFailover(t *testing.T) {
 
 	common := []string{
 		"-workers", "1", // slow each replica down so the kill lands mid-run
-		"-lease-ttl", "2s", // dead replica's claims lapse quickly
 		"-fleet-poll", "100ms", // tight ledger polling: completions replicate fast
 		"-peer-timeout", "500ms",
 	}
@@ -175,8 +175,8 @@ func TestFleetFailover(t *testing.T) {
 	procA.Wait()
 
 	// The survivor finishes the whole grid despite its peer being gone:
-	// claims to A fail open (no veto), A's live leases expire after
-	// -lease-ttl, and A's finished points are already in B's cache.
+	// a probe held by A fails the moment A dies, so B computes that
+	// point itself, and A's finished points are already in B's cache.
 	snap := pollDone(t, baseB, sb.JobID)
 	if snap.State != "done" {
 		t.Fatalf("survivor job state %q (error %q)", snap.State, snap.Error)
@@ -201,13 +201,11 @@ func TestFleetFailover(t *testing.T) {
 	metrics := scrape(t, baseB)
 	peerHits := metrics[`qla_cache_hits_total{tier="peer"}`]
 	prefetched := metrics[`qla_fleet_events_total{event="prefetched"}`]
-	claimsSent := metrics[`qla_fleet_events_total{event="claims_sent"}`]
 	if peerHits == 0 {
-		t.Fatalf("survivor peer-tier hits = 0: nothing crossed the peer tier (prefetched %v, claims sent %v)",
-			prefetched, claimsSent)
+		t.Fatalf("survivor peer-tier hits = 0: nothing crossed the peer tier (prefetched %v)", prefetched)
 	}
-	t.Logf("failover: A computed %d before kill; survivor served %d/%d cached, peer hits=%v prefetched=%v claims sent=%v",
-		computedA, res.Cached, res.Total, peerHits, prefetched, claimsSent)
+	t.Logf("failover: A computed %d before kill; survivor served %d/%d cached, peer hits=%v prefetched=%v",
+		computedA, res.Cached, res.Total, peerHits, prefetched)
 
 	procB.Process.Signal(syscall.SIGTERM)
 	if err := procB.Wait(); err != nil {

@@ -14,11 +14,14 @@
 // across restarts.
 //
 // Replicas started with -peers form a cooperating fleet: each serves
-// its cached Result bytes to the others (GET /v1/cache/{hash}),
-// forwards sweep submissions, and leases grid points per replica so
-// the fleet races through one sweep together. A SIGKILLed replica's
-// leases expire and the survivors finish its share from the shared
-// cache tier instead of recomputing it.
+// its cached Result bytes to the others (GET /v1/cache/{hash}) and
+// forwards sweep submissions, so the fleet works through one sweep
+// together. A replica that misses a point probes its peers, and a peer
+// computing that point holds the probe until the bytes land, so each
+// point is computed once fleet-wide. Each replica prefetches its peers'
+// finished points while a sweep runs, so when one is SIGKILLed the
+// survivors finish its share from their own caches instead of
+// recomputing it.
 //
 // Usage:
 //
@@ -71,11 +74,11 @@ func main() {
 	pointTimeout := flag.Duration("point-timeout", 0, "per-attempt deadline of one sweep point (0 = 5m)")
 	maxQueue := flag.Int("max-queue", 0, "scheduler queue bound before uncacheable work is shed with 503 + Retry-After (0 = 4×workers, negative = unbounded)")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long SIGTERM/SIGINT waits for in-flight requests to drain before exiting")
-	peers := flag.String("peers", "", "comma-separated base URLs of the other fleet replicas; non-empty enables fleet mode: the peer cache tier, sweep forwarding and per-point work leasing (empty = standalone)")
-	selfID := flag.String("self-id", "", "replica identity used in lease claims, unique across the fleet (empty = random)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "per-point work lease lifetime; a SIGKILLed replica's claims expire after this and survivors take the points over (0 = 30s)")
-	fleetPoll := flag.Duration("fleet-poll", 0, "interval for polling peers' lease ledgers to prefetch their completed points (0 = 1s)")
-	peerTimeout := flag.Duration("peer-timeout", 0, "deadline for one peer HTTP call: cache fetches, lease claims, ledger polls; also caps how long the cache route holds a ?wait= long-poll (0 = 2s)")
+	peers := flag.String("peers", "", "comma-separated base URLs of the other fleet replicas; non-empty enables fleet mode: the peer cache tier, whose probes wait on a peer's own computation, and sweep forwarding (empty = standalone)")
+	selfID := flag.String("self-id", "", "replica identity used in peer probes, unique across the fleet; of replicas that miss a point at once, the lowest ID computes it (empty = random)")
+	flag.Duration("lease-ttl", 0, "ignored: accepted so existing command lines keep working (fleet replicas no longer lease points)")
+	fleetPoll := flag.Duration("fleet-poll", 0, "interval for polling peers' ledgers of settled points to prefetch them (0 = 1s)")
+	peerTimeout := flag.Duration("peer-timeout", 0, "deadline for one peer HTTP call: cache probes, ledger polls, sweep forwards; also caps how long the cache route holds a ?wait= probe (0 = 2s)")
 	interactiveReserve := flag.Int("interactive-reserve", 1, "worker slots bulk sweep work may never occupy, held for interactive /v1/run requests (clamped to workers-1; 0 = no reserve)")
 	tenantRPS := flag.Float64("tenant-rps", 0, "per-tenant submission rate limit in requests/second; over-rate submissions get 429 + Retry-After (0 = unlimited)")
 	tenantBurst := flag.Float64("tenant-burst", 0, "per-tenant rate-limit burst depth (0 = max(1, 2×tenant-rps))")
@@ -111,7 +114,6 @@ func main() {
 		MaxQueue:       *maxQueue,
 		Peers:          peerList,
 		SelfID:         *selfID,
-		LeaseTTL:       *leaseTTL,
 		FleetPoll:      *fleetPoll,
 		PeerTimeout:    *peerTimeout,
 		Logger:         logger,
@@ -176,7 +178,7 @@ func main() {
 		"max_jobs", cfg.MaxJobs, "job_ttl", cfg.JobTTL, "sweep_timeout", cfg.SweepTimeout)
 	if len(cfg.Peers) > 0 {
 		logger.Info("fleet mode", "self", cfg.SelfID, "peers", cfg.Peers,
-			"lease_ttl", cfg.LeaseTTL, "fleet_poll", cfg.FleetPoll, "peer_timeout", cfg.PeerTimeout)
+			"fleet_poll", cfg.FleetPoll, "peer_timeout", cfg.PeerTimeout)
 	}
 	if cfg.InteractiveReserve > 0 || cfg.TenantRPS > 0 || cfg.TenantMaxJobs > 0 {
 		logger.Info("admission control", "interactive_reserve", cfg.InteractiveReserve,

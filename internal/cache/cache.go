@@ -25,13 +25,9 @@
 //
 // WithPeers adds a third, fleet-wide tier: other replicas' caches
 // reached over HTTP, consulted after a disk miss and before computing.
-// See peer.go.
-//
-// Await blocks until a key lands in the memory tier — whichever path
-// stores it: a computation, a disk load, a peer fetch or a prefetch —
-// so a caller that knows the bytes are coming (the peer route holding a
-// long-poll for a replica that deferred to this one) hears of them the
-// moment they exist instead of polling.
+// The singleflight spans that tier too: a peer probe may wait on the
+// peer's own flight for the key (Hold), so a fleet computes a key once
+// however many replicas ask for it at the same moment. See peer.go.
 package cache
 
 import (
@@ -63,7 +59,6 @@ type Cache struct {
 	head     *entry // the LRU list runs from head (most recently used)
 	tail     *entry // to tail (next to evict)
 	inflight map[string]*flight
-	arrivals map[string]*arrival // Await callers per key not yet stored
 
 	// Disk-tier degradation: after degradeAfter consecutive persist
 	// errors the disk breaker opens and the tier downgrades to
@@ -80,6 +75,7 @@ type Cache struct {
 	peers       []*peer
 	peerTimeout time.Duration
 	peerClient  *http.Client
+	self        string // this replica's ID in peer probes (WithSelfID)
 
 	reg *obs.Registry
 	m   metrics
@@ -103,21 +99,19 @@ type entry struct {
 	prev, next *entry
 }
 
-// flight is one in-progress computation. The leader writes val/err and
-// then closes done; followers read them only after done is closed.
+// flight is one in-progress lookup-then-computation. The leader writes
+// val/err and then closes done; followers read them only after done is
+// closed. computing and again are guarded by Cache.mu: computing is set
+// once every tier has missed and the leader commits to computing, and
+// again is set by Hold when it refused to hold a lower-ranked peer's
+// probe while the flight was still looking up — the leader then walks
+// the peers once more before it computes.
 type flight struct {
-	done chan struct{}
-	val  []byte
-	err  error
-}
-
-// arrival is the rendezvous of the Await callers on one key: the store
-// that lands the key sets val and closes done; n counts the callers
-// still registered, so the last one to give up removes the entry.
-type arrival struct {
-	done chan struct{}
-	val  []byte
-	n    int
+	done      chan struct{}
+	val       []byte
+	err       error
+	computing bool
+	again     bool
 }
 
 // Option configures a Cache.
@@ -218,7 +212,6 @@ func New(maxBytes int64, opts ...Option) *Cache {
 		maxBytes:      maxBytes,
 		entries:       make(map[string]*entry),
 		inflight:      make(map[string]*flight),
-		arrivals:      make(map[string]*arrival),
 		degradeAfter:  3,
 		probeInterval: 30 * time.Second,
 		peerTimeout:   defaultPeerTimeout,
@@ -295,20 +288,32 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 		return val, true, nil
 	}
 
-	// Peer tier: another replica may already hold the bytes — still as
-	// the flight leader, so N concurrent callers cost one peer walk. A
-	// peer hit is written through to the local disk (after releasing the
-	// followers, like the compute path): the peer can die, and the whole
-	// point of the fleet is that its results survive anywhere.
-	if val, ok := c.loadPeers(ctx, key); ok {
+	// Peer tier: another replica may already hold the bytes, or be
+	// computing them — still as the flight leader, so N concurrent callers
+	// cost one peer walk. If Hold turned a peer's probe away while this
+	// flight was looking up, it marked the flight: walk the peers once
+	// more before computing, and find that peer computing. A peer hit is
+	// written through to the local disk (after releasing the followers,
+	// like the compute path): the peer can die, and the whole point of the
+	// fleet is that its results survive anywhere.
+	for {
+		if val, ok := c.loadPeers(ctx, key, true); ok {
+			c.mu.Lock()
+			delete(c.inflight, key)
+			c.storeLocked(key, val)
+			c.mu.Unlock()
+			f.val = val
+			close(f.done)
+			c.writeFile(key, val)
+			return val, true, nil
+		}
 		c.mu.Lock()
-		delete(c.inflight, key)
-		c.storeLocked(key, val)
+		again := f.again
+		f.again, f.computing = false, !again
 		c.mu.Unlock()
-		f.val = val
-		close(f.done)
-		c.writeFile(key, val)
-		return val, true, nil
+		if !again {
+			break
+		}
 	}
 
 	c.m.misses.Inc()
@@ -346,45 +351,6 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 		c.writeFile(key, val)
 	}
 	return val, false, err
-}
-
-// Await returns the bytes stored under key, blocking until a store
-// lands them in the memory tier or ctx ends. It never computes, reads
-// the disk or a peer, or joins a flight: it only watches the memory
-// tier, and every store path — a finished computation, a disk load, a
-// peer fetch, a prefetch — wakes it. A caller whose ctx ends first is
-// unregistered before Await returns, so an abandoned wait leaves
-// nothing behind.
-func (c *Cache) Await(ctx context.Context, key string) ([]byte, bool) {
-	c.mu.Lock()
-	if val, ok := c.getLocked(key); ok {
-		c.mu.Unlock()
-		return val, true
-	}
-	w := c.arrivals[key]
-	if w == nil {
-		w = &arrival{done: make(chan struct{})}
-		c.arrivals[key] = w
-	}
-	w.n++
-	c.mu.Unlock()
-	select {
-	case <-w.done:
-		return w.val, true
-	case <-ctx.Done():
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case <-w.done:
-		// The store won the race with the deadline: take the bytes.
-		return w.val, true
-	default:
-	}
-	if w.n--; w.n == 0 {
-		delete(c.arrivals, key)
-	}
-	return nil, false
 }
 
 // safeKey reports whether key can name a file in the persistence
@@ -528,9 +494,9 @@ func (c *Cache) unlinkLocked(e *entry) {
 	}
 }
 
-// storeLocked inserts the value at the head of the LRU list, wakes the
-// key's Await callers, and evicts from the tail until the byte budget
-// holds. A value larger than the whole budget is not cached at all.
+// storeLocked inserts the value at the head of the LRU list and evicts
+// from the tail until the byte budget holds. A value larger than the
+// whole budget is not cached at all.
 func (c *Cache) storeLocked(key string, val []byte) {
 	cost := int64(len(val)) + int64(len(key))
 	if c.maxBytes > 0 && cost > c.maxBytes {
@@ -545,11 +511,6 @@ func (c *Cache) storeLocked(key string, val []byte) {
 		c.entries[key] = e
 		c.pushFrontLocked(e)
 		c.bytes += cost
-	}
-	if w := c.arrivals[key]; w != nil {
-		w.val = val
-		close(w.done)
-		delete(c.arrivals, key)
 	}
 	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.tail != nil {
 		e := c.tail

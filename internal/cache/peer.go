@@ -10,10 +10,26 @@
 // Content-Length, and a body the memory tier's budget could never hold
 // is refused unread.
 //
-// A peer may also be asked to hold the request (GET
-// /v1/cache/{hash}?wait=D): it answers as soon as the key lands in its
-// memory tier, or 404s once D passes. PrefetchWait long-polls every
-// peer this way at once, for a key a peer is still computing.
+// The same probe deduplicates work across replicas: the singleflight
+// reaches over the peer tier. A flight leader asks each peer to hold
+// its probe (GET /v1/cache/{hash}?wait=D&from=<self>, D half the peer
+// timeout), and the peer's route answers through Hold:
+//
+//   - the key is stored: the bytes, at once;
+//   - the peer's own flight for the key is computing: held until the
+//     flight lands; a hold that ends first is a 404 marked "computing",
+//     and the prober asks the same peer again;
+//   - the flight is still looking up (disk or peer walk): held only if
+//     the peer's ID sorts before the prober's; otherwise a 404 at once,
+//     and the flight is marked so its leader walks the peers again
+//     before it computes — and finds the lower-ID prober computing;
+//   - no flight: a 404 at once.
+//
+// No cycle can form: a computing flight waits on nobody, and a lookup
+// holds only probes from higher IDs. Of replicas that miss the same key
+// at the same moment, the lowest ID computes it and the rest wait on
+// it. A peer that dies mid-hold fails the probe at once, like any
+// other peer error.
 //
 // Peers fail independently of the local disk, so each carries its own
 // circuit breaker with the WithDegrade knobs: after degradeAfter
@@ -29,9 +45,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -49,8 +67,28 @@ const PeerPath = "/v1/cache/"
 // tiers.
 const HashHeader = "X-Content-SHA256"
 
+// HoldHeader marks an answer the peer route held on its own flight;
+// its value is the Hold outcome. A held answer's latency is the
+// flight's, so it is not observed as a round trip.
+const HoldHeader = "X-QLA-Hold"
+
+// Hold outcomes, as HoldHeader carries them.
+const (
+	// HoldLanded: the flight stored the key, and the answer is its bytes.
+	HoldLanded = "landed"
+	// HoldFailed: the flight failed, and the answer is a plain miss.
+	HoldFailed = "failed"
+	// HoldComputing: the hold ended with the flight still running; the
+	// 404 asks the prober to ask again.
+	HoldComputing = "computing"
+)
+
 // defaultPeerTimeout bounds one peer fetch end to end.
 const defaultPeerTimeout = 2 * time.Second
+
+// errComputing is a fetch's answer when the peer's 404 is marked
+// HoldComputing: the peer is still computing the key.
+var errComputing = errors.New("peer still computing")
 
 // peer is one configured peer and its breaker.
 type peer struct {
@@ -73,6 +111,13 @@ func WithPeers(urls ...string) Option {
 	}
 }
 
+// WithSelfID names this replica in its peer probes (?from=) and ranks it
+// against probers in Hold. IDs must be unique across the fleet: the
+// lowest one computes a key several replicas miss at once.
+func WithSelfID(id string) Option {
+	return func(c *Cache) { c.self = id }
+}
+
 // WithPeerTimeout bounds one peer fetch (0 keeps the 2s default). The
 // timeout is per peer, not per key: a miss that walks N slow peers can
 // spend N timeouts before computing, which is why the breaker exists.
@@ -91,23 +136,38 @@ func BodyHash(val []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// loadPeers fetches key from the first peer that holds it. ctx
-// contributes only values (the trace ID forwarded to peers), not
-// cancellation: followers collapsed onto this flight may outlive the
-// leader's request, so the fetch is bounded by the client timeout
-// alone, as before.
-func (c *Cache) loadPeers(ctx context.Context, key string) ([]byte, bool) {
+// loadPeers fetches key from the first peer that holds it. With hold,
+// each probe asks the peer to hold it on the peer's own flight for up
+// to half the peer timeout (see Hold), and a peer still computing the
+// key is asked again for as long as ctx lives. ctx's cancellation ends
+// only that asking again: followers collapsed onto this flight may
+// outlive the leader's request, so each fetch carries ctx's values (the
+// trace ID forwarded to peers) and is bounded by the client timeout.
+func (c *Cache) loadPeers(ctx context.Context, key string, hold bool) ([]byte, bool) {
 	if len(c.peers) == 0 || !safeKey(key) {
 		return nil, false
 	}
-	ctx = context.WithoutCancel(ctx)
+	var wait time.Duration
+	if hold {
+		wait = c.peerTimeout / 2
+	}
+	fctx := context.WithoutCancel(ctx)
 	for _, p := range c.peers {
 		if !p.br.Allow() {
 			continue
 		}
-		val, ok, err := c.fetchPeer(ctx, p.url, key, 0)
-		if c.recordPeer(p, ok, err) {
-			return val, true
+		for {
+			val, ok, err := c.fetchPeer(fctx, p.url, key, wait)
+			if errors.Is(err, errComputing) {
+				if ctx.Err() == nil {
+					continue
+				}
+				err = nil // our wait is over, through no fault of the peer's
+			}
+			if c.recordPeer(p, ok, err) {
+				return val, true
+			}
+			break
 		}
 	}
 	return nil, false
@@ -148,17 +208,16 @@ func (c *Cache) peersDegraded() int {
 }
 
 // fetchPeer performs one GET against one peer: (val, true, nil) on a
-// validated hit, (nil, false, nil) on a clean 404 miss, an error for
-// everything else — transport failures, unexpected statuses, bodies
-// over the cache budget or shorter than declared, bodies whose hash
-// header does not match, and bodies that are not JSON. A positive wait
-// asks the peer to hold the request that long for the key to land;
-// such a long-poll's latency is the holder's, so it is not observed as
-// a round trip.
+// validated hit, (nil, false, nil) on a clean 404 miss, errComputing on
+// a 404 marked HoldComputing, an error for everything else — transport
+// failures, unexpected statuses, bodies over the cache budget or
+// shorter than declared, bodies whose hash header does not match, and
+// bodies that are not JSON. A positive wait asks the peer to hold the
+// probe on its own flight for up to that long.
 func (c *Cache) fetchPeer(ctx context.Context, base, key string, wait time.Duration) ([]byte, bool, error) {
 	u := base + PeerPath + key
 	if wait > 0 {
-		u += "?wait=" + wait.String()
+		u += "?wait=" + wait.String() + "&from=" + url.QueryEscape(c.self)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -172,7 +231,8 @@ func (c *Cache) fetchPeer(ctx context.Context, base, key string, wait time.Durat
 	if err != nil {
 		return nil, false, err
 	}
-	if wait <= 0 {
+	held := resp.Header.Get(HoldHeader)
+	if held == "" {
 		c.m.peerRTT.Observe(time.Since(start).Seconds())
 	}
 	defer resp.Body.Close()
@@ -180,6 +240,9 @@ func (c *Cache) fetchPeer(ctx context.Context, base, key string, wait time.Durat
 	case http.StatusOK:
 	case http.StatusNotFound:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		if held == HoldComputing {
+			return nil, false, errComputing
+		}
 		return nil, false, nil
 	default:
 		return nil, false, fmt.Errorf("peer %s: status %d for %s", base, resp.StatusCode, key)
@@ -253,12 +316,56 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 	return nil, false
 }
 
+// Hold answers a peer's probe for key that asked to wait (the
+// ?wait=D&from= form of GET /v1/cache/{hash}), from this replica alone:
+// its stored bytes, or — when its own flight for the key qualifies —
+// the flight's bytes once it lands. from is the prober's ID. A
+// computing flight holds any prober; one still looking up holds only a
+// prober whose ID sorts after this replica's, and otherwise is marked
+// to walk the peers again before it computes. A prober that names this
+// replica itself is never held and marks nothing. ctx bounds the hold.
+// held is "" for an answer given at once, else the outcome: HoldLanded,
+// HoldFailed, or HoldComputing when ctx ended first. Hold never
+// computes or consults peers, and registers nothing: it waits on the
+// flight's own done channel.
+func (c *Cache) Hold(ctx context.Context, key, from string) (val []byte, ok bool, held string) {
+	if val, ok := c.Peek(key); ok {
+		return val, true, ""
+	}
+	c.mu.Lock()
+	if val, ok := c.getLocked(key); ok { // landed since the peek
+		c.mu.Unlock()
+		return val, true, ""
+	}
+	f := c.inflight[key]
+	switch {
+	case f == nil || from == c.self:
+		c.mu.Unlock()
+		return nil, false, ""
+	case !f.computing && c.self >= from:
+		f.again = true
+		c.mu.Unlock()
+		return nil, false, ""
+	}
+	c.mu.Unlock()
+	select {
+	case <-f.done:
+		if f.err != nil {
+			return nil, false, HoldFailed
+		}
+		return f.val, true, HoldLanded
+	case <-ctx.Done():
+		return nil, false, HoldComputing
+	}
+}
+
 // Prefetch pulls key into the local tiers from disk or a peer, never
 // computing, and reports whether the value is now stored locally. It
 // deliberately skips the singleflight machinery: a prefetch that finds
 // nothing must not register a flight that /v1/run callers would join
-// and fail with. A peer-sourced value is written through to the local
-// disk — the peer may die; that is the point of prefetching.
+// and fail with. Its peer probes never ask to be held. A peer-sourced
+// value is written through to the local disk — the peer may die; that
+// is the point of prefetching.
 func (c *Cache) Prefetch(key string) bool {
 	c.mu.Lock()
 	_, stored := c.entries[key]
@@ -278,68 +385,12 @@ func (c *Cache) Prefetch(key string) bool {
 		c.mu.Unlock()
 		return true
 	}
-	val, ok := c.loadPeers(context.Background(), key)
+	val, ok := c.loadPeers(context.Background(), key, false)
 	if ok {
-		c.storePeerValue(key, val)
+		c.mu.Lock()
+		c.storeLocked(key, val)
+		c.mu.Unlock()
+		c.writeFile(key, val)
 	}
 	return ok
-}
-
-// PrefetchWait is Prefetch for a key a peer is still computing: after
-// the local tiers miss, it long-polls every peer at once — each is asked
-// to hold the request until the key lands in its memory tier or wait
-// passes — and stores the first validated body exactly as Prefetch
-// does. The wait is clamped to half the peer timeout, so a peer that
-// never gets the key answers a clean 404 well inside the client's
-// timeout: an empty long-poll is a peer miss, never an error for the
-// breaker. ctx cancels the polls, and once one body lands the rest are
-// cancelled; a cancelled poll is no peer's fault. It returns after
-// every poll has, reporting whether the value is now stored locally.
-func (c *Cache) PrefetchWait(ctx context.Context, key string, wait time.Duration) bool {
-	if _, ok := c.Peek(key); ok {
-		return true
-	}
-	wait = min(wait, c.peerTimeout/2)
-	if len(c.peers) == 0 || !safeKey(key) || wait <= 0 {
-		return false
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	bodies := make(chan []byte, len(c.peers))
-	polls := 0
-	for _, p := range c.peers {
-		if !p.br.Allow() {
-			continue
-		}
-		polls++
-		go func() {
-			val, ok, err := c.fetchPeer(ctx, p.url, key, wait)
-			if err != nil && ctx.Err() != nil {
-				bodies <- nil
-				return
-			}
-			if !c.recordPeer(p, ok, err) {
-				val = nil
-			}
-			bodies <- val
-		}()
-	}
-	stored := false
-	for ; polls > 0; polls-- {
-		if val := <-bodies; val != nil && !stored {
-			c.storePeerValue(key, val)
-			stored = true
-			cancel()
-		}
-	}
-	return stored
-}
-
-// storePeerValue stores a validated peer body in memory and writes it
-// through to the local disk.
-func (c *Cache) storePeerValue(key string, val []byte) {
-	c.mu.Lock()
-	c.storeLocked(key, val)
-	c.mu.Unlock()
-	c.writeFile(key, val)
 }

@@ -46,11 +46,6 @@ type Progress struct {
 	Failed int `json:"failed"`
 	// Retries counts extra per-point attempts the retry policy spent.
 	Retries int `json:"retries,omitempty"`
-	// Deferred counts fleet-gate deferrals: probes parked because
-	// another replica held a point's lease. Done still counts every
-	// point exactly once whichever replica computed it — completions
-	// aggregate through the shared cache, not through this counter.
-	Deferred int `json:"deferred,omitempty"`
 }
 
 // Config sizes a Manager. The zero value is usable: 256 stored jobs,
@@ -172,9 +167,11 @@ type Job struct {
 	tenant  string
 	mgr     *Manager
 	created time.Time
-	cancel  context.CancelFunc
 
-	mu              sync.Mutex
+	mu sync.Mutex
+	// cancel fires the job's context. settle calls it and clears it, so
+	// a stored finished job keeps no context alive.
+	cancel          context.CancelFunc
 	state           State
 	cancelRequested bool
 	progress        Progress
@@ -499,7 +496,6 @@ func (m *Manager) noteResult(j *Job) {
 // escaping run must not strand a running job (pollers would wait
 // forever); it is converted to a failure.
 func (j *Job) execute(ctx context.Context, run func(ctx context.Context, report func(Progress)) (Body, error)) {
-	defer j.cancel() // release the context's resources once settled
 	completed := false
 	defer func() {
 		if completed {
@@ -512,8 +508,9 @@ func (j *Job) execute(ctx context.Context, run func(ctx context.Context, report 
 	j.settle(res, err)
 }
 
-// settle records the terminal state, wakes subscribers and charges the
-// result against the manager's byte budget.
+// settle records the terminal state, wakes subscribers, releases the
+// job's context and charges the result against the manager's byte
+// budget.
 func (j *Job) settle(res Body, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -532,8 +529,11 @@ func (j *Job) settle(res Body, err error) {
 		j.mgr.failed.Inc()
 	}
 	finished := j.finished
+	cancel := j.cancel
+	j.cancel = nil
 	j.wakeLocked()
 	j.mu.Unlock()
+	cancel()
 	j.mgr.noteSettled(j, finished)
 	if err == nil {
 		j.mgr.noteResult(j)
@@ -624,11 +624,14 @@ func (j *Job) Body() (Body, Snapshot) {
 // StateCancelled only when its body returns the context's error.
 func (j *Job) Cancel() Snapshot {
 	j.mu.Lock()
+	cancel := j.cancel
 	if !j.state.Finished() {
 		j.cancelRequested = true
 	}
 	j.mu.Unlock()
-	j.cancel()
+	if cancel != nil {
+		cancel()
+	}
 	return j.Snapshot()
 }
 

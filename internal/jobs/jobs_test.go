@@ -198,6 +198,39 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestSettledJobReleasesContext: a settled job keeps no cancel func —
+// and with it no context — for as long as it is stored, whatever way it
+// settled, and Cancel on it still answers the terminal snapshot.
+func TestSettledJobReleasesContext(t *testing.T) {
+	m := NewManager(Config{})
+	var jobCtx context.Context
+	done, _, _ := m.Submit("done", SubmitOptions{Total: 1}, func(ctx context.Context, report func(Progress)) ([]byte, error) {
+		jobCtx = ctx
+		return []byte(`{}`), nil
+	})
+	failed, _, _ := m.Submit("failed", SubmitOptions{Total: 1}, func(ctx context.Context, report func(Progress)) ([]byte, error) {
+		return nil, errors.New("no")
+	})
+	panicked, _, _ := m.Submit("panicked", SubmitOptions{Total: 1}, func(ctx context.Context, report func(Progress)) ([]byte, error) {
+		panic("boom")
+	})
+	for _, j := range []*Job{done, failed, panicked} {
+		want := wait(t, j).State
+		j.mu.Lock()
+		held := j.cancel != nil
+		j.mu.Unlock()
+		if held {
+			t.Errorf("settled job %s (%s) still holds its cancel func", j.ID(), want)
+		}
+		if snap := j.Cancel(); snap.State != want {
+			t.Errorf("Cancel on settled job %s: state %s, want %s", j.ID(), snap.State, want)
+		}
+	}
+	if jobCtx.Err() == nil {
+		t.Error("a settled job's context was never cancelled")
+	}
+}
+
 // TestStoreBound: a full store evicts the oldest finished job to admit
 // new work, and rejects cleanly when everything is still running.
 func TestStoreBound(t *testing.T) {

@@ -5,8 +5,7 @@
 // address: the first line records the admitted canonical spec (written
 // atomically — temp file, fsync, rename — so a half-admitted job can
 // never replay), subsequent lines record per-point completions
-// (point hash → status) and fleet leases (point hash → holder), and a
-// terminal line marks the job settled.
+// (point hash → status), and a terminal line marks the job settled.
 // Replay scans the directory at startup: files with a terminal record
 // are deleted (the job finished; nothing to recover — and a journaled
 // failure must never be resurrected as a stale failed job, re-running
@@ -39,12 +38,6 @@ import (
 // Kind labels what the admitted spec payload decodes as.
 const KindSweep = "sweep"
 
-// StatusLeased marks a per-point record as a fleet lease, not a
-// completion: this replica claimed the point and is about to compute
-// it. Replay treats leased-but-never-completed points as pending — the
-// crash-recovery path for a dead lessee.
-const StatusLeased = "leased"
-
 // suffix is the journal file extension.
 const suffix = ".wal"
 
@@ -58,12 +51,10 @@ type record struct {
 	Tenant string          `json:"tenant,omitempty"`
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	Point  string          `json:"point,omitempty"`
-	// Status is "ok", "error" or "leased"; Cached and Attempts qualify
-	// completions, Holder names the replica behind a lease.
+	// Status is "ok" or "error"; Cached and Attempts qualify it.
 	Status   string `json:"status,omitempty"`
 	Cached   bool   `json:"cached,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
-	Holder   string `json:"holder,omitempty"`
 	State    string `json:"state,omitempty"`
 }
 
@@ -85,12 +76,7 @@ type Pending struct {
 	// Spec is the admitted canonical spec payload, verbatim.
 	Spec []byte
 	// Points maps point hash → the last completion recorded for it.
-	// Lease records never land here: a leased-but-never-completed point
-	// must replay as pending work.
 	Points map[string]PointStatus
-	// Leased counts lease records whose point never completed — work a
-	// dead replica claimed but did not finish.
-	Leased int
 }
 
 // Journal owns a journal directory. Construct with Open; a Journal is
@@ -102,8 +88,8 @@ type Journal struct {
 	open map[string]*Entry
 
 	// The journal's counts live only in these instruments.
-	admitted, resumed, points, leases, finished, dropped, errors *obs.Counter
-	appendSec, fsyncSec                                          *obs.Histogram
+	admitted, resumed, points, finished, dropped, errors *obs.Counter
+	appendSec, fsyncSec                                  *obs.Histogram
 }
 
 // Open prepares a Journal rooted at dir, creating the directory. Its
@@ -131,7 +117,7 @@ func (j *Journal) Instrument(reg *obs.Registry) {
 	j.fsyncSec = reg.Histogram("qla_journal_fsync_seconds",
 		"Latency of the fsync alone, for synced records.", obs.LatencyBuckets)
 	rec := reg.CounterVec("qla_journal_records_total", "Journal records appended, by kind.", "kind")
-	j.admitted, j.points, j.leases, j.finished = rec.With("admit"), rec.With("point"), rec.With("lease"), rec.With("finish")
+	j.admitted, j.points, j.finished = rec.With("admit"), rec.With("point"), rec.With("finish")
 	j.resumed = reg.Counter("qla_journal_resumed_total", "Entries re-opened by a resubmission of a journaled job.")
 	j.dropped = reg.Counter("qla_journal_dropped_total", "Journal files removed after their job settled.")
 	j.errors = reg.Counter("qla_journal_errors_total", "Failed journal writes.")
@@ -286,16 +272,6 @@ func (j *Journal) replayFile(name string) (p Pending, finished, ok bool) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	p.Points = make(map[string]PointStatus)
-	leased := make(map[string]bool)
-	// Leases count only while uncompleted: a lease followed by its
-	// completion is settled work, one without is the dead-lessee case.
-	countLeases := func() {
-		for pt := range leased {
-			if _, done := p.Points[pt]; !done {
-				p.Leased++
-			}
-		}
-	}
 	first := true
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -321,18 +297,18 @@ func (j *Journal) replayFile(name string) (p Pending, finished, ok bool) {
 		}
 		switch {
 		case rec.State != "":
-			countLeases()
 			return p, true, true
-		case rec.Point != "" && rec.Status == StatusLeased:
-			leased[rec.Point] = true
-		case rec.Point != "":
+		case rec.Point != "" && (rec.Status == "ok" || rec.Status == "error"):
+			// Only a completion counts. The per-point lease lines of
+			// journals written before fleet leasing was removed
+			// ("status":"leased") name work that may never have finished,
+			// so their points replay as pending.
 			p.Points[rec.Point] = PointStatus{Status: rec.Status, Cached: rec.Cached, Attempts: rec.Attempts}
 		}
 	}
 	if first {
 		return Pending{}, false, false // empty file
 	}
-	countLeases()
 	return p, false, true
 }
 
@@ -377,17 +353,6 @@ func (e *Entry) Point(hash, status string, cached bool, attempts int) error {
 		return nil
 	}
 	return e.append(record{Point: hash, Status: status, Cached: cached, Attempts: attempts}, false, e.j.points)
-}
-
-// Lease appends a per-point lease record: holder (a fleet replica ID)
-// claimed the point and is about to compute it. Like Point, the append
-// is unsynced — a lost lease line only means replay treats the point
-// as plain pending work, which is also what a lease means.
-func (e *Entry) Lease(hash, holder string) error {
-	if e == nil {
-		return nil
-	}
-	return e.append(record{Point: hash, Status: StatusLeased, Holder: holder}, false, e.j.leases)
 }
 
 // Finish appends the terminal record (fsynced), closes the entry and
@@ -480,10 +445,10 @@ func marshalLine(rec record) ([]byte, error) {
 type Stats struct {
 	// Admitted counts fresh admissions; Resumed replayed entries
 	// reopened for appends; Points per-point completion appends;
-	// Leases per-point fleet lease appends; Finished terminal records;
-	// Dropped files deleted at replay or via Drop; Errors failed writes
-	// (the job keeps running; only durability is lost).
-	Admitted, Resumed, Points, Leases, Finished, Dropped, Errors uint64
+	// Finished terminal records; Dropped files deleted at replay or via
+	// Drop; Errors failed writes (the job keeps running; only
+	// durability is lost).
+	Admitted, Resumed, Points, Finished, Dropped, Errors uint64
 	// Open is the number of entries currently accepting appends.
 	Open int
 }
@@ -500,7 +465,6 @@ func (j *Journal) Stats() Stats {
 		Admitted: j.admitted.Value(),
 		Resumed:  j.resumed.Value(),
 		Points:   j.points.Value(),
-		Leases:   j.leases.Value(),
 		Finished: j.finished.Value(),
 		Dropped:  j.dropped.Value(),
 		Errors:   j.errors.Value(),

@@ -317,42 +317,44 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 }
 
-// TestLeaseReplay: lease records are a ledger, not completions — a
-// leased-but-never-completed point replays as pending work (the dead
-// lessee case), while a lease followed by its completion is settled.
+// TestLeaseReplay: journals written while fleet replicas leased points
+// carry per-point lease lines ("status":"leased"). They still replay:
+// a leased point that never completed is pending work, never a
+// completion, and the completed points of the same journal still
+// count.
 func TestLeaseReplay(t *testing.T) {
 	j, dir := open(t)
-	e, _, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
+	lines := strings.Join([]string{
+		`{"v":1,"id":"job1","kind":"sweep","tenant":"t1","spec":` + specJSON + `}`,
+		`{"point":"p1","status":"leased","holder":"replica-a"}`,
+		`{"point":"p1","status":"ok","attempts":1}`,             // lease settled by its completion
+		`{"point":"p2","status":"leased","holder":"replica-a"}`, // claimed, never finished: the crash
+		`{"point":"p3","status":"error","attempts":3}`,
+	}, "\n") + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "job1"+suffix), []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pend, err := j.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Lease("p1", "replica-a")
-	e.Point("p1", "ok", false, 1) // lease settled by its completion
-	e.Lease("p2", "replica-a")    // claimed, never finished: the crash
-	j.Close()
-
-	j2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pend, err := j2.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pend) != 1 {
-		t.Fatalf("want 1 pending entry, got %d", len(pend))
+	if len(pend) != 1 || pend[0].ID != "job1" || pend[0].Tenant != "t1" {
+		t.Fatalf("want job1 pending, got %+v", pend)
 	}
 	p := pend[0]
-	if len(p.Points) != 1 {
-		t.Fatalf("lease records leaked into completions: %v", p.Points)
-	}
 	if _, done := p.Points["p2"]; done {
-		t.Fatal("leased-but-unfinished point recorded as complete")
+		t.Fatal("leased-but-unfinished point replayed as a completion")
 	}
-	if p.Leased != 1 {
-		t.Fatalf("Leased = %d, want 1 (p2 only; p1's lease completed)", p.Leased)
+	want := map[string]PointStatus{
+		"p1": {Status: "ok", Attempts: 1},
+		"p3": {Status: "error", Attempts: 3},
 	}
-	if st := j.Stats(); st.Leases != 2 {
-		t.Fatalf("lease appends = %d, want 2: %+v", st.Leases, st)
+	if len(p.Points) != len(want) {
+		t.Fatalf("completions = %v, want %v", p.Points, want)
+	}
+	for pt, st := range want {
+		if p.Points[pt] != st {
+			t.Fatalf("point %s replayed as %+v, want %+v", pt, p.Points[pt], st)
+		}
 	}
 }

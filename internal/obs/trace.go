@@ -9,9 +9,8 @@ import (
 
 // TraceHeader is the HTTP header carrying a request's trace ID. It is
 // minted at ingress when absent, echoed on every response (including
-// error envelopes), and propagated on fleet forwards, lease claims,
-// and peer cache fetches so one sweep's life can be followed across
-// replicas.
+// error envelopes), and propagated on fleet forwards and peer cache
+// fetches so one sweep's life can be followed across replicas.
 const TraceHeader = "X-QLA-Trace"
 
 // maxTraceLen bounds accepted client-supplied trace IDs.

@@ -12,18 +12,16 @@ import (
 )
 
 // BenchmarkFleetSweep is the fleet's sweep makespan: two in-process
-// replicas, each with one worker, a cache dir, 250ms leases and 50ms
-// ledger polls (the perfbench fleet-sweep flags), logging discarded.
-// One op submits a never-seen 8-point figure7 sweep of 640 trials to
-// replica 0 and ends when both replicas report it done. The median op
-// is reported as
-// median-ms/op, which CI's fleet gate reads: a deferred point that
-// slept its 250ms deferral instead of waiting for the lease holder's
-// bytes would floor the op at about that, whatever the CPU.
+// replicas, each with one worker, a cache dir and 50ms ledger polls
+// (perfbench's fleet-sweep poll), logging discarded. One op submits a
+// never-seen 8-point figure7 sweep of 640 trials to replica 0 and ends
+// when both replicas report it done. The median op is reported as
+// median-ms/op, which CI's fleet gate reads: a point that waited on a
+// timer — a poll or a sleep — instead of on the peer computing it would
+// floor the op at that timer, whatever the CPU.
 func BenchmarkFleetSweep(b *testing.B) {
 	srvs, urls := newFleetServers(b, 2, func(_ int, cfg *Config) {
 		cfg.Workers = 1
-		cfg.LeaseTTL = 250 * time.Millisecond
 		cfg.FleetPoll = 50 * time.Millisecond
 		cfg.CacheDir = b.TempDir()
 		cfg.Logger = slog.New(slog.DiscardHandler)

@@ -4,19 +4,18 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"qla/internal/cache"
 	"qla/internal/engine"
 	"qla/internal/jobs"
-	"qla/internal/obs"
 	"qla/internal/sweep"
 )
 
@@ -46,7 +45,6 @@ func newFleetServers(t testing.TB, n int, mutate func(i int, cfg *Config)) ([]*S
 		cfg := Config{
 			Peers:       peers,
 			SelfID:      fmt.Sprintf("replica-%d", i),
-			LeaseTTL:    2 * time.Second,
 			FleetPoll:   50 * time.Millisecond,
 			PeerTimeout: time.Second,
 		}
@@ -133,28 +131,38 @@ func TestFleetPeerCacheHit(t *testing.T) {
 }
 
 // TestFleetSweepForwardedAndShared: a sweep submitted to one replica is
-// forwarded to the other; both finish it, the lease protocol keeps
-// duplicated compute near zero, and the fleet counters show the
-// coordination happened.
+// forwarded to the other; both finish it with every point computed
+// once between them, and the fleet counters show the peer probes
+// waited on each other's computations. Replica 0's only worker slot is
+// taken until a hold is seen, so its points cannot land before
+// replica 1 asks for them.
 func TestFleetSweepForwardedAndShared(t *testing.T) {
-	_, urls := newFleetServers(t, 2, nil)
-	_, sb, _ := postSweep(t, urls[0], gridSweep)
-
-	// The forward is fire-and-forget; B learns about the job when the
-	// replicated POST lands.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var snap struct{ ID string }
-		if status := getJSON(t, urls[1]+"/v1/jobs/"+sb.JobID, &snap); status == http.StatusOK {
-			break
-		}
+	srvs, urls := newFleetServers(t, 2, func(_ int, cfg *Config) { cfg.Workers = 1 })
+	_, release, err := srvs[0].pool.Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sb, raw := postSweep(t, urls[0], fleetFig7Sweep(640, 7000))
+	if sb.JobID == "" {
+		release()
+		t.Fatalf("submit failed: %s", raw)
+	}
+	held := func() float64 {
+		return metric(t, urls[0], "qla_fleet_events_total", `event="held"`) +
+			metric(t, urls[1], "qla_fleet_events_total", `event="held"`)
+	}
+	for deadline := time.Now().Add(10 * time.Second); held() == 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("sweep %s never forwarded to B", sb.JobID)
+			release()
+			t.Fatal("no peer probe was held on a computing point")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	release()
 
 	snapA := pollJob(t, urls[0], sb.JobID)
+	// The forward is fire-and-forget, but replica 1 holds the job by now:
+	// a hold needs its probes.
 	snapB := pollJob(t, urls[1], sb.JobID)
 	if string(snapA.State) != "done" || string(snapB.State) != "done" {
 		t.Fatalf("states A=%s B=%s", snapA.State, snapB.State)
@@ -165,23 +173,14 @@ func TestFleetSweepForwardedAndShared(t *testing.T) {
 	if resA.OK != resA.Total || resB.OK != resB.Total {
 		t.Fatalf("incomplete results: A %+v B %+v", resA, resB)
 	}
-	// Every point computes somewhere once; the lease protocol plus the
-	// shared cache tier should keep cross-replica duplicates to at most
-	// a race or two.
-	computed := (resA.Total - resA.Cached) + (resB.Total - resB.Cached)
-	if computed < resA.Total || computed > resA.Total+3 {
+	if computed := (resA.Total - resA.Cached) + (resB.Total - resB.Cached); computed != resA.Total {
 		t.Fatalf("fleet computed %d points for a %d-point grid (A cached %d, B cached %d)",
 			computed, resA.Total, resA.Cached, resB.Cached)
 	}
 	if n := metric(t, urls[0], "qla_fleet_events_total", `event="forwarded_sweeps"`); n != 1 {
 		t.Fatalf("A forwarded %v sweeps, want 1", n)
 	}
-	claims := metric(t, urls[0], "qla_fleet_events_total", `event="claims_sent"`) +
-		metric(t, urls[1], "qla_fleet_events_total", `event="claims_sent"`)
-	if claims == 0 {
-		t.Fatal("no lease claims were sent; the gate never engaged")
-	}
-	// Settled jobs drop their lease tables; later claims 404 (no veto).
+	// Settled jobs drop their ledgers.
 	for i, u := range urls {
 		resp, err := http.Get(u + "/v1/leases/" + sb.JobID)
 		if err != nil {
@@ -190,167 +189,41 @@ func TestFleetSweepForwardedAndShared(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("replica %d still serves the settled lease table: %d", i, resp.StatusCode)
+			t.Fatalf("replica %d still serves the settled ledger: %d", i, resp.StatusCode)
 		}
 	}
 }
 
-// TestFleetClaimProtocol drives the lease state machine directly:
-// grant, deny-while-leased, renewal, expiry recovery, done denial, and
-// the lowest-ID tie-break.
-func TestFleetClaimProtocol(t *testing.T) {
-	sw, err := sweep.Expand(mustDecodeSpec(t, gridSweep))
+// TestFleetSelfListedPeer: a replica whose -peers names its own URL
+// probes itself like any peer; its own probe is never held and marks
+// nothing, so its runs and sweeps finish instead of walking their
+// peers forever.
+func TestFleetSelfListedPeer(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newFleet(Config{
-		SelfID:      "b",
-		Peers:       []string{"http://127.0.0.1:1"},
-		LeaseTTL:    50 * time.Millisecond,
-		FleetPoll:   time.Second,
-		PeerTimeout: time.Second,
-	}, cache.New(1<<20), slog.New(slog.DiscardHandler), obs.NewRegistry())
-	pt := sw.Points[0].Canonical.Hash
+	self := "http://" + l.Addr().String()
+	srv := New(Config{Peers: []string{self}, SelfID: "replica-0", PeerTimeout: time.Second})
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener.Close()
+	ts.Listener = l
+	ts.Start()
+	t.Cleanup(ts.Close)
 
-	if _, _, known := f.claim("nope", pt, "a"); known {
-		t.Fatal("unknown sweep claimed")
-	}
-	f.register(sw)
-	if granted, state, known := f.claim(sw.Hash, pt, "a"); !known || !granted || state != "leased" {
-		t.Fatalf("fresh claim: granted=%v state=%q known=%v", granted, state, known)
-	}
-	if granted, _, _ := f.claim(sw.Hash, pt, "z"); granted {
-		t.Fatal("live foreign lease granted to a second claimer")
-	}
-	if granted, _, _ := f.claim(sw.Hash, pt, "a"); !granted {
-		t.Fatal("holder's own renewal denied")
-	}
-	time.Sleep(60 * time.Millisecond) // past the TTL: the dead-lessee path
-	if granted, _, _ := f.claim(sw.Hash, pt, "z"); !granted {
-		t.Fatal("expired lease not reclaimable")
-	}
-
-	// Tie-break: we ("b") hold a live self-lease; a lower ID's claim
-	// wins it, a higher ID's does not.
-	pt2 := sw.Points[1].Canonical.Hash
-	if granted, _, _ := f.claim(sw.Hash, pt2, "b"); !granted {
-		t.Fatal("self-lease setup failed")
-	}
-	if granted, _, _ := f.claim(sw.Hash, pt2, "z"); granted {
-		t.Fatal("higher ID won the tie-break")
-	}
-	if granted, _, _ := f.claim(sw.Hash, pt2, "a"); !granted {
-		t.Fatal("lower ID lost the tie-break")
-	}
-
-	pt3 := sw.Points[2].Canonical.Hash
-	f.markDone(sw.Hash, pt3)
-	if granted, state, _ := f.claim(sw.Hash, pt3, "a"); granted || state != "done" {
-		t.Fatalf("done point: granted=%v state=%q", granted, state)
-	}
-
-	f.unregister(sw.Hash)
-	if _, _, known := f.claim(sw.Hash, pt, "a"); known {
-		t.Fatal("unregistered sweep still claimable")
-	}
-}
-
-// TestLeaseRouteErrors: the lease routes 404 without fleet mode or an
-// active sweep, and reject claims that name no holder.
-func TestLeaseRouteErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{}) // no peers: fleet off
-	resp, err := http.Post(ts.URL+"/v1/leases/x/y?holder=a", "", nil)
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(self+"/v1/run", "application/json", strings.NewReader(tinySpec(74)))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run on a self-listed replica: %v", err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("claim without fleet mode: %d, want 404", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("run: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
 	}
-
-	_, urls := newFleetServers(t, 2, nil)
-	resp, err = http.Post(urls[0]+"/v1/leases/x/y", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("claim without holder: %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Post(urls[0]+"/v1/leases/x/y?holder=a", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("claim for unknown sweep: %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestFleetRenewExtendsOwnLease: renew pushes out the local expiry of
-// a lease this replica holds — and only then; foreign, done, and
-// unknown leases are left alone.
-func TestFleetRenewExtendsOwnLease(t *testing.T) {
-	sw, err := sweep.Expand(mustDecodeSpec(t, gridSweep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := newFleet(Config{
-		SelfID:      "b",
-		Peers:       []string{"http://127.0.0.1:1"},
-		LeaseTTL:    time.Minute,
-		FleetPoll:   time.Second,
-		PeerTimeout: 100 * time.Millisecond,
-	}, cache.New(1<<20), slog.New(slog.DiscardHandler), obs.NewRegistry())
-	f.register(sw)
-	ctx := context.Background()
-
-	mine := sw.Points[0].Canonical.Hash
-	if granted, _, _ := f.claim(sw.Hash, mine, "b"); !granted {
-		t.Fatal("self-claim failed")
-	}
-	f.mu.Lock()
-	before := f.sweeps[sw.Hash].points[mine].expiry
-	f.mu.Unlock()
-	time.Sleep(2 * time.Millisecond)
-	f.renew(ctx, sw.Hash, mine)
-	f.mu.Lock()
-	after := f.sweeps[sw.Hash].points[mine].expiry
-	f.mu.Unlock()
-	if !after.After(before) {
-		t.Fatalf("renewal did not extend expiry: %v -> %v", before, after)
-	}
-	if got := f.leaseRenewals.Value(); got != 1 {
-		t.Errorf("leaseRenewals = %d, want 1", got)
-	}
-
-	// A point held by someone else must not be renewed by us.
-	theirs := sw.Points[1].Canonical.Hash
-	if granted, _, _ := f.claim(sw.Hash, theirs, "a"); !granted {
-		t.Fatal("foreign claim failed")
-	}
-	f.mu.Lock()
-	before = f.sweeps[sw.Hash].points[theirs].expiry
-	f.mu.Unlock()
-	f.renew(ctx, sw.Hash, theirs)
-	f.mu.Lock()
-	after = f.sweeps[sw.Hash].points[theirs].expiry
-	f.mu.Unlock()
-	if !after.Equal(before) {
-		t.Error("renewal touched a foreign lease")
-	}
-
-	// Done and unknown points are no-ops rather than panics.
-	done := sw.Points[2].Canonical.Hash
-	f.markDone(sw.Hash, done)
-	f.renew(ctx, sw.Hash, done)
-	f.renew(ctx, "nope", mine)
-	f.renew(ctx, sw.Hash, "nope")
-	if got := f.leaseRenewals.Value(); got != 1 {
-		t.Errorf("leaseRenewals = %d after no-op renewals, want 1", got)
+	_, sb, raw := postSweep(t, self, gridSweep)
+	if snap := pollJob(t, self, sb.JobID); snap.State != jobs.StateDone {
+		t.Fatalf("sweep on a self-listed replica: %+v %s", snap, raw)
 	}
 }
 
@@ -368,92 +241,104 @@ func specHash(t *testing.T, spec string) string {
 	return canon.Hash
 }
 
+// cacheAnswer is one GET /v1/cache/{hash} response.
+type cacheAnswer struct {
+	status int
+	held   string // the cache.HoldHeader value
+	body   []byte
+	took   time.Duration
+}
+
 // getCache fetches GET /v1/cache/{hash} with the given query.
-func getCache(t *testing.T, base, hash, query string) (status int, body []byte, took time.Duration) {
+func getCache(t *testing.T, base, hash, query string) cacheAnswer {
 	t.Helper()
 	started := time.Now()
 	resp, err := http.Get(base + "/v1/cache/" + hash + query)
 	if err != nil {
 		t.Error(err)
-		return 0, nil, time.Since(started)
+		return cacheAnswer{took: time.Since(started)}
 	}
 	defer resp.Body.Close()
-	body, _ = io.ReadAll(resp.Body)
-	return resp.StatusCode, body, time.Since(started)
+	body, _ := io.ReadAll(resp.Body)
+	return cacheAnswer{resp.StatusCode, resp.Header.Get(cache.HoldHeader), body, time.Since(started)}
 }
 
-// TestCacheRouteLongPoll: GET /v1/cache/{hash}?wait=D holds a miss
-// until a concurrent POST /v1/run stores the bytes and then serves
-// them; with nothing landing it answers the usual 404 once the wait
-// passes, and it never holds a request past the peer timeout. A
-// malformed or non-positive wait is a 400.
+// TestCacheRouteLongPoll: GET /v1/cache/{hash}?wait=D&from=ID may hold a
+// probe on this replica's own flight for the key, for at most the peer
+// timeout. A key nobody computes is a 404 at once, without the hold
+// header. A POST /v1/run computing the key holds the probe until it
+// lands and answers its bytes; a compute that outlasts the hold
+// answers a 404 marked "computing" at about the hold. A prober naming
+// this replica itself is never held, and a malformed or non-positive
+// wait is a 400. The run's compute is kept from landing by taking the
+// server's only worker slot.
 func TestCacheRouteLongPoll(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PeerTimeout: 300 * time.Millisecond})
+	srv, ts := newTestServer(t, Config{SelfID: "replica-a", Workers: 1, PeerTimeout: 400 * time.Millisecond})
 	spec := tinySpec(72)
 	hash := specHash(t, spec)
 
-	type answer struct {
-		status int
-		body   []byte
-	}
-	held := make(chan answer, 1)
-	go func() {
-		status, body, _ := getCache(t, ts.URL, hash, "?wait=250ms")
-		held <- answer{status, body}
-	}()
-	for deadline := time.Now().Add(5 * time.Second); srv.httpInflight.Value() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the long-poll never reached the server")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_, _, want := postRun(t, ts.URL, spec)
-	got := <-held
-	if got.status != http.StatusOK || string(got.body) != string(want) {
-		t.Fatalf("held request: status %d body %q, want the run's bytes", got.status, got.body)
-	}
-
-	status, _, took := getCache(t, ts.URL, strings.Repeat("00", 32), "?wait=50ms")
-	if status != http.StatusNotFound || took < 50*time.Millisecond {
-		t.Fatalf("empty long-poll: status %d after %v, want 404 after the 50ms wait", status, took)
-	}
-	status, _, took = getCache(t, ts.URL, strings.Repeat("00", 32), "?wait=1h")
-	if status != http.StatusNotFound || took < 300*time.Millisecond || took > 5*time.Second {
-		t.Fatalf("wait=1h: status %d after %v, want 404 at the 300ms peer timeout", status, took)
+	if a := getCache(t, ts.URL, strings.Repeat("00", 32), "?wait=1s&from=replica-z"); a.status != http.StatusNotFound || a.held != "" || a.took > 50*time.Millisecond {
+		t.Fatalf("unknown key: status %d held %q after %v, want an unheld 404 at once", a.status, a.held, a.took)
 	}
 	for _, q := range []string{"?wait=abc", "?wait=-1s", "?wait=0s"} {
-		if status, body, _ := getCache(t, ts.URL, hash, q); status != http.StatusBadRequest {
-			t.Fatalf("%s: status %d %s, want 400", q, status, body)
+		if a := getCache(t, ts.URL, hash, q); a.status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d %s, want 400", q, a.status, a.body)
 		}
 	}
-}
 
-// TestFleetAwaitMissCounted: a deferral long-poll that no peer answers
-// ends empty — counted as an await miss and a clean peer miss, never a
-// peer error — while one the holder answers counts as awaited.
-func TestFleetAwaitMissCounted(t *testing.T) {
-	srvs, urls := newFleetServers(t, 2, nil)
-	ctx := context.Background()
-	if srvs[0].fleet.await(ctx, strings.Repeat("00", 32), 50*time.Millisecond) {
-		t.Fatal("await of a hash no replica holds reported it stored")
+	_, release, err := srv.pool.Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := metric(t, urls[0], "qla_fleet_events_total", `event="await_misses"`); n != 1 {
-		t.Fatalf("await_misses = %v, want 1", n)
-	}
-	if n := metric(t, urls[0], "qla_cache_peer_misses_total"); n != 1 {
-		t.Fatalf("peer misses = %v, want 1", n)
-	}
-	if n := metric(t, urls[0], "qla_cache_peer_errors_total"); n != 0 {
-		t.Fatalf("peer errors = %v, want 0: an empty long-poll is not a failure", n)
+	defer release()
+	ran := make(chan []byte, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Error(err)
+			ran <- nil
+			return
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ran <- body
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, inflight := srv.cache.Contains(hash); inflight {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the run never started computing")
+		}
 	}
 
-	spec := tinySpec(73)
-	postRun(t, urls[1], spec)
-	if !srvs[0].fleet.await(ctx, specHash(t, spec), time.Second) {
-		t.Fatal("await missed bytes the peer holds")
+	// wait=1h is clamped to the 400ms peer timeout.
+	if a := getCache(t, ts.URL, hash, "?wait=1h&from=replica-z"); a.status != http.StatusNotFound || a.held != cache.HoldComputing ||
+		a.took < 400*time.Millisecond || a.took > 5*time.Second {
+		t.Fatalf("compute outlasting the hold: status %d held %q after %v, want a %q 404 at the 400ms peer timeout",
+			a.status, a.held, a.took, cache.HoldComputing)
 	}
-	if n := metric(t, urls[0], "qla_fleet_events_total", `event="awaited"`); n != 1 {
-		t.Fatalf("awaited = %v, want 1", n)
+	if a := getCache(t, ts.URL, hash, "?wait=1h&from=replica-a"); a.status != http.StatusNotFound || a.held != "" || a.took > 200*time.Millisecond {
+		t.Fatalf("self probe: status %d held %q after %v, want an unheld 404 at once", a.status, a.held, a.took)
+	}
+
+	held := make(chan cacheAnswer, 1)
+	go func() { held <- getCache(t, ts.URL, hash, "?wait=1h&from=replica-z") }()
+	for deadline := time.Now().Add(5 * time.Second); srv.httpInflight.Value() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the probe never reached the server")
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // the probe settles into its hold
+	select {
+	case a := <-held:
+		t.Fatalf("probe answered %d (held %q) while the run was still computing", a.status, a.held)
+	default:
+	}
+	release()
+	want := <-ran
+	if a := <-held; a.status != http.StatusOK || a.held != cache.HoldLanded || string(a.body) != string(want) {
+		t.Fatalf("held probe: status %d held %q body %q, want the run's bytes", a.status, a.held, a.body)
 	}
 }
 
@@ -470,53 +355,84 @@ func fleetFig7Sweep(trials, first int) string {
 }`, trials, strings.Join(seeds, ", "))
 }
 
-// TestFleetDeferralAwaitsHolder: a replica that defers a point to a
-// peer's lease gets the holder's bytes by long-polling its cache route —
-// even after the holder has retired the sweep. With hour-long leases
-// and ledger polls neither lease expiry nor a poll can end a deferral,
-// so a waiter that slept instead of asking would stall its sweep for
-// the hour.
-func TestFleetDeferralAwaitsHolder(t *testing.T) {
-	_, urls := newFleetServers(t, 2, func(_ int, cfg *Config) {
-		cfg.LeaseTTL = time.Hour
-		cfg.FleetPoll = time.Hour
-	})
-	for k := 0; k < 3; k++ {
-		_, sb, raw := postSweep(t, urls[0], fleetFig7Sweep(640, 9000+8*k))
-		if sb.JobID == "" {
-			t.Fatalf("sweep %d: submit failed: %s", k, raw)
-		}
-		deadline := time.Now().Add(15 * time.Second)
-		var res [2]sweep.Result
-		for i, u := range urls {
-			for {
-				var snap jobs.Snapshot
-				status := getJSON(t, u+"/v1/jobs/"+sb.JobID, &snap)
-				if status == http.StatusOK && snap.State.Finished() {
-					if snap.State != jobs.StateDone {
-						t.Fatalf("sweep %d on replica %d: %s", k, i, snap.State)
+// TestFleetHoldComputesOnce: a replica that misses a point a peer is
+// computing waits on that peer's computation through its cache route,
+// so each point is computed exactly once fleet-wide. With hour-long
+// ledger polls no prefetch can settle a point, so a replica that slept
+// instead of waiting on the computing peer would stall its sweep. Two
+// replicas settle three sweeps submitted to one of them; three replicas
+// settle a sweep every one of them receives at the same moment.
+func TestFleetHoldComputesOnce(t *testing.T) {
+	for _, tc := range []struct {
+		replicas, sweeps int
+		everywhere       bool
+	}{{2, 3, false}, {3, 1, true}} {
+		t.Run(fmt.Sprintf("%d replicas", tc.replicas), func(t *testing.T) {
+			_, urls := newFleetServers(t, tc.replicas, func(_ int, cfg *Config) { cfg.FleetPoll = time.Hour })
+			for k := 0; k < tc.sweeps; k++ {
+				body := fleetFig7Sweep(640, 9000+100*tc.replicas+8*k)
+				targets := urls[:1]
+				if tc.everywhere {
+					targets = urls
+				}
+				var wg sync.WaitGroup
+				for _, u := range targets {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						resp, err := http.Post(u+"/v1/sweeps", "application/json", strings.NewReader(body))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+						if resp.StatusCode >= 300 {
+							t.Errorf("submit to %s: status %d", u, resp.StatusCode)
+						}
+					}()
+				}
+				wg.Wait()
+				id := sweepID(t, body)
+				deadline := time.Now().Add(15 * time.Second)
+				computed, total := 0, 0
+				for i, u := range urls {
+					for {
+						var snap jobs.Snapshot
+						status := getJSON(t, u+"/v1/jobs/"+id, &snap)
+						if status == http.StatusOK && snap.State.Finished() {
+							if snap.State != jobs.StateDone {
+								t.Fatalf("sweep %d on replica %d: %s", k, i, snap.State)
+							}
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Fatalf("sweep %d on replica %d not done within 15s: status %d %+v", k, i, status, snap)
+						}
+						time.Sleep(5 * time.Millisecond)
 					}
-					break
+					var res sweep.Result
+					getJSON(t, u+"/v1/jobs/"+id+"/result", &res)
+					if res.OK != res.Total {
+						t.Fatalf("sweep %d on replica %d: ok %d of %d", k, i, res.OK, res.Total)
+					}
+					computed += res.Total - res.Cached
+					total = res.Total
 				}
-				if time.Now().After(deadline) {
-					t.Fatalf("sweep %d on replica %d not done within 15s: status %d %+v", k, i, status, snap)
+				if computed != total {
+					t.Fatalf("sweep %d: %d replicas computed %d points for a %d-point grid", k, tc.replicas, computed, total)
 				}
-				time.Sleep(5 * time.Millisecond)
 			}
-			getJSON(t, u+"/v1/jobs/"+sb.JobID+"/result", &res[i])
-			if res[i].OK != res[i].Total {
-				t.Fatalf("sweep %d on replica %d: ok %d of %d", k, i, res[i].OK, res[i].Total)
-			}
-		}
-		computed := (res[0].Total - res[0].Cached) + (res[1].Total - res[1].Cached)
-		if computed < res[0].Total || computed > res[0].Total+3 {
-			t.Fatalf("sweep %d: fleet computed %d points for a %d-point grid (cached %d and %d)",
-				k, computed, res[0].Total, res[0].Cached, res[1].Cached)
-		}
+		})
 	}
-	awaited := metric(t, urls[0], "qla_fleet_events_total", `event="awaited"`) +
-		metric(t, urls[1], "qla_fleet_events_total", `event="awaited"`)
-	if awaited == 0 {
-		t.Fatal("no deferral was settled by a long-poll")
+}
+
+// sweepID is the job ID POST /v1/sweeps reports for body.
+func sweepID(t *testing.T, body string) string {
+	t.Helper()
+	sw, err := sweep.Expand(mustDecodeSpec(t, body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return sw.Hash
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -10,12 +9,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"qla/internal/obs"
-	"qla/internal/sweep"
 )
 
 // metricsGolden maps every family GET /metrics renders on a
@@ -62,7 +59,6 @@ var metricsGolden = map[string]string{
 	"qla_serve_peer_serves_total":        "",
 	"qla_serve_runs_executed_total":      "",
 	"qla_serve_shed_bypass_misses_total": "",
-	"qla_sweep_point_defers_total":       "",
 	"qla_sweep_point_duration_seconds":   "outcome", // benchmark
 	"qla_sweep_point_retries_total":      "",
 	"qla_sweep_points_retried_total":     "",
@@ -408,56 +404,19 @@ outer:
 
 // TestFleetTraceOneID is the acceptance-criteria tracing test: one
 // client-supplied trace ID on a sweep submitted to replica A must show
-// up, verbatim, in both replicas' structured logs — at A's admission
-// line and at B's side of the fleet protocol (the forwarded admission,
-// lease grants, peer cache fetches all carry X-QLA-Trace).
+// up, verbatim, in both replicas' structured logs — at both admissions
+// (the forward carries X-QLA-Trace) and at the side of the fleet that
+// served a peer's probe for one of the sweep's points. Ledger polls are
+// an hour apart, so no prefetch can settle a point: a replica gets each
+// point it did not compute by probing the peer that did, under the
+// sweep's trace.
 func TestFleetTraceOneID(t *testing.T) {
 	logs := make([]*logBuffer, 2)
-	srvs, urls := newFleetServers(t, 2, func(i int, cfg *Config) {
+	_, urls := newFleetServers(t, 2, func(i int, cfg *Config) {
 		logs[i] = &logBuffer{}
 		cfg.Logger = slog.New(slog.NewTextHandler(logs[i], nil))
+		cfg.FleetPoll = time.Hour
 	})
-	// A's points wait on the fault seam until B has settled one: left
-	// alone, A can finish the whole grid before the forwarded copy
-	// registers on B, and no lease is ever asked for. B's points in
-	// turn wait until A tracks the sweep: A builds its lease table when
-	// its job starts, which can trail the forward, and a claim that
-	// lands first is a 404 — no veto, and no grant. Every point of B's
-	// is a miss, so its first settled point needed a lease A granted.
-	sw, err := sweep.Expand(mustDecodeSpec(t, gridSweep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvs[0].fault = func(ctx context.Context, _ string) error {
-		for {
-			if j, ok := srvs[1].jobs.Get(sw.Hash); ok && j.Snapshot().Progress.Done > 0 {
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}
-	// Once seen, A's table stays up until A's job ends, and that needs
-	// one of B's points settled first; later points of B's must not
-	// wait on a table A has since dropped.
-	var aTracks atomic.Bool
-	srvs[1].fault = func(ctx context.Context, _ string) error {
-		for !aTracks.Load() {
-			if _, ok := srvs[0].fleet.ledger(sw.Hash); ok {
-				aTracks.Store(true)
-				break
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(time.Millisecond):
-			}
-		}
-		return nil
-	}
 
 	const trace = "trace-fleet-e2e-0001"
 	req, _ := http.NewRequest(http.MethodPost, urls[0]+"/v1/sweeps", strings.NewReader(gridSweep))
@@ -489,8 +448,8 @@ func TestFleetTraceOneID(t *testing.T) {
 	if n := len(logs[0].lines("sweep admitted", "trace="+trace)); n != 1 {
 		t.Fatalf("origin logged %d admission lines with trace %s:\n%s", n, trace, logs[0].String())
 	}
-	// The fire-and-forget forward and the tail of the lease protocol
-	// may land after the origin sees the job done; give B a moment.
+	// The fire-and-forget forward may land after the origin sees the job
+	// done; give B a moment, then let B's job settle too.
 	deadline := time.Now().Add(5 * time.Second)
 	for len(logs[1].lines("sweep admitted", "trace="+trace)) == 0 {
 		if time.Now().After(deadline) {
@@ -498,12 +457,15 @@ func TestFleetTraceOneID(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// The same single ID follows the work across the protocol: lease
-	// grants and peer cache fetches on either side log it too.
-	granted := len(logs[0].lines("lease granted", "trace="+trace)) +
-		len(logs[1].lines("lease granted", "trace="+trace))
-	if granted == 0 {
-		t.Fatalf("no lease grant carried trace %s:\nA:\n%s\nB:\n%s", trace, logs[0].String(), logs[1].String())
+	if snap := pollJob(t, urls[1], sb.JobID); string(snap.State) != "done" {
+		t.Fatalf("peer sweep state %s", snap.State)
+	}
+	// The same single ID follows the work across the fleet: the peer
+	// cache fetches each side served for the other log it.
+	served := len(logs[0].lines("peer cache fetch served", "trace="+trace)) +
+		len(logs[1].lines("peer cache fetch served", "trace="+trace))
+	if served == 0 {
+		t.Fatalf("no peer cache fetch carried trace %s:\nA:\n%s\nB:\n%s", trace, logs[0].String(), logs[1].String())
 	}
 	// Any trace attr on fleet log lines must be this trace or a minted
 	// 32-char ID (peer poll prefetches run outside the request) — a

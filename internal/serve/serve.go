@@ -49,7 +49,6 @@ var Routes = []string{
 	"GET /v1/jobs/{id}/result",
 	"DELETE /v1/jobs/{id}",
 	"GET /v1/cache/{hash}",
-	"POST /v1/leases/{sweep}/{point}",
 	"GET /v1/leases/{sweep}",
 	"GET /v1/experiments",
 	"GET /metrics",
@@ -101,22 +100,20 @@ type Config struct {
 	// negative = unbounded).
 	MaxQueue int
 	// Peers lists the base URLs of the other fleet replicas; non-empty
-	// enables fleet mode — the peer cache tier, sweep forwarding and
-	// per-point work leasing (see fleet.go).
+	// enables fleet mode — the peer cache tier, whose probes wait on a
+	// peer's own computation, sweep forwarding and the ledger syncer
+	// (see fleet.go).
 	Peers []string
-	// SelfID names this replica in lease claims and forward headers;
-	// IDs order simultaneous cross-claims, so they must be unique
-	// across the fleet ("" = random hex, which is).
+	// SelfID names this replica in peer probes and forward headers. Of
+	// replicas that miss the same point at once, the lowest ID computes
+	// it, so IDs must be unique across the fleet ("" = random hex,
+	// which is).
 	SelfID string
-	// LeaseTTL is how long a point lease lives without renewal — the
-	// window a SIGKILLed replica's claimed points stay blocked before
-	// survivors pick them up (0 = 30s).
-	LeaseTTL time.Duration
 	// FleetPoll is the syncer's ledger-polling interval (0 = 1s).
 	FleetPoll time.Duration
-	// PeerTimeout bounds one peer HTTP call — cache fetches, lease
-	// claims, ledger polls — and how long the cache route holds a
-	// ?wait= long-poll (0 = 2s).
+	// PeerTimeout bounds one peer HTTP call — cache probes, ledger
+	// polls, sweep forwards — and how long the cache route holds a
+	// ?wait= probe (0 = 2s). A probe asks to be held for half of it.
 	PeerTimeout time.Duration
 	// InteractiveReserve is the slot floor withheld from bulk sweep
 	// points so interactive /v1/run work is admitted without waiting
@@ -252,9 +249,6 @@ func New(cfg Config) *Server {
 		if cfg.SelfID == "" {
 			cfg.SelfID = randomID()
 		}
-		if cfg.LeaseTTL <= 0 {
-			cfg.LeaseTTL = 30 * time.Second
-		}
 		if cfg.FleetPoll <= 0 {
 			cfg.FleetPoll = time.Second
 		}
@@ -262,6 +256,7 @@ func New(cfg Config) *Server {
 	} else {
 		cfg.Peers = nil
 	}
+	copts = append(copts, cache.WithSelfID(cfg.SelfID))
 	s := &Server{
 		cfg:   cfg,
 		eng:   engine.New(engine.WithScheduler(pool)),
@@ -312,9 +307,10 @@ func normalizePeers(peers []string) []string {
 	return out
 }
 
-// randomID mints a replica identity for lease claims. Collisions would
-// only confuse lease accounting between two replicas, so best-effort
-// entropy with a pid fallback is plenty.
+// randomID mints a replica identity for peer probes. A collision only
+// costs the two replicas their ranking — neither holds the other's
+// probes, so both may compute a point they miss at once — so
+// best-effort entropy with a pid fallback is plenty.
 func randomID() string {
 	var b [6]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -382,19 +378,18 @@ func (s *Server) Config() Config { return s.cfg }
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler {
 	handlers := map[string]http.HandlerFunc{
-		"POST /v1/run":                    s.handleRun,
-		"POST /v1/sweeps":                 s.handleSweeps,
-		"GET /v1/jobs/{id}":               s.handleJob,
-		"GET /v1/jobs/{id}/events":        s.handleJobEvents,
-		"GET /v1/jobs/{id}/result":        s.handleJobResult,
-		"DELETE /v1/jobs/{id}":            s.handleJobCancel,
-		"GET /v1/cache/{hash}":            s.handleCacheGet,
-		"POST /v1/leases/{sweep}/{point}": s.handleLeaseClaim,
-		"GET /v1/leases/{sweep}":          s.handleLeaseLedger,
-		"GET /v1/experiments":             s.handleExperiments,
-		"GET /metrics":                    s.handleMetrics,
-		"GET /buildinfo":                  s.handleBuildinfo,
-		"GET /healthz":                    s.handleHealthz,
+		"POST /v1/run":             s.handleRun,
+		"POST /v1/sweeps":          s.handleSweeps,
+		"GET /v1/jobs/{id}":        s.handleJob,
+		"GET /v1/jobs/{id}/events": s.handleJobEvents,
+		"GET /v1/jobs/{id}/result": s.handleJobResult,
+		"DELETE /v1/jobs/{id}":     s.handleJobCancel,
+		"GET /v1/cache/{hash}":     s.handleCacheGet,
+		"GET /v1/leases/{sweep}":   s.handleLeaseLedger,
+		"GET /v1/experiments":      s.handleExperiments,
+		"GET /metrics":             s.handleMetrics,
+		"GET /buildinfo":           s.handleBuildinfo,
+		"GET /healthz":             s.handleHealthz,
 	}
 	mux := http.NewServeMux()
 	for _, route := range Routes {

@@ -131,8 +131,8 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The admission log line: one trace ID connects this line to the
-	// peer replicas' own admissions (the forward carries it), their
-	// lease grants, and their peer cache fetches.
+	// peer replicas' own admissions (the forward carries it) and the
+	// peer cache fetches they serve for this sweep.
 	obs.L(r.Context(), s.log).Info("sweep admitted", "sweep", sw.Hash,
 		"points", len(sw.Points), "tenant", tenant, "joined", !created, "forwarded", forwarded)
 	if created && !forwarded {
@@ -170,8 +170,8 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 // work was admitted elsewhere/earlier) and every point acquisition
 // runs as that tenant's bulk work. trace is the admitting request's
 // trace ID: the job manager detaches the run from the request context,
-// so the trace is re-attached by value inside the closure — lease
-// claims, renewals and peer cache fetches all carry it from there.
+// so the trace is re-attached by value inside the closure — every peer
+// cache probe carries it from there.
 func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *journal.Entry, tenant string, quotaExempt bool, trace string) (*jobs.Job, bool, error) {
 	entry := resumed
 	freshEntry := false
@@ -191,8 +191,8 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 		runCtx, cancel := context.WithTimeout(obs.WithTrace(ctx, trace), timeout)
 		defer cancel()
 		// Fleet mode (every call below is a nil-safe no-op without
-		// peers): track the sweep's lease table for the job's lifetime,
-		// and poll peers' ledgers so their completions land in the local
+		// peers): keep the sweep's ledger for the job's lifetime, and
+		// poll peers' ledgers so their completions land in the local
 		// cache while we run.
 		s.fleet.register(sw)
 		defer s.fleet.unregister(sw.Hash)
@@ -212,29 +212,13 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 				if pr.Status == "ok" {
 					// Only successes enter the ledger: a failed point has
 					// no bytes to serve, so advertising it as done would
-					// wedge peers deferring to a result that never comes.
+					// send peers' syncers after bytes that never come.
 					s.fleet.markDone(sw.Hash, pr.SpecHash)
 				}
 			},
 		}
-		if s.fleet != nil {
-			runner.Gate = func(gctx context.Context, pointHash string) sweep.GateDecision {
-				return s.fleet.gate(gctx, entry, sw.Hash, pointHash)
-			}
-			// A deferred point long-polls the fleet for the lease holder's
-			// bytes; only an empty poll leaves it sleeping out the deferral.
-			runner.Await = s.fleet.await
-			// Mid-compute lease renewal: a point still computing at
-			// half the lease TTL re-asserts its claim so peers do not
-			// re-run work that merely outlived the TTL. Renewal
-			// failures are ignored — expiry semantics take over.
-			runner.Renew = func(rctx context.Context, pointHash string) {
-				s.fleet.renew(rctx, sw.Hash, pointHash)
-			}
-			runner.RenewEvery = s.cfg.LeaseTTL / 2
-		}
 		res, runErr := runner.Run(runCtx, sw, func(p sweep.Progress) {
-			report(jobs.Progress{Total: p.Total, Done: p.Done, Cached: p.Cached, Failed: p.Failed, Retries: p.Retries, Deferred: p.Deferred})
+			report(jobs.Progress{Total: p.Total, Done: p.Done, Cached: p.Cached, Failed: p.Failed, Retries: p.Retries})
 		})
 		// The terminal record settles the journal entry whatever the
 		// outcome; in particular a failure is recorded (and the file

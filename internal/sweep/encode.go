@@ -40,7 +40,6 @@ func (r *Result) MarshalChunks() ([][]byte, error) {
 	buf = appendInt(buf, `,"failed":`, int64(r.Failed))
 	buf = appendNonZero(buf, `,"retried":`, r.Retried)
 	buf = appendNonZero(buf, `,"retry_attempts":`, r.RetryAttempts)
-	buf = appendNonZero(buf, `,"deferred":`, r.Deferred)
 	buf = appendInt(buf, `,"elapsed_ns":`, int64(r.Elapsed))
 	if r.Points == nil {
 		return [][]byte{append(buf, `,"points":null}`...)}, nil
@@ -82,7 +81,6 @@ func (r *Result) MarshalChunks() ([][]byte, error) {
 			buf = engine.AppendString(append(buf, `,"error":`...), pt.Error)
 		}
 		buf = appendNonZero(buf, `,"attempts":`, pt.Attempts)
-		buf = appendNonZero(buf, `,"deferred":`, pt.Deferred)
 		if len(pt.Result) > 0 {
 			buf = append(buf, `,"result":`...)
 			cuts = append(cuts, len(buf))

@@ -42,11 +42,11 @@ func TestMarshalChunksMatchesMarshal(t *testing.T) {
 		}},
 		{"failed retried and deferred", Result{
 			Experiment: "run-chain", SweepHash: "beef", Fields: []string{"params.links", "params.purify-rounds"},
-			Total: 3, OK: 1, Failed: 2, Retried: 2, RetryAttempts: 3, Deferred: 5, Elapsed: time.Second,
+			Total: 3, OK: 1, Failed: 2, Retried: 2, RetryAttempts: 3, Elapsed: time.Second,
 			Points: []PointResult{
 				{Index: 0, Coords: []any{2, 0}, SpecHash: "p0", Status: "error", Elapsed: 9,
-					Error: `engine: "quoted" <tag> & amp` + "\u2028\u2029\n\t\x01 \xff", Attempts: 3, Deferred: 2},
-				{Index: 1, Coords: []any{2, 1}, SpecHash: "p1", Status: "ok", Attempts: 2, Deferred: 3, Result: hot},
+					Error: `engine: "quoted" <tag> & amp` + "\u2028\u2029\n\t\x01 \xff", Attempts: 3},
+				{Index: 1, Coords: []any{2, 1}, SpecHash: "p1", Status: "ok", Attempts: 2, Result: hot},
 				{Index: 2, Coords: []any{3, 0}, SpecHash: "p2", Status: "error", Error: "deadline"},
 			},
 		}},

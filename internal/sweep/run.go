@@ -19,34 +19,6 @@ import (
 // singleflight followers collapsed onto it.
 const defaultCancelGrace = 10 * time.Second
 
-// defaultDeferWait bounds how long a deferred point waits before probing
-// again — long enough that a leased-out point usually lands meanwhile
-// (with an Await hook, the wait ends the moment it does), short enough
-// that a dead lessee's expired lease is picked up promptly.
-const defaultDeferWait = 250 * time.Millisecond
-
-// ErrDeferred is the sentinel a deferred point's attempt ends with:
-// another fleet replica holds the point's lease, so this replica waits
-// and re-probes instead of computing a duplicate. Deferrals are not
-// attempts — the retry policy never sees them.
-var ErrDeferred = errors.New("sweep: point deferred to a fleet peer's lease")
-
-// GateDecision is a Gate's verdict on one point.
-type GateDecision int
-
-const (
-	// GateProceed admits the point: this replica computes it.
-	GateProceed GateDecision = iota
-	// GateDefer parks the point: another replica is computing it (or
-	// holds its lease), so re-probe the cache later instead.
-	GateDefer
-)
-
-// GateFunc decides, for a point every cache tier missed, whether this
-// runner may compute it now. The serving layer's fleet mode implements
-// it with per-point leases; nil admits everything.
-type GateFunc func(ctx context.Context, pointHash string) GateDecision
-
 // Runner executes an expanded Sweep's points.
 type Runner struct {
 	// Engine runs the points (required). Scheduler-equipped engines
@@ -81,41 +53,17 @@ type Runner struct {
 	// survives its sweep's cancellation for the sake of collapsed
 	// followers (0 = 10s).
 	CancelGrace time.Duration
-	// Gate, when non-nil, is consulted before a point is freshly
-	// computed (a stored or in-flight point needs no permission). A
-	// GateDefer parks the point for DeferWait and re-probes — the
-	// fleet's work-leasing hook.
-	Gate GateFunc
-	// DeferWait overrides how long a deferred point waits between
-	// probes (0 = 250ms).
-	DeferWait time.Duration
-	// Await, when non-nil, is how a deferred point waits: it may block
-	// for up to wait (the deferral) for the point's bytes to arrive from
-	// the replica holding its lease, and reports whether the point is now
-	// stored. A stored point re-probes at once and settles as a cache hit;
-	// otherwise the point sleeps out the rest of DeferWait. ctx is the
-	// sweep's: its cancellation must end the wait.
-	Await func(ctx context.Context, pointHash string, wait time.Duration) bool
 	// Offset rotates the order points are dispatched in (still landing
-	// by index): replica k of a fleet starts k·(points/replicas) in,
-	// so replicas meet in the middle instead of racing point by point.
+	// by index): fleet replicas start at different offsets, so they
+	// split the grid between them instead of racing point by point.
 	Offset int
 	// Tenant names the sweep's owner. Every point acquisition runs as
 	// this tenant's bulk-class work in the engine's shared scheduler,
 	// so a sweep can neither starve interactive requests nor crowd out
 	// another tenant's points ("" = the default tenant).
 	Tenant string
-	// Renew, when non-nil, is called every RenewEvery while a point is
-	// actually computing (never for cache hits) — the fleet's
-	// mid-compute lease renewal hook, so points that outlive the lease
-	// TTL are not re-claimed and duplicated by peers. Failures inside
-	// Renew are the hook's own business; the runner ignores them.
-	Renew func(ctx context.Context, pointHash string)
-	// RenewEvery is the renewal period; <= 0 disables renewal. The
-	// serving layer wires lease-ttl/2.
-	RenewEvery time.Duration
 	// Metrics, when non-nil, records every point's final outcome —
-	// duration by outcome, retries, gate deferrals. Shared across
+	// duration by outcome and retries. Shared across
 	// sweeps: the serving layer builds one per process, and it is the
 	// only place the serving stack counts sweep points.
 	Metrics *PointMetrics
@@ -131,8 +79,6 @@ type PointMetrics struct {
 	// Retried counts points that needed more than one attempt; Retries
 	// the extra attempts beyond each point's first.
 	Retried, Retries *obs.Counter
-	// Defers counts gate deferrals (probes parked on a peer's lease).
-	Defers *obs.Counter
 }
 
 // NewPointMetrics registers the per-point instruments on reg.
@@ -145,8 +91,6 @@ func NewPointMetrics(reg *obs.Registry) *PointMetrics {
 			"Sweep points that needed more than one attempt."),
 		Retries: reg.Counter("qla_sweep_point_retries_total",
 			"Extra per-point attempts beyond the first."),
-		Defers: reg.Counter("qla_sweep_point_defers_total",
-			"Point probes parked because a fleet peer held the lease."),
 	}
 	// Every outcome renders (at zero) before the first point settles.
 	for _, outcome := range []string{"ok", "cached", "error"} {
@@ -168,9 +112,6 @@ func (m *PointMetrics) observe(pr PointResult) {
 		m.Retried.Inc()
 		m.Retries.Add(uint64(pr.Attempts - 1))
 	}
-	if pr.Deferred > 0 {
-		m.Defers.Add(uint64(pr.Deferred))
-	}
 }
 
 // Progress is a monotonic snapshot of a sweep run, delivered to the
@@ -182,9 +123,6 @@ type Progress struct {
 	Failed int `json:"failed"`
 	// Retries counts extra per-point attempts spent so far.
 	Retries int `json:"retries,omitempty"`
-	// Deferred counts gate deferrals spent so far — probes parked
-	// because another fleet replica held the point's lease.
-	Deferred int `json:"deferred,omitempty"`
 }
 
 // PointResult is the outcome of one grid point.
@@ -205,9 +143,6 @@ type PointResult struct {
 	Error string `json:"error,omitempty"`
 	// Attempts is how many tries the point took (1 = no retries).
 	Attempts int `json:"attempts,omitempty"`
-	// Deferred is how many times the point was parked by the gate
-	// (another replica held its lease) before settling.
-	Deferred int `json:"deferred,omitempty"`
 	// Result holds the marshaled engine Result bytes, verbatim — on a
 	// cache hit, byte-identical to the run that populated the entry.
 	Result json.RawMessage `json:"result,omitempty"`
@@ -231,8 +166,6 @@ type Result struct {
 	// RetryAttempts the total extra attempts spent across them.
 	Retried       int `json:"retried,omitempty"`
 	RetryAttempts int `json:"retry_attempts,omitempty"`
-	// Deferred totals the gate deferrals spent across all points.
-	Deferred int `json:"deferred,omitempty"`
 	// Elapsed is the whole sweep's wall time.
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Points holds every point in row-major sweep order.
@@ -297,13 +230,12 @@ func (r *Runner) Run(ctx context.Context, sw *Sweep, progress func(Progress)) (*
 			res.Retried++
 			res.RetryAttempts += pr.Attempts - 1
 		}
-		res.Deferred += pr.Deferred
 		r.Metrics.observe(pr)
 		if r.Observer != nil {
 			r.Observer(pr)
 		}
 		if progress != nil {
-			progress(Progress{Total: res.Total, Done: res.OK + res.Failed, Cached: res.Cached, Failed: res.Failed, Retries: res.RetryAttempts, Deferred: res.Deferred})
+			progress(Progress{Total: res.Total, Done: res.OK + res.Failed, Cached: res.Cached, Failed: res.Failed, Retries: res.RetryAttempts})
 		}
 		mu.Unlock()
 	}
@@ -318,7 +250,7 @@ func (r *Runner) Run(ctx context.Context, sw *Sweep, progress func(Progress)) (*
 	}
 	// Rotated dispatch: fleet replicas start at different offsets so
 	// they drain the grid from different ends instead of contending for
-	// every point's lease in lockstep. Results still land by index.
+	// every point in lockstep. Results still land by index.
 	offset := r.Offset
 	if n := len(sw.Points); n > 0 {
 		offset = ((offset % n) + n) % n
@@ -351,37 +283,11 @@ func (r *Runner) Run(ctx context.Context, sw *Sweep, progress func(Progress)) (*
 // runPoint executes one point under the retry policy: attempts run
 // until one succeeds, the attempts are exhausted, or the failure
 // classifies as non-retryable. Between attempts the worker sleeps the
-// policy's jittered backoff (aborted by sweep cancellation). Gate
-// deferrals sit outside the attempt count entirely: a parked point
-// re-probes once Await reports it stored, or after DeferWait, for as
-// long as the sweep context lives — lease expiry guarantees an
-// abandoned point eventually admits.
+// policy's jittered backoff (aborted by sweep cancellation).
 func (r *Runner) runPoint(ctx context.Context, eng *engine.Engine, sw *Sweep, i int) PointResult {
 	pol := r.Retry.normalized()
-	wait := r.DeferWait
-	if wait <= 0 {
-		wait = defaultDeferWait
-	}
-	deferred := 0
 	for attempt := 1; ; attempt++ {
 		pr, err := r.runPointOnce(ctx, eng, sw, i)
-		pr.Deferred = deferred
-		if errors.Is(err, ErrDeferred) {
-			deferred++
-			pr.Deferred = deferred
-			pr.Attempts = attempt
-			attempt--
-			until := time.Now().Add(wait)
-			if r.Await != nil && r.Await(ctx, pr.SpecHash, wait) {
-				continue
-			}
-			select {
-			case <-time.After(time.Until(until)):
-				continue
-			case <-ctx.Done():
-				return pr
-			}
-		}
 		pr.Attempts = attempt
 		if err == nil || attempt >= pol.MaxAttempts || !retryable(ctx, err) {
 			return pr
@@ -429,23 +335,6 @@ func (r *Runner) runPointOnce(parent context.Context, eng *engine.Engine, sw *Sw
 			return pr, err
 		}
 	}
-	// The gate is asked only when the point would actually compute: a
-	// stored value or a joinable in-flight computation needs no lease.
-	// The check runs before GetOrCompute, never inside it — a deferral
-	// must not resolve the singleflight with an error that concurrent
-	// /v1/run followers on the same Spec would receive. The Contains →
-	// GetOrCompute gap is benign here: a vanished entry means one
-	// duplicate computation, not a correctness failure.
-	if r.Gate != nil {
-		admit := true
-		if r.Cache != nil {
-			stored, inflight := r.Cache.Contains(pt.Canonical.Hash)
-			admit = !stored && !inflight
-		}
-		if admit && r.Gate(ctx, pt.Canonical.Hash) == GateDefer {
-			return pr, ErrDeferred
-		}
-	}
 	var (
 		body []byte
 		hit  bool
@@ -479,8 +368,6 @@ func (r *Runner) runPointOnce(parent context.Context, eng *engine.Engine, sw *Sw
 				_ = timer
 			})
 			defer stop()
-			stopRenew := r.startRenewal(runCtx, pt.Canonical.Hash)
-			defer stopRenew()
 			out, err := eng.RunCanonical(runCtx, pt.Canonical)
 			if err != nil {
 				return nil, err
@@ -488,12 +375,10 @@ func (r *Runner) runPointOnce(parent context.Context, eng *engine.Engine, sw *Sw
 			return json.Marshal(out)
 		})
 	} else {
-		stopRenew := r.startRenewal(ctx, pt.Canonical.Hash)
 		var out engine.Result
 		if out, err = eng.RunCanonical(ctx, pt.Canonical); err == nil {
 			body, err = json.Marshal(out)
 		}
-		stopRenew()
 	}
 	pr.Cached = hit
 	if err != nil {
@@ -502,29 +387,4 @@ func (r *Runner) runPointOnce(parent context.Context, eng *engine.Engine, sw *Sw
 	pr.Status = "ok"
 	pr.Result = body
 	return pr, nil
-}
-
-// startRenewal arms the mid-compute lease renewal loop for one point:
-// Renew fires every RenewEvery until stop is called or ctx dies. A
-// no-op (and no goroutine) when renewal is not configured.
-func (r *Runner) startRenewal(ctx context.Context, pointHash string) (stop func()) {
-	if r.Renew == nil || r.RenewEvery <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(r.RenewEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				r.Renew(ctx, pointHash)
-			}
-		}
-	}()
-	return func() { close(done) }
 }

@@ -437,3 +437,38 @@ func TestViews(t *testing.T) {
 		t.Errorf("table summary missing:\n%s", tblBuf.String())
 	}
 }
+
+// TestOffsetRotatesDispatch: the offset changes which point starts
+// first but not where results land.
+func TestOffsetRotatesDispatch(t *testing.T) {
+	sw, err := Expand(gridSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	r := &Runner{
+		Concurrency: 1,
+		Offset:      5,
+		Observer:    func(pr PointResult) { order = append(order, pr.Index) },
+	}
+	res, err := r.Run(context.Background(), sw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != len(sw.Points) || order[0] != 5 {
+		t.Fatalf("dispatch order = %v, want rotation starting at 5", order)
+	}
+	for i, pr := range res.Points {
+		if pr.Index != i {
+			t.Fatalf("result slot %d holds point %d: rotation must not move results", i, pr.Index)
+		}
+		if pr.Status != "ok" {
+			t.Fatalf("point %d status %q", i, pr.Status)
+		}
+	}
+	// Offsets beyond the grid wrap instead of panicking.
+	r2 := &Runner{Concurrency: 1, Offset: -7}
+	if _, err := r2.Run(context.Background(), sw, nil); err != nil {
+		t.Fatal(err)
+	}
+}
