@@ -250,7 +250,11 @@ func New(maxBytes int64, opts ...Option) *Cache {
 // The context governs only the caller's own wait; it does not cancel a
 // computation other callers may still be waiting on.
 func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
+	if val, ok := c.Get(key); ok {
+		return val, true, nil
+	}
 	c.mu.Lock()
+	// The entry may have landed since the probe, its flight gone.
 	if val, ok := c.getLocked(key); ok {
 		c.mu.Unlock()
 		c.m.memoryHits.Inc()
@@ -351,6 +355,20 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 		c.writeFile(key, val)
 	}
 	return val, false, err
+}
+
+// Get returns the bytes the memory tier holds for key, marking them
+// most recently used and counting a memory hit. It never waits, reads
+// the disk or consults peers: a caller answers a hit with it before
+// setting up anything a miss needs.
+func (c *Cache) Get(key string) ([]byte, bool) {
+	c.mu.Lock()
+	val, ok := c.getLocked(key)
+	c.mu.Unlock()
+	if ok {
+		c.m.memoryHits.Inc()
+	}
+	return val, ok
 }
 
 // safeKey reports whether key can name a file in the persistence

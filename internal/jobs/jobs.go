@@ -56,8 +56,9 @@ type Config struct {
 	MaxJobs int
 	// MaxResultBytes bounds the total result bytes retained across
 	// finished jobs (negative = unbounded). A result is charged its
-	// full length even where its chunks alias bytes the result cache
-	// also holds: the cache may evict an entry that a job keeps alive.
+	// full encoded length even where it references bytes the result
+	// cache also holds: the cache may evict an entry that a job keeps
+	// alive.
 	// When a settling job pushes the total over budget,
 	// older finished jobs are evicted first; the newest result is
 	// always kept even if it alone exceeds the budget — dropping it
@@ -207,32 +208,24 @@ type SubmitOptions struct {
 	BypassQuota bool
 }
 
-// Body is a job result held as byte chunks that, written back to back,
-// form the result bytes. Chunks may alias memory another owner holds
-// (a sweep's point payloads alias the result cache's entries), so
-// neither side may modify them once the job settles.
-type Body [][]byte
-
-// Len returns the result's length in bytes.
-func (b Body) Len() int64 {
-	var n int64
-	for _, c := range b {
-		n += int64(len(c))
-	}
-	return n
+// Body is a finished job's result: its encoded length, charged
+// against the byte budgets, and a way to write it. A Body may
+// reference memory another owner holds (a settled sweep references
+// the result cache's payloads), so it must be immutable once the job
+// settles, and WriteTo safe to call from several goroutines at once.
+type Body interface {
+	Len() int64
+	WriteTo(w io.Writer) (int64, error)
 }
 
-// WriteTo writes the chunks to w in order, without concatenating them.
-func (b Body) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for _, c := range b {
-		n, err := w.Write(c)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+// bytesBody is the Body of a result already held as one byte slice.
+type bytesBody []byte
+
+func (b bytesBody) Len() int64 { return int64(len(b)) }
+
+func (b bytesBody) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
 // Submit registers a job under id and starts run in its own goroutine,
@@ -252,13 +245,13 @@ func (b Body) WriteTo(w io.Writer) (int64, error) {
 func (m *Manager) Submit(id string, opts SubmitOptions, run func(ctx context.Context, report func(Progress)) ([]byte, error)) (j *Job, created bool, err error) {
 	return m.SubmitBody(id, opts, func(ctx context.Context, report func(Progress)) (Body, error) {
 		res, err := run(ctx, report)
-		return Body{res}, err
+		return bytesBody(res), err
 	})
 }
 
-// SubmitBody is Submit for a run whose result is a Body: the chunks
-// are retained as returned and charged against the byte budgets at
-// their total length; Job.Body hands them back unjoined.
+// SubmitBody is Submit for a run whose result is a Body: it is
+// retained as returned and charged against the byte budgets at its
+// Len; Job.Body hands it back as it is.
 func (m *Manager) SubmitBody(id string, opts SubmitOptions, run func(ctx context.Context, report func(Progress)) (Body, error)) (j *Job, created bool, err error) {
 	if id == "" {
 		return nil, false, fmt.Errorf("jobs: empty job ID")
@@ -516,6 +509,9 @@ func (j *Job) settle(res Body, err error) {
 	j.finished = time.Now()
 	switch {
 	case err == nil:
+		if res == nil {
+			res = bytesBody(nil) // an empty result
+		}
 		j.state = StateDone
 		j.result = res
 		j.mgr.completed.Inc()
@@ -594,20 +590,24 @@ func (j *Job) Snapshot() Snapshot {
 
 // Result returns the stored result bytes together with the snapshot
 // that qualifies them; the bytes are non-nil only in StateDone. A
-// result held in several chunks is joined into a fresh slice.
+// result not held as one byte slice is written into a fresh one.
 func (j *Job) Result() ([]byte, Snapshot) {
 	body, snap := j.Body()
-	switch len(body) {
-	case 0:
+	switch b := body.(type) {
+	case nil:
 		return nil, snap
-	case 1:
-		return body[0], snap
+	case bytesBody:
+		return b, snap
 	}
-	return bytes.Join(body, nil), snap
+	buf := bytes.NewBuffer(make([]byte, 0, body.Len()))
+	// A bytes.Buffer never fails a write, and a Body fails only with
+	// its writer.
+	_, _ = body.WriteTo(buf)
+	return buf.Bytes(), snap
 }
 
-// Body returns the stored result chunks together with the snapshot
-// that qualifies them; the chunks are non-nil only in StateDone.
+// Body returns the stored result together with the snapshot that
+// qualifies it; the Body is non-nil only in StateDone.
 func (j *Job) Body() (Body, Snapshot) {
 	snap := j.Snapshot()
 	j.mu.Lock()

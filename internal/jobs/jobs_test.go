@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -319,13 +320,38 @@ func TestResultByteBudget(t *testing.T) {
 	}
 }
 
-// TestBodyChunks: a chunked result is kept as the very chunks the run
-// returned, charged at its total length against the byte budgets,
-// written back to back, and joined only by Result.
+// chunks is a Body held as byte slices written back to back, each
+// possibly shared with another owner.
+type chunks [][]byte
+
+func (c chunks) Len() int64 {
+	var n int64
+	for _, p := range c {
+		n += int64(len(p))
+	}
+	return n
+}
+
+func (c chunks) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for _, p := range c {
+		n, err := w.Write(p)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// TestBodyChunks: a Body is kept as the very value the run returned —
+// its shared bytes never copied — charged at its Len against the byte
+// budgets, written into one slice of exactly that length by Result,
+// and refunded on eviction.
 func TestBodyChunks(t *testing.T) {
 	m := NewManager(Config{MaxResultBytes: 100, TenantMaxResultBytes: 100})
 	shared := []byte(`"payload"`)
-	body := Body{[]byte(`{"a":`), shared, []byte(`,"b":`), shared, []byte(`}`)}
+	body := chunks{[]byte(`{"a":`), shared, []byte(`,"b":`), shared, []byte(`}`)}
 	j, _, err := m.SubmitBody("chunked", SubmitOptions{Tenant: "t", Total: 1}, func(ctx context.Context, report func(Progress)) (Body, error) {
 		return body, nil
 	})
@@ -338,15 +364,13 @@ func TestBodyChunks(t *testing.T) {
 		t.Fatalf("charged %d bytes, want the encoded length %d", s.ResultBytes, len(want))
 	}
 	got, snap := j.Body()
-	if snap.State != StateDone || len(got) != len(body) || &got[1][0] != &shared[0] || &got[3][0] != &shared[0] {
-		t.Fatalf("stored chunks were not the returned ones: %+v %q", snap, got)
+	c, ok := got.(chunks)
+	if snap.State != StateDone || !ok || len(c) != len(body) || &c[1][0] != &shared[0] || &c[3][0] != &shared[0] {
+		t.Fatalf("stored body is not the returned one: %+v %q", snap, got)
 	}
-	var w strings.Builder
-	if n, err := got.WriteTo(&w); err != nil || n != got.Len() || w.String() != want {
-		t.Fatalf("WriteTo = %d, %v: %q", n, err, w.String())
-	}
-	if res, _ := j.Result(); string(res) != want {
-		t.Fatalf("Result = %q", res)
+	res, _ := j.Result()
+	if string(res) != want || cap(res) != len(want) {
+		t.Fatalf("Result = %q (cap %d)", res, cap(res))
 	}
 	// The refund on eviction matches the charge.
 	next, _, err := m.Submit("next", SubmitOptions{Tenant: "t", Total: 1}, func(ctx context.Context, report func(Progress)) ([]byte, error) {
@@ -363,6 +387,26 @@ func TestBodyChunks(t *testing.T) {
 	}
 	if s := m.Stats(); s.Evicted != 1 || s.ResultBytes != 90 {
 		t.Fatalf("stats after eviction %+v", s)
+	}
+}
+
+// TestEmptyBody: a run that returns no Body settles done with an
+// empty result, charging nothing.
+func TestEmptyBody(t *testing.T) {
+	m := NewManager(Config{})
+	j, _, err := m.SubmitBody("empty", SubmitOptions{Total: 1}, func(ctx context.Context, report func(Progress)) (Body, error) {
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, j)
+	body, snap := j.Body()
+	if snap.State != StateDone || body == nil || body.Len() != 0 {
+		t.Fatalf("empty body settled as %+v, %v", snap, body)
+	}
+	if s := m.Stats(); s.ResultBytes != 0 || s.Completed != 1 {
+		t.Fatalf("stats %+v", s)
 	}
 }
 

@@ -477,6 +477,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// A memory hit is answered at once: it needs no shed check, no
+	// scheduler identity and no deadline.
+	if body, ok := s.cache.Get(canon.Hash); ok {
+		writeRun(w, canon.Hash, true, body)
+		return
+	}
 	// Load shedding: a saturated scheduler queue refuses fresh compute
 	// work — but only fresh work. A request the cache can serve (stored
 	// bytes, or an identical computation already in flight it would
@@ -545,12 +551,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Spec-Hash", canon.Hash)
+	writeRun(w, canon.Hash, hit, body)
+}
+
+// writeRun writes a run's Result bytes with the headers naming its
+// content address and whether the cache served it.
+func writeRun(w http.ResponseWriter, hash string, hit bool, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Spec-Hash", hash)
 	if hit {
-		w.Header().Set("X-Cache", "hit")
+		h.Set("X-Cache", "hit")
 	} else {
-		w.Header().Set("X-Cache", "miss")
+		h.Set("X-Cache", "miss")
 	}
 	w.Write(body)
 }

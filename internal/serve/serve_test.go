@@ -357,3 +357,46 @@ func TestBodyLimit(t *testing.T) {
 		t.Fatalf("status %d, body %s", status, body)
 	}
 }
+
+// TestHotRunAnsweredFromMemory: a memory hit on POST /v1/run is
+// answered before the shed check and the request deadline, but after
+// the tenant rate limit and the ?timeout= check — and with the stored
+// bytes, X-Cache: hit and the spec's X-Spec-Hash, counted as a memory
+// hit.
+func TestHotRunAnsweredFromMemory(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, TenantRPS: 0.1, TenantBurst: 2})
+	read := func(resp *http.Response) []byte {
+		t.Helper()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	miss := doRun(t, ts.URL, "hot", tinySpec(90))
+	first := read(miss)
+	if miss.StatusCode != http.StatusOK || miss.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("first run: %d %s", miss.StatusCode, miss.Header.Get("X-Cache"))
+	}
+	hit := doRun(t, ts.URL, "hot", tinySpec(90))
+	if again := read(hit); hit.StatusCode != http.StatusOK || hit.Header.Get("X-Cache") != "hit" || !bytes.Equal(again, first) {
+		t.Fatalf("repeat run: %d X-Cache %q, same bytes %v", hit.StatusCode, hit.Header.Get("X-Cache"), bytes.Equal(again, first))
+	}
+	if h := hit.Header.Get("X-Spec-Hash"); h == "" || h != miss.Header.Get("X-Spec-Hash") {
+		t.Fatalf("X-Spec-Hash %q on the hit, %q on the miss", h, miss.Header.Get("X-Spec-Hash"))
+	}
+	if n := metric(t, ts.URL, "qla_cache_hits_total", `tier="memory"`); n != 1 {
+		t.Errorf("memory hits = %v, want 1", n)
+	}
+	bad, err := http.Post(ts.URL+"/v1/run?timeout=abc", "application/json", strings.NewReader(tinySpec(90)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Errorf("hot run with ?timeout=abc: %d, want 400", bad.StatusCode)
+	}
+	if limited := doRun(t, ts.URL, "hot", tinySpec(90)); limited.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("hot run over the tenant rate limit: %d, want 429", limited.StatusCode)
+	}
+}

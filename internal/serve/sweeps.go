@@ -234,9 +234,13 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 		if runErr != nil {
 			return nil, runErr
 		}
-		// The job keeps the encoded metadata and references to the
+		// The job keeps compact point records and references to the
 		// points' payloads — the cache's own bytes — not a copy.
-		return res.MarshalChunks()
+		settled, err := res.Settle(sw)
+		if err != nil {
+			return nil, err
+		}
+		return settled, nil
 	})
 	if (err != nil || !created) && freshEntry {
 		// The submission was rejected, or joined an existing job that
@@ -343,9 +347,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobResult is GET /v1/jobs/{id}/result: the aggregated sweep
-// Result bytes once the job is done — the stored chunks written back to
-// back, nothing re-encoded; 409 while it runs, 410 after a cancel, 500
-// with the job error after a failure.
+// Result bytes once the job is done — the settled metadata encoded on
+// read, the payloads written verbatim; 409 while it runs, 410 after a
+// cancel, 500 with the job error after a failure.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobForRequest(w, r)
 	if !ok {

@@ -6,14 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"qla/internal/engine"
 	"qla/internal/jobs"
 	"qla/internal/sweep"
 )
@@ -205,10 +209,30 @@ func TestSweepPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
+// writeRecorder keeps the bytes written to it and, for each Write, the
+// backing array and length of the slice it was handed.
+type writeRecorder struct {
+	buf    bytes.Buffer
+	slices map[[2]uintptr]bool
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	if w.slices == nil {
+		w.slices = map[[2]uintptr]bool{}
+	}
+	w.slices[sliceID(p)] = true
+	return w.buf.Write(p)
+}
+
+func sliceID(p []byte) [2]uintptr {
+	return [2]uintptr{uintptr(unsafe.Pointer(unsafe.SliceData(p))), uintptr(len(p))}
+}
+
 // TestFinishedSweepReferencesCachedBytes: a finished sweep over cached
-// points holds its point payloads by reference — each shares its
-// backing array with the cache entry — and the result route writes them
-// out as exactly the bytes json.Marshal gives for the same Result.
+// points holds its point payloads by reference — each is written from
+// the cache entry's own backing array — is charged its encoded length,
+// and the result route writes exactly the bytes json.Marshal gives for
+// the same Result, with a Content-Length equal to the body's length.
 func TestFinishedSweepReferencesCachedBytes(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	ss, err := sweep.DecodeSpec([]byte(gridSweep))
@@ -234,17 +258,26 @@ func TestFinishedSweepReferencesCachedBytes(t *testing.T) {
 		t.Fatal("finished job not stored")
 	}
 	body, _ := job.Body()
-	if len(body) != 2*len(sw.Points)+1 {
-		t.Fatalf("%d chunks for %d points", len(body), len(sw.Points))
+	var rec writeRecorder
+	if n, err := body.WriteTo(&rec); err != nil || n != body.Len() {
+		t.Fatalf("WriteTo = %d, %v; Len %d", n, err, body.Len())
 	}
 	for i, pt := range sw.Points {
 		stored, ok := srv.cache.Peek(pt.Canonical.Hash)
 		if !ok {
 			t.Fatalf("point %d not cached", i)
 		}
-		if got := body[2*i+1]; unsafe.SliceData(got) != unsafe.SliceData(stored) || len(got) != len(stored) {
+		if !rec.slices[sliceID(stored)] {
 			t.Errorf("point %d: the job holds a copy of the cached bytes", i)
 		}
+	}
+	// Settling publishes the state before it charges the budget.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.jobs.Stats().ResultBytes == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if charged := srv.jobs.Stats().ResultBytes; charged != body.Len() {
+		t.Errorf("charged %d bytes for a %d-byte result", charged, body.Len())
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + sb.JobID + "/result")
@@ -259,6 +292,9 @@ func TestFinishedSweepReferencesCachedBytes(t *testing.T) {
 	if resp.ContentLength != int64(len(raw)) || int64(len(raw)) != body.Len() {
 		t.Fatalf("Content-Length %d, body %d bytes, stored %d", resp.ContentLength, len(raw), body.Len())
 	}
+	if !bytes.Equal(raw, rec.buf.Bytes()) {
+		t.Fatal("the result route wrote other bytes than the stored body")
+	}
 	var res sweep.Result
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
@@ -269,6 +305,130 @@ func TestFinishedSweepReferencesCachedBytes(t *testing.T) {
 	}
 	if !bytes.Equal(raw, want) {
 		t.Fatalf("result bytes differ from json.Marshal of the same Result:\n got %s\nwant %s", raw, want)
+	}
+}
+
+// TestConcurrentResultFetches: many clients fetching one finished job's
+// result at once each get the whole, identical body (run with -race:
+// every fetch encodes the shared settled form).
+func TestConcurrentResultFetches(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	_, sb, _ := postSweep(t, ts.URL, gridSweep)
+	if snap := pollJob(t, ts.URL, sb.JobID); snap.State != jobs.StateDone {
+		t.Fatalf("sweep settled %+v", snap)
+	}
+	fetch := func() ([]byte, error) {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + sb.JobID + "/result")
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return io.ReadAll(resp.Body)
+	}
+	want, err := fetch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				got, err := fetch()
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("concurrent fetch: %v, %d bytes (want %d)", err, len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// hotFamily expands the 128-point figure7 family of the heap gate — 8
+// trial counts × 16 seeds, run-hot's sweep shape — with each axis's
+// values in the order that order shuffles them into (0 = sorted).
+func hotFamily(t *testing.T, order uint64) *sweep.Sweep {
+	t.Helper()
+	trials, seeds := make([]any, 8), make([]any, 16)
+	for i := range trials {
+		trials[i] = 16 + i
+	}
+	for i := range seeds {
+		seeds[i] = uint64(101 + i)
+	}
+	if order > 0 {
+		rng := rand.New(rand.NewPCG(order, 0))
+		rng.Shuffle(len(trials), func(i, j int) { trials[i], trials[j] = trials[j], trials[i] })
+		rng.Shuffle(len(seeds), func(i, j int) { seeds[i], seeds[j] = seeds[j], seeds[i] })
+	}
+	sw, err := sweep.Expand(sweep.Spec{
+		Base: engine.Spec{Experiment: "figure7", Params: engine.Params{"phys-errors": []float64{0.004}}},
+		Axes: []sweep.Axis{{Field: "params.trials", Values: trials}, {Field: "params.seed", Values: seeds}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw
+}
+
+// liveHeap returns the bytes of live heap objects.
+func liveHeap() uint64 {
+	// Two cycles: the first may leave sync.Pool victims behind.
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSettledSweepHeapPerPoint is the retention gate, in bytes rather
+// than RSS: once a 128-point family is cached, every further sweep over
+// it — a new job per axis order, every point a memory hit — retains at
+// most 128 B of live heap per point for as long as its job is stored.
+// That is the job's whole share (its point records, error texts,
+// header and Job); the payloads are the cache's, counted once there.
+func TestSettledSweepHeapPerPoint(t *testing.T) {
+	const (
+		sweeps   = 32
+		maxBytes = 128
+	)
+	srv := New(Config{})
+	settle := func(sw *sweep.Sweep) {
+		t.Helper()
+		job, created, err := srv.startSweep(sw, time.Minute, nil, "", false, "")
+		if err != nil || !created {
+			t.Fatalf("sweep %.12s: created %v, err %v", sw.Hash, created, err)
+		}
+		wake, stop := job.Subscribe()
+		defer stop()
+		for !job.Snapshot().State.Finished() {
+			<-wake
+		}
+		if snap := job.Snapshot(); snap.State != jobs.StateDone {
+			t.Fatalf("sweep %.12s settled %+v", sw.Hash, snap)
+		}
+	}
+	settle(hotFamily(t, 0)) // computes and caches every point
+	before := liveHeap()
+	for k := uint64(1); k <= sweeps; k++ {
+		settle(hotFamily(t, k))
+	}
+	after := liveHeap()
+	if s := srv.jobs.Stats(); s.Stored != sweeps+1 {
+		t.Fatalf("%d jobs stored, want %d", s.Stored, sweeps+1)
+	}
+	if c := srv.cache.Stats(); c.Misses != 128 {
+		t.Fatalf("%d points computed, want the family's 128", c.Misses)
+	}
+	perPoint := float64(int64(after)-int64(before)) / (sweeps * 128)
+	t.Logf("%.1f B of live heap per retained point", perPoint)
+	if perPoint > maxBytes {
+		t.Fatalf("a settled sweep retains %.1f B per point, over the %d B gate", perPoint, maxBytes)
 	}
 }
 

@@ -9,9 +9,12 @@ package sweep
 // times a sweep bounced through the wire format).
 //
 // It is also the oracle of the derived points and of the hand-written
-// encoding: every point's Canonical — JSON and hash — is what
-// engine.MakeCanonical makes of the point's Spec, and the sweep's
-// canonical JSON is json.Marshal's.
+// encodings: every point's Canonical — JSON and hash — is what
+// engine.MakeCanonical makes of the point's Spec, the sweep's
+// canonical JSON is json.Marshal's, and so are the bytes of a settled
+// result over the sweep (ok, cached and failed points, the input
+// itself as the error text), whose coordinates are re-derived from
+// the axes.
 //
 //	go test ./internal/sweep -run '^$' -fuzz FuzzSweepDecode -fuzztime 30s
 
@@ -19,6 +22,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"qla/internal/engine"
 )
@@ -87,6 +91,30 @@ func FuzzSweepDecode(f *testing.F) {
 			if sw.Points[i].Canonical.Hash != again.Points[i].Canonical.Hash {
 				t.Fatalf("point %d hash not stable across canonical round trip", i)
 			}
+		}
+
+		res := synthResult(sw, func(i int, pr *PointResult) {
+			pr.Elapsed, pr.Attempts = time.Duration(i), i%3
+			switch i % 3 {
+			case 0:
+				pr.Status, pr.Result = "ok", json.RawMessage(`{"p":[1,"\u003c"]}`)
+			case 1:
+				pr.Status, pr.Cached, pr.Result = "ok", true, json.RawMessage(`7`)
+			default:
+				pr.Status, pr.Error = "error", string(raw)
+			}
+		})
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		settled, err := res.Settle(sw)
+		if err != nil {
+			t.Fatalf("settling a result of the sweep: %v", err)
+		}
+		var got bytes.Buffer
+		if _, err := settled.WriteTo(&got); err != nil || !bytes.Equal(got.Bytes(), want) || settled.Len() != int64(len(want)) {
+			t.Fatalf("settled result (err %v, Len %d) is not json.Marshal's:\n got %s\nwant %s", err, settled.Len(), got.Bytes(), want)
 		}
 	})
 }

@@ -301,15 +301,25 @@ func (r *Runner) runPoint(ctx context.Context, eng *engine.Engine, sw *Sweep, i 
 }
 
 // runPointOnce executes one attempt of one point, through the cache
-// when one is wired, under the policy's per-attempt deadline. Panics
-// escaping the fault hook are converted to retryable errors (the
-// engine converts its own experiment panics the same way).
+// when one is wired, under the policy's per-attempt deadline. A point
+// the memory tier holds is answered before the deadline is armed,
+// unless a fault hook is wired: the hook sees every attempt under its
+// deadline. Panics escaping the fault hook are converted to retryable
+// errors (the engine converts its own experiment panics the same way).
 func (r *Runner) runPointOnce(parent context.Context, eng *engine.Engine, sw *Sweep, i int) (pr PointResult, err error) {
-	pt := sw.Points[i]
+	pt := &sw.Points[i]
 	pr = PointResult{
 		Index:    i,
 		Coords:   pt.Coords,
 		SpecHash: pt.Canonical.Hash,
+	}
+	started := time.Now()
+	if r.Cache != nil && r.Fault == nil {
+		if body, ok := r.Cache.Get(pt.Canonical.Hash); ok {
+			pr.Status, pr.Cached, pr.Result = "ok", true, body
+			pr.Elapsed = time.Since(started)
+			return pr, nil
+		}
 	}
 	ctx := parent
 	if pol := r.Retry.normalized(); pol.PointTimeout > 0 {
@@ -317,7 +327,6 @@ func (r *Runner) runPointOnce(parent context.Context, eng *engine.Engine, sw *Sw
 		ctx, cancel = context.WithTimeout(parent, pol.PointTimeout)
 		defer cancel()
 	}
-	started := time.Now()
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = recoverToError(rec)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -386,26 +387,33 @@ func TestMachineSweepBaseParams(t *testing.T) {
 	}
 }
 
+var (
+	registerProbe sync.Once
+	probeEngine   *engine.Engine // what the last test-engine-probe run received
+)
+
 // TestRunContextCarriesEngine: experiments receive the engine that is
 // executing them, which is how machine-sweep shares the caller's
 // scheduler budget across its points. (Registered here, not in
 // internal/engine's tests, because this test binary does not enumerate
-// the registry against the golden spec files.)
+// the registry against the golden spec files; registered once, because
+// the registry is process-wide and -count reruns the test.)
 func TestRunContextCarriesEngine(t *testing.T) {
-	eng := engine.New()
-	var got *engine.Engine
-	engine.Register(engine.Experiment{
-		Name: "test-engine-probe",
-		Run: func(ctx context.Context, rc *engine.RunContext) (any, error) {
-			got = rc.Engine
-			return "ok", nil
-		},
+	registerProbe.Do(func() {
+		engine.Register(engine.Experiment{
+			Name: "test-engine-probe",
+			Run: func(ctx context.Context, rc *engine.RunContext) (any, error) {
+				probeEngine = rc.Engine
+				return "ok", nil
+			},
+		})
 	})
+	eng := engine.New()
 	if _, err := eng.Run(context.Background(), engine.Spec{Experiment: "test-engine-probe"}); err != nil {
 		t.Fatal(err)
 	}
-	if got != eng {
-		t.Errorf("RunContext.Engine = %p, want %p", got, eng)
+	if probeEngine != eng {
+		t.Errorf("RunContext.Engine = %p, want %p", probeEngine, eng)
 	}
 }
 
