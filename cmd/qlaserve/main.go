@@ -189,16 +189,13 @@ func main() {
 		fatal(err)
 	case sig := <-sigc:
 		// Graceful shutdown: stop accepting, drain in-flight requests
-		// for up to -shutdown-grace, flush and close the journal (open
-		// entries replay on the next start), then exit 0.
+		// for up to -shutdown-grace, then exit 0. Sweeps still running
+		// keep their journal files and replay on the next start.
 		logger.Info("draining in-flight requests", "signal", sig.String(), "grace", *shutdownGrace)
 		ctx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {
 			logger.Warn("drain incomplete", "err", err)
-		}
-		if err := srv.Close(); err != nil {
-			logger.Warn("closing journal", "err", err)
 		}
 		logger.Info("shutdown complete")
 	}

@@ -190,12 +190,13 @@ func NewBase(spec Spec) (*Base, error) {
 // experiment, for use in any number of Derive calls on that Base.
 type Setting struct {
 	// Value is the value coerced to the parameter's declared kind, and
-	// JSON its encoding.
+	// JSON its encoding in a derived Spec, where an empty list is null:
+	// two settings of one parameter derive the same run exactly when
+	// their JSON is equal.
 	Value any
 	JSON  []byte
 	name  string
-	enc   []byte // the encoding of the value a derived Spec holds
-	slot  int    // the parameter's index in the Base; -1 if unset there
+	slot  int // the parameter's index in the Base; -1 if unset there
 }
 
 // Setting checks v as a value of the named parameter exactly as
@@ -211,17 +212,11 @@ func (b *Base) Setting(name string, v any) (Setting, error) {
 	if err != nil {
 		return Setting{}, err
 	}
-	raw, err := AppendValue(nil, cv)
+	enc, err := AppendValue(nil, derivedValue(cv))
 	if err != nil {
 		return Setting{}, err
 	}
-	enc := raw
-	switch cv.(type) {
-	case []float64, []int:
-		// An empty list encodes as the null a derived Spec holds.
-		enc, _ = AppendValue(nil, derivedValue(cv))
-	}
-	s := Setting{Value: cv, JSON: raw, name: name, enc: enc, slot: -1}
+	s := Setting{Value: cv, JSON: enc, name: name, slot: -1}
 	for i, p := range b.params {
 		if p.name == name {
 			s.slot = i
@@ -241,7 +236,7 @@ func (b *Base) Derive(m MachineSpec, set []Setting) (Canonical, error) {
 	sameMachine := m == b.Spec.Machine
 	size := len(b.JSON)
 	for j := range set {
-		size += len(set[j].enc)
+		size += len(set[j].JSON)
 	}
 	if !sameMachine {
 		size += 64 // room for machine fields the base omits
@@ -272,7 +267,7 @@ func (b *Base) Derive(m MachineSpec, set []Setting) (Canonical, error) {
 		v, enc := p.value, p.enc
 		for j := range set {
 			if set[j].slot == i {
-				v, enc = set[j].Value, set[j].enc
+				v, enc = set[j].Value, set[j].JSON
 			}
 		}
 		params[p.name] = derivedValue(v)

@@ -223,7 +223,7 @@ func TestDeriveMatchesMakeCanonical(t *testing.T) {
 				t.Error("mutating a derived Spec changed another derived Spec")
 			}
 			for _, s := range set {
-				if raw, _ := AppendValue(nil, s.Value); !bytes.Equal(raw, s.JSON) {
+				if raw, _ := AppendValue(nil, derivedValue(s.Value)); !bytes.Equal(raw, s.JSON) {
 					t.Error("mutating a derived Spec changed a setting")
 				}
 			}

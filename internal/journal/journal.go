@@ -1,28 +1,26 @@
 // Package journal is the write-ahead job journal of the QLA serving
 // layer: the durability tier that lets a restarted qlaserve re-admit
-// sweeps a dead process orphaned. One job is one append-only file of
-// JSON lines under the journal directory, named by the job's content
-// address: the first line records the admitted canonical spec (written
-// atomically — temp file, fsync, rename — so a half-admitted job can
-// never replay), subsequent lines record per-point completions
-// (point hash → status), and a terminal line marks the job settled.
-// Replay scans the directory at startup: files with a terminal record
-// are deleted (the job finished; nothing to recover — and a journaled
-// failure must never be resurrected as a stale failed job, re-running
-// is always fresher), files without one are handed back as Pending
-// work to re-admit. Point completions are deliberately thin — the
-// content-addressed result cache already holds the bytes, so replaying
-// a half-finished sweep re-runs only the points the cache cannot
-// serve.
+// sweeps a dead process orphaned. The journal directory holds one
+// admission file per unfinished job, named by the job's content
+// address. The file is one JSON line recording the admitted canonical
+// spec, written atomically — temp file, fsync, rename — so a
+// half-admitted job can never replay. Nothing is written to it
+// afterwards: settling, cancelling, failing or discarding the job
+// unlinks it and fsyncs the directory, so a settled job never replays,
+// even after a power loss, and a failed one is never resurrected as a
+// stale failure (re-running is always fresher).
 //
-// Point appends are single unsynced writes: a crash may lose the tail
-// of the log (replay tolerates a torn final line), costing at most a
-// few re-runs that the result cache absorbs. Admission and terminal
-// records are fsynced — they decide whether a job replays at all.
+// Point completions are not journaled. The content-addressed result
+// cache already holds each settled point's bytes, so replaying a
+// half-finished sweep re-runs only the points the cache cannot serve.
+// Replay scans the directory at startup and hands every file back as
+// Pending work to re-admit. It still reads the files earlier versions
+// wrote, which appended per-point and lease lines (ignored, as is a
+// torn final line) and a terminal state line (the job settled: the file
+// is deleted).
 package journal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -41,32 +39,21 @@ const KindSweep = "sweep"
 // suffix is the journal file extension.
 const suffix = ".wal"
 
-// record is one JSON line of a journal file. Exactly one of the three
-// shapes is populated: admission (ID/Kind/Tenant/Spec), point
-// (Point/Status), terminal (State).
+// record is one JSON line of a journal file. This version writes only
+// the admission line (V, ID, Kind, Tenant, Spec), in the format earlier
+// versions wrote too, so a rollback still replays it. State is read
+// from the terminal line of files earlier versions wrote.
 type record struct {
 	V      int             `json:"v,omitempty"`
 	ID     string          `json:"id,omitempty"`
 	Kind   string          `json:"kind,omitempty"`
 	Tenant string          `json:"tenant,omitempty"`
 	Spec   json.RawMessage `json:"spec,omitempty"`
-	Point  string          `json:"point,omitempty"`
-	// Status is "ok" or "error"; Cached and Attempts qualify it.
-	Status   string `json:"status,omitempty"`
-	Cached   bool   `json:"cached,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	State    string `json:"state,omitempty"`
+	State  string          `json:"state,omitempty"`
 }
 
-// PointStatus is the replayed view of one per-point completion record.
-type PointStatus struct {
-	Status   string
-	Cached   bool
-	Attempts int
-}
-
-// Pending is one unfinished journal entry found by Replay: an admitted
-// job with no terminal record — the process died while it ran.
+// Pending is one unfinished job found by Replay: an admission file
+// nothing removed — the process died while the job ran.
 type Pending struct {
 	ID   string
 	Kind string
@@ -75,21 +62,26 @@ type Pending struct {
 	Tenant string
 	// Spec is the admitted canonical spec payload, verbatim.
 	Spec []byte
-	// Points maps point hash → the last completion recorded for it.
-	Points map[string]PointStatus
 }
 
 // Journal owns a journal directory. Construct with Open; a Journal is
 // safe for concurrent use, and a nil *Journal ignores every call.
 type Journal struct {
 	dir string
+	// syncDir makes a removal durable; tests replace it to fail it.
+	syncDir func(dir string) error
 
-	mu   sync.Mutex
-	open map[string]*Entry
+	mu sync.Mutex
+	// live holds the IDs whose admission file this process owns: jobs
+	// admitted or replayed here and not yet removed. An ID stays in the
+	// map, false, while its removal runs: an Admit racing the removal
+	// joins it rather than writing a file the unlink may take, and a
+	// second removal does nothing.
+	live map[string]bool
 
 	// The journal's counts live only in these instruments.
-	admitted, resumed, points, finished, dropped, errors *obs.Counter
-	appendSec, fsyncSec                                  *obs.Histogram
+	admitted, finished, dropped, errors *obs.Counter
+	appendSec, fsyncSec                 *obs.Histogram
 }
 
 // Open prepares a Journal rooted at dir, creating the directory. Its
@@ -98,29 +90,28 @@ func Open(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, open: make(map[string]*Entry)}
+	j := &Journal{dir: dir, syncDir: fsyncDir, live: make(map[string]bool)}
 	j.Instrument(obs.NewRegistry())
 	return j, nil
 }
 
-// Instrument moves the journal's instruments onto reg: append and
-// fsync latency histograms (observed inside the single write path),
-// qla_journal_records_total{kind} and the resume/drop/error counters.
-// Call it before the first admission; earlier counts are not carried
-// over. Safe on a nil Journal.
+// Instrument moves the journal's instruments onto reg: write and fsync
+// latency histograms, qla_journal_records_total{kind} and the drop and
+// error counters. Call it before the first admission; earlier counts
+// are not carried over. Safe on a nil Journal.
 func (j *Journal) Instrument(reg *obs.Registry) {
 	if j == nil || reg == nil {
 		return
 	}
 	j.appendSec = reg.Histogram("qla_journal_append_seconds",
-		"Latency of one journal record append (write plus fsync when the record is synced).", obs.LatencyBuckets)
+		"Latency of one journal write: an admission (temp file, write, fsync, rename) or a removal (unlink plus directory fsync).", obs.LatencyBuckets)
 	j.fsyncSec = reg.Histogram("qla_journal_fsync_seconds",
-		"Latency of the fsync alone, for synced records.", obs.LatencyBuckets)
-	rec := reg.CounterVec("qla_journal_records_total", "Journal records appended, by kind.", "kind")
-	j.admitted, j.points, j.finished = rec.With("admit"), rec.With("point"), rec.With("finish")
-	j.resumed = reg.Counter("qla_journal_resumed_total", "Entries re-opened by a resubmission of a journaled job.")
-	j.dropped = reg.Counter("qla_journal_dropped_total", "Journal files removed after their job settled.")
-	j.errors = reg.Counter("qla_journal_errors_total", "Failed journal writes.")
+		"Latency of the fsync alone: the admission file's, or the directory's after a removal.", obs.LatencyBuckets)
+	rec := reg.CounterVec("qla_journal_records_total",
+		"Journal writes, by kind: admit (an admission file written) and finish (a job's file removed when it ended).", "kind")
+	j.admitted, j.finished = rec.With("admit"), rec.With("finish")
+	j.dropped = reg.Counter("qla_journal_dropped_total", "Journal files deleted at replay: settled, unreadable or no longer replayable.")
+	j.errors = reg.Counter("qla_journal_errors_total", "Failed journal writes and removals.")
 }
 
 // safeID reports whether id can name a journal file (hex content
@@ -131,115 +122,143 @@ func safeID(id string) bool {
 
 func (j *Journal) path(id string) string { return filepath.Join(j.dir, id+suffix) }
 
-// Entry is one open journal file. Methods are safe for concurrent use.
-type Entry struct {
-	j     *Journal
-	id    string
-	fresh bool
-
-	mu     sync.Mutex
-	f      *os.File
-	closed bool
-}
-
 // Admit records a job admission: the spec payload is durably on disk
-// before Admit returns (temp file + fsync + rename), so a crash at any
-// later moment replays the job. If an entry for id is already open —
-// the job is running in this process — that entry is returned with
-// fresh=false and the file is left untouched; a same-address
-// resubmission must never clobber the running job's point log.
-func (j *Journal) Admit(id, kind, tenant string, spec []byte) (e *Entry, fresh bool, err error) {
+// before Admit returns, so a crash at any later moment replays the job.
+// If id is already live — its job runs in this process, or Replay
+// handed it back — the file is left untouched and fresh is false: a
+// same-address resubmission joins the entry rather than rewriting it.
+func (j *Journal) Admit(id, kind, tenant string, spec []byte) (fresh bool, err error) {
 	if j == nil {
-		return nil, false, nil
+		return false, nil
 	}
 	if !safeID(id) {
-		return nil, false, fmt.Errorf("journal: unsafe job ID %q", id)
+		return false, fmt.Errorf("journal: unsafe job ID %q", id)
 	}
 	j.mu.Lock()
-	if e, ok := j.open[id]; ok {
+	if _, ok := j.live[id]; ok {
 		j.mu.Unlock()
-		return e, false, nil
+		return false, nil
 	}
-	// Reserve the slot before the file work so a concurrent Admit of
-	// the same id joins rather than racing the rename.
-	e = &Entry{j: j, id: id, fresh: true}
-	j.open[id] = e
+	// Reserve the ID before the file work so a concurrent Admit of the
+	// same id joins rather than racing the rename.
+	j.live[id] = true
 	j.mu.Unlock()
 
-	line, err := marshalLine(record{V: 1, ID: id, Kind: kind, Tenant: tenant, Spec: spec})
+	line, err := json.Marshal(record{V: 1, ID: id, Kind: kind, Tenant: tenant, Spec: spec})
 	if err == nil {
-		err = func() error {
-			tmp, err := os.CreateTemp(j.dir, id+".tmp-*")
-			if err != nil {
-				return err
-			}
-			defer os.Remove(tmp.Name())
-			if _, err := tmp.Write(line); err != nil {
-				tmp.Close()
-				return err
-			}
-			if err := tmp.Sync(); err != nil {
-				tmp.Close()
-				return err
-			}
-			if err := os.Rename(tmp.Name(), j.path(id)); err != nil {
-				tmp.Close()
-				return err
-			}
-			// The renamed fd stays valid for appends: same inode.
-			e.f = tmp
-			return nil
-		}()
+		err = j.write(id, append(line, '\n'))
 	}
 	if err != nil {
 		j.mu.Lock()
-		delete(j.open, id)
+		delete(j.live, id)
 		j.mu.Unlock()
 		j.errors.Inc()
-		return nil, false, fmt.Errorf("journal: admitting %s: %w", id, err)
+		return false, fmt.Errorf("journal: admitting %s: %w", id, err)
 	}
 	j.admitted.Inc()
-	return e, true, nil
+	return true, nil
 }
 
-// Resume reopens an existing entry (typically one Replay returned) for
-// further point appends and its eventual terminal record.
-func (j *Journal) Resume(id string) (*Entry, error) {
-	if j == nil {
-		return nil, nil
-	}
-	if !safeID(id) {
-		return nil, fmt.Errorf("journal: unsafe job ID %q", id)
-	}
-	j.mu.Lock()
-	if e, ok := j.open[id]; ok {
-		j.mu.Unlock()
-		return e, nil
-	}
-	e := &Entry{j: j, id: id}
-	j.open[id] = e
-	j.mu.Unlock()
-	f, err := os.OpenFile(j.path(id), os.O_WRONLY|os.O_APPEND, 0o644)
+// write puts line in place as id's admission file: a temp file,
+// written, fsynced and renamed.
+func (j *Journal) write(id string, line []byte) error {
+	start := time.Now()
+	defer func() { j.appendSec.Observe(time.Since(start).Seconds()) }()
+	tmp, err := os.CreateTemp(j.dir, id+".tmp-*")
 	if err != nil {
-		j.mu.Lock()
-		delete(j.open, id)
-		j.mu.Unlock()
-		j.errors.Inc()
-		return nil, fmt.Errorf("journal: resuming %s: %w", id, err)
+		return err
 	}
-	e.f = f
-	j.resumed.Inc()
-	return e, nil
+	_, err = tmp.Write(line)
+	if err == nil {
+		s := time.Now()
+		err = tmp.Sync()
+		j.fsyncSec.Observe(time.Since(s).Seconds())
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), j.path(id))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
-// Replay scans the journal directory. Entries with a terminal record
-// are deleted — the job settled; in particular a journaled failure is
-// dropped rather than resurrected, so resubmitting its spec starts a
-// fresh run (mirroring the job store's failed/cancelled re-submission
-// eviction). Entries without one are returned as Pending, oldest
-// first by file name. Unparsable lines (a torn tail from a crash
-// mid-append) are skipped; files whose admission line is unreadable
-// are deleted as unrecoverable.
+// Remove ends a live entry: it unlinks the admission file and fsyncs
+// the directory, so the job never replays, even after a power loss.
+// Settling, cancelling or failing a job ends here, and so does undoing
+// a fresh admission whose submission was rejected or joined an existing
+// job. Removing an ID that is not live does nothing.
+func (j *Journal) Remove(id string) error {
+	if j == nil {
+		return nil
+	}
+	return j.remove(id, j.finished)
+}
+
+// Drop removes a replayed entry that will not run, e.g. one whose spec
+// no longer decodes.
+func (j *Journal) Drop(id string) {
+	if j != nil {
+		j.remove(id, j.dropped)
+	}
+}
+
+// remove unlinks a live entry's file, fsyncs the directory and counts
+// the removal in counter. A failure is counted in errors instead; the
+// entry is no longer live either way.
+func (j *Journal) remove(id string, counter *obs.Counter) error {
+	j.mu.Lock()
+	live := j.live[id]
+	if live {
+		j.live[id] = false
+	}
+	j.mu.Unlock()
+	if !live {
+		return nil
+	}
+	start := time.Now()
+	err := os.Remove(j.path(id))
+	j.mu.Lock()
+	delete(j.live, id)
+	j.mu.Unlock()
+	if err == nil {
+		s := time.Now()
+		err = j.syncDir(j.dir)
+		j.fsyncSec.Observe(time.Since(s).Seconds())
+	}
+	j.appendSec.Observe(time.Since(start).Seconds())
+	if err != nil {
+		j.errors.Inc()
+		return fmt.Errorf("journal: removing %s: %w", id, err)
+	}
+	counter.Inc()
+	return nil
+}
+
+// fsyncDir makes the directory's entries — a removal — durable.
+func fsyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Replay scans the journal directory and returns every unfinished job
+// as Pending, in file-name order, registering each ID as live: the job
+// runs in this process from now on, so Admit joins it and Remove ends
+// it. IDs already live are not returned. Files that cannot replay are
+// deleted: one whose admission line is unreadable, and one an earlier
+// version closed with a terminal record — the job settled; in
+// particular a journaled failure is dropped rather than resurrected, so
+// resubmitting its spec starts a fresh run.
 func (j *Journal) Replay() ([]Pending, error) {
 	if j == nil {
 		return nil, nil
@@ -250,207 +269,66 @@ func (j *Journal) Replay() ([]Pending, error) {
 	}
 	var out []Pending
 	for _, name := range names {
-		p, finished, ok := j.replayFile(name)
-		if !ok || finished {
+		p, ok := readFile(name)
+		if !ok {
 			j.dropped.Inc()
 			os.Remove(name)
 			continue
 		}
-		out = append(out, p)
+		j.mu.Lock()
+		_, known := j.live[p.ID]
+		if !known {
+			j.live[p.ID] = true
+		}
+		j.mu.Unlock()
+		if !known {
+			out = append(out, p)
+		}
 	}
 	return out, nil
 }
 
-// replayFile parses one journal file, reporting whether it is usable
-// and whether it carries a terminal record.
-func (j *Journal) replayFile(name string) (p Pending, finished, ok bool) {
-	f, err := os.Open(name)
+// readFile parses one journal file, reporting whether it replays.
+func readFile(name string) (p Pending, ok bool) {
+	data, err := os.ReadFile(name)
 	if err != nil {
-		return Pending{}, false, false
+		return Pending{}, false
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	p.Points = make(map[string]PointStatus)
-	first := true
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
+		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
 		}
 		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if first {
-				return Pending{}, false, false // no readable admission
-			}
-			continue // torn tail or stray corruption: skip the line
-		}
-		if first {
-			first = false
-			if rec.ID == "" || len(rec.Spec) == 0 ||
-				rec.ID+suffix != filepath.Base(name) {
-				return Pending{}, false, false
-			}
-			p.ID, p.Kind, p.Tenant = rec.ID, rec.Kind, rec.Tenant
-			p.Spec = append([]byte(nil), rec.Spec...)
-			continue
-		}
+		err := json.Unmarshal(line, &rec)
 		switch {
-		case rec.State != "":
-			return p, true, true
-		case rec.Point != "" && (rec.Status == "ok" || rec.Status == "error"):
-			// Only a completion counts. The per-point lease lines of
-			// journals written before fleet leasing was removed
-			// ("status":"leased") name work that may never have finished,
-			// so their points replay as pending.
-			p.Points[rec.Point] = PointStatus{Status: rec.Status, Cached: rec.Cached, Attempts: rec.Attempts}
-		}
-	}
-	if first {
-		return Pending{}, false, false // empty file
-	}
-	return p, false, true
-}
-
-// Drop removes a journal file that is not open in this process (e.g. a
-// Pending entry that no longer decodes).
-func (j *Journal) Drop(id string) {
-	if j == nil || !safeID(id) {
-		return
-	}
-	j.mu.Lock()
-	_, open := j.open[id]
-	j.mu.Unlock()
-	if !open {
-		j.dropped.Inc()
-		os.Remove(j.path(id))
-	}
-}
-
-// Close closes every open entry without a terminal record — the
-// shutdown path. Their jobs replay on the next start.
-func (j *Journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	entries := make([]*Entry, 0, len(j.open))
-	for _, e := range j.open {
-		entries = append(entries, e)
-	}
-	j.mu.Unlock()
-	for _, e := range entries {
-		e.close(false)
-	}
-	return nil
-}
-
-// Point appends one per-point completion record. The append is a
-// single write without fsync: losing the tail on a crash only costs
-// cache-absorbed re-runs.
-func (e *Entry) Point(hash, status string, cached bool, attempts int) error {
-	if e == nil {
-		return nil
-	}
-	return e.append(record{Point: hash, Status: status, Cached: cached, Attempts: attempts}, false, e.j.points)
-}
-
-// Finish appends the terminal record (fsynced), closes the entry and
-// removes the file: a settled job has nothing left to recover, and a
-// failed one must not replay as a stale failure. A crash between the
-// append and the remove is harmless — Replay deletes terminal files.
-func (e *Entry) Finish(state string) error {
-	if e == nil {
-		return nil
-	}
-	err := e.append(record{State: state}, true, e.j.finished)
-	e.close(true)
-	return err
-}
-
-// Discard closes a freshly admitted entry and removes its file — the
-// undo path for an admission whose job submission was rejected or
-// joined an existing job.
-func (e *Entry) Discard() {
-	if e == nil {
-		return
-	}
-	e.close(true)
-}
-
-// append writes one record line, optionally fsyncing, bumping counter.
-func (e *Entry) append(rec record, sync bool, counter *obs.Counter) error {
-	line, err := marshalLine(rec)
-	if err == nil {
-		e.mu.Lock()
-		if e.closed {
-			err = fmt.Errorf("journal: entry %s closed", e.id)
-		} else {
-			start := time.Now()
-			_, err = e.f.Write(line)
-			if err == nil && sync {
-				s := time.Now()
-				err = e.f.Sync()
-				e.j.fsyncSec.Observe(time.Since(s).Seconds())
+		case p.ID != "":
+			// A later line comes from an earlier version: point and
+			// lease lines are ignored and a torn tail is skipped, but a
+			// terminal record means the job settled.
+			if err == nil && rec.State != "" {
+				return Pending{}, false
 			}
-			e.j.appendSec.Observe(time.Since(start).Seconds())
+		case err != nil || rec.ID == "" || len(rec.Spec) == 0 || rec.ID+suffix != filepath.Base(name):
+			return Pending{}, false // no readable admission
+		default:
+			p = Pending{ID: rec.ID, Kind: rec.Kind, Tenant: rec.Tenant, Spec: rec.Spec}
 		}
-		e.mu.Unlock()
 	}
-	if err != nil {
-		e.j.errors.Inc()
-	} else {
-		counter.Inc()
-	}
-	return err
-}
-
-// close closes the file, unregisters the entry, and removes the file
-// when remove is set.
-func (e *Entry) close(remove bool) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	if e.f != nil {
-		e.f.Close()
-	}
-	e.mu.Unlock()
-	e.j.mu.Lock()
-	if cur, ok := e.j.open[e.id]; ok && cur == e {
-		delete(e.j.open, e.id)
-	}
-	e.j.mu.Unlock()
-	if remove {
-		os.Remove(e.j.path(e.id))
-	}
-}
-
-// ID returns the entry's job ID.
-func (e *Entry) ID() string { return e.id }
-
-func marshalLine(rec record) ([]byte, error) {
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return append(raw, '\n'), nil
+	return p, p.ID != ""
 }
 
 // Stats is a point-in-time snapshot of the journal for in-process
-// readers: the record counts read back from the instruments plus the
-// open-entry count.
+// readers: the counts read back from the instruments plus the live
+// entry count.
 type Stats struct {
-	// Admitted counts fresh admissions; Resumed replayed entries
-	// reopened for appends; Points per-point completion appends;
-	// Finished terminal records; Dropped files deleted at replay or via
-	// Drop; Errors failed writes (the job keeps running; only
-	// durability is lost).
-	Admitted, Resumed, Points, Finished, Dropped, Errors uint64
-	// Open is the number of entries currently accepting appends.
-	Open int
+	// Admitted counts admission files written; Finished entries
+	// removed when their job ended; Dropped files deleted at replay or
+	// via Drop; Errors failed writes and removals (the job keeps
+	// running; only durability is lost).
+	Admitted, Finished, Dropped, Errors uint64
+	// Live is the number of entries whose admission file this process
+	// owns.
+	Live int
 }
 
 // Stats returns a snapshot of the journal.
@@ -459,15 +337,13 @@ func (j *Journal) Stats() Stats {
 		return Stats{}
 	}
 	j.mu.Lock()
-	open := len(j.open)
+	live := len(j.live)
 	j.mu.Unlock()
 	return Stats{
 		Admitted: j.admitted.Value(),
-		Resumed:  j.resumed.Value(),
-		Points:   j.points.Value(),
 		Finished: j.finished.Value(),
 		Dropped:  j.dropped.Value(),
 		Errors:   j.errors.Value(),
-		Open:     open,
+		Live:     live,
 	}
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +12,7 @@ import (
 
 const specJSON = `{"base":{"experiment":"ec-latency"},"axes":[{"field":"machine.level","values":[1,2]}]}`
 
-func open(t *testing.T) (*Journal, string) {
+func open(t testing.TB) (*Journal, string) {
 	t.Helper()
 	dir := t.TempDir()
 	j, err := Open(dir)
@@ -30,45 +31,72 @@ func files(t *testing.T, dir string) []string {
 	return names
 }
 
+// writeFile puts a journal file in place by hand, in the format earlier
+// versions appended to.
+func writeFile(t *testing.T, dir, id string, lines ...string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, id+suffix), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// admissionLine is the admission record every version writes first.
+func admissionLine(id, tenant string) string {
+	return `{"v":1,"id":"` + id + `","kind":"sweep","tenant":"` + tenant + `","spec":` + specJSON + `}`
+}
+
 // TestAdmitFinishRemoves: the happy path leaves nothing behind — a
 // settled job has nothing to recover.
 func TestAdmitFinishRemoves(t *testing.T) {
 	j, dir := open(t)
-	e, fresh, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
+	fresh, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
 	if err != nil || !fresh {
 		t.Fatalf("Admit: fresh=%v err=%v", fresh, err)
 	}
 	if got := files(t, dir); len(got) != 1 {
 		t.Fatalf("want 1 journal file after admit, got %v", got)
 	}
-	if err := e.Point("p1", "ok", false, 1); err != nil {
+	if err := j.Remove("job1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Finish("done"); err != nil {
-		t.Fatal(err)
-	}
-	if got := files(t, dir); len(got) != 0 {
-		t.Fatalf("finished entry not removed: %v", got)
+	if got, _ := os.ReadDir(dir); len(got) != 0 {
+		t.Fatalf("finished entry left files: %v", got)
 	}
 	st := j.Stats()
-	if st.Admitted != 1 || st.Points != 1 || st.Finished != 1 || st.Open != 0 {
+	if st.Admitted != 1 || st.Finished != 1 || st.Errors != 0 || st.Live != 0 {
 		t.Fatalf("unexpected stats %+v", st)
 	}
 }
 
-// TestCrashReplay: an entry without a terminal record — the process
-// died — replays with its recorded point completions.
-func TestCrashReplay(t *testing.T) {
+// TestAdmissionIsOneParentLine: an admission file holds exactly the one
+// line earlier versions wrote first, byte for byte, so a rollback still
+// replays it.
+func TestAdmissionIsOneParentLine(t *testing.T) {
 	j, dir := open(t)
-	e, _, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
+	if _, err := j.Admit("job1", KindSweep, "t1", []byte(specJSON)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "job1"+suffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Point("p1", "ok", false, 1)
-	e.Point("p2", "error", false, 3)
-	e.Point("p2", "ok", true, 1) // a later record supersedes
-	j.Close()                    // crash-equivalent: no terminal record
+	if want := admissionLine("job1", "t1") + "\n"; string(got) != want {
+		t.Fatalf("admission file\n%q\nwant\n%q", got, want)
+	}
+}
 
+// TestCrashReplay: an admitted entry nothing removed — the process died
+// — replays exactly once: Replay hands it back and registers it, so a
+// second Replay skips it and its re-admission joins the file rather
+// than rewriting it; removing it then leaves nothing for a later start.
+func TestCrashReplay(t *testing.T) {
+	j, dir := open(t)
+	if _, err := j.Admit("job1", KindSweep, "t1", []byte(specJSON)); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(filepath.Join(dir, "job1"+suffix))
+
+	// The crash: a new process opens the directory.
 	j2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -80,61 +108,43 @@ func TestCrashReplay(t *testing.T) {
 	if len(pend) != 1 {
 		t.Fatalf("want 1 pending entry, got %d", len(pend))
 	}
-	p := pend[0]
-	if p.ID != "job1" || p.Kind != KindSweep || string(p.Spec) != specJSON {
+	if p := pend[0]; p.ID != "job1" || p.Kind != KindSweep || p.Tenant != "t1" || string(p.Spec) != specJSON {
 		t.Fatalf("unexpected pending %+v", p)
 	}
-	if len(p.Points) != 2 {
-		t.Fatalf("want 2 recorded points, got %v", p.Points)
+	if again, _ := j2.Replay(); len(again) != 0 {
+		t.Fatalf("a live entry replayed twice: %+v", again)
 	}
-	if got := p.Points["p2"]; got.Status != "ok" || !got.Cached {
-		t.Fatalf("p2 should reflect the last record, got %+v", got)
+	if fresh, err := j2.Admit("job1", KindSweep, "t1", []byte(specJSON)); fresh || err != nil {
+		t.Fatalf("re-admitting a replayed entry: fresh=%v err=%v", fresh, err)
 	}
-	// Resume and settle it.
-	e2, err := j2.Resume("job1")
+	if after, _ := os.ReadFile(filepath.Join(dir, "job1"+suffix)); string(after) != string(before) {
+		t.Fatalf("re-admission rewrote the file: %q", after)
+	}
+	if err := j2.Remove("job1"); err != nil {
+		t.Fatal(err)
+	}
+	j3, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Point("p3", "ok", false, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Finish("done"); err != nil {
-		t.Fatal(err)
-	}
-	if got := files(t, dir); len(got) != 0 {
-		t.Fatalf("resumed+finished entry not removed: %v", got)
+	if pend, _ := j3.Replay(); len(pend) != 0 || len(files(t, dir)) != 0 {
+		t.Fatalf("removed entry replayed: %+v", pend)
 	}
 }
 
-// TestTerminalEntriesDroppedAtReplay: a journaled terminal state —
-// including a failure — is never resurrected; replay deletes the file
-// so a re-submission of the same spec starts fresh (mirroring the job
-// store's failed/cancelled re-submission eviction).
+// TestTerminalEntriesDroppedAtReplay: a terminal state an earlier
+// version journaled — including a failure — is never resurrected;
+// replay deletes the file so a re-submission of the same spec starts
+// fresh (mirroring the job store's failed/cancelled re-submission
+// eviction).
 func TestTerminalEntriesDroppedAtReplay(t *testing.T) {
 	for _, state := range []string{"done", "failed", "cancelled"} {
 		t.Run(state, func(t *testing.T) {
 			j, dir := open(t)
-			e, _, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Point("p1", "error", false, 3)
-			// Write the terminal record but simulate dying before the
-			// remove: append directly, then close without removing.
-			line, _ := marshalLine(record{State: state})
-			e.mu.Lock()
-			e.f.Write(line)
-			e.mu.Unlock()
-			j.Close()
-			if got := files(t, dir); len(got) != 1 {
-				t.Fatalf("setup: want the file present, got %v", got)
-			}
-
-			j2, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pend, err := j2.Replay()
+			writeFile(t, dir, "job1", admissionLine("job1", ""),
+				`{"point":"p1","status":"error","attempts":3}`,
+				`{"state":"`+state+`"}`)
+			pend, err := j.Replay()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,34 +154,26 @@ func TestTerminalEntriesDroppedAtReplay(t *testing.T) {
 			if got := files(t, dir); len(got) != 0 {
 				t.Fatalf("terminal %q entry not deleted at replay: %v", state, got)
 			}
+			if st := j.Stats(); st.Dropped != 1 || st.Live != 0 {
+				t.Fatalf("stats %+v", st)
+			}
 		})
 	}
 }
 
-// TestTornTailTolerated: a crash mid-append leaves a partial final
-// line; replay keeps everything before it.
+// TestTornTailTolerated: an earlier version's crash mid-append left a
+// partial final line; the entry still replays.
 func TestTornTailTolerated(t *testing.T) {
 	j, dir := open(t)
-	e, _, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
+	writeFile(t, dir, "job1", admissionLine("job1", ""),
+		`{"point":"p1","status":"ok","attempts":1}`,
+		`{"point":"p2","sta`)
+	pend, err := j.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Point("p1", "ok", false, 1)
-	e.mu.Lock()
-	e.f.Write([]byte(`{"point":"p2","sta`)) // torn write
-	e.mu.Unlock()
-	j.Close()
-
-	j2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pend, err := j2.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pend) != 1 || len(pend[0].Points) != 1 {
-		t.Fatalf("want 1 pending with 1 point, got %+v", pend)
+	if len(pend) != 1 || pend[0].ID != "job1" {
+		t.Fatalf("want job1 pending, got %+v", pend)
 	}
 }
 
@@ -195,166 +197,186 @@ func TestUnreadableAdmissionDeleted(t *testing.T) {
 	}
 }
 
-// TestAdmitJoinsOpenEntry: a second admission of a running job's ID
-// returns the same entry without touching the file.
+// TestAdmitJoinsOpenEntry: a second admission of a live ID joins it
+// without touching the file.
 func TestAdmitJoinsOpenEntry(t *testing.T) {
-	j, _ := open(t)
-	e1, fresh1, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
+	j, dir := open(t)
+	fresh1, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
 	if err != nil || !fresh1 {
 		t.Fatalf("first admit: fresh=%v err=%v", fresh1, err)
 	}
-	e1.Point("p1", "ok", false, 1)
-	e2, fresh2, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
+	before, _ := os.ReadFile(filepath.Join(dir, "job1"+suffix))
+	fresh2, err := j.Admit("job1", KindSweep, "other-tenant", []byte(`{}`))
 	if err != nil || fresh2 {
 		t.Fatalf("second admit: fresh=%v err=%v", fresh2, err)
 	}
-	if e1 != e2 {
-		t.Fatal("second admit did not join the open entry")
+	if after, _ := os.ReadFile(filepath.Join(dir, "job1"+suffix)); string(after) != string(before) {
+		t.Fatalf("joining admission rewrote the file: %q", after)
+	}
+	if st := j.Stats(); st.Admitted != 1 || st.Live != 1 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
 // TestDiscard: the undo path for a rejected submission removes the
-// freshly admitted file.
+// freshly admitted file; a second removal of the same ID does nothing.
 func TestDiscard(t *testing.T) {
 	j, dir := open(t)
-	e, _, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
-	if err != nil {
+	if _, err := j.Admit("job1", KindSweep, "", []byte(specJSON)); err != nil {
 		t.Fatal(err)
 	}
-	e.Discard()
+	if err := j.Remove("job1"); err != nil {
+		t.Fatal(err)
+	}
 	if got := files(t, dir); len(got) != 0 {
 		t.Fatalf("discarded entry left a file: %v", got)
 	}
-	if j.Stats().Open != 0 {
-		t.Fatal("discarded entry still registered")
+	if err := j.Remove("job1"); err != nil {
+		t.Fatalf("removing an entry twice: %v", err)
+	}
+	if st := j.Stats(); st.Live != 0 || st.Finished != 1 || st.Errors != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestRemoveSyncFailure: a directory fsync that fails after the unlink
+// counts one error and changes nothing else: the file is gone, the ID
+// is no longer live, and a later admission of it is fresh.
+func TestRemoveSyncFailure(t *testing.T) {
+	j, dir := open(t)
+	j.syncDir = func(string) error { return errors.New("injected fsync failure") }
+	if _, err := j.Admit("job1", KindSweep, "", []byte(specJSON)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Remove("job1"); err == nil {
+		t.Fatal("a failed directory fsync went unreported")
+	}
+	if got := files(t, dir); len(got) != 0 {
+		t.Fatalf("file left after the unlink: %v", got)
+	}
+	if st := j.Stats(); st.Errors != 1 || st.Finished != 0 || st.Live != 0 || st.Admitted != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	if fresh, err := j.Admit("job1", KindSweep, "", []byte(specJSON)); !fresh || err != nil {
+		t.Fatalf("re-admission after the failed removal: fresh=%v err=%v", fresh, err)
 	}
 }
 
 func TestUnsafeIDRejected(t *testing.T) {
 	j, _ := open(t)
 	for _, id := range []string{"", "..", "a/b", `a\b`} {
-		if _, _, err := j.Admit(id, KindSweep, "", []byte(specJSON)); err == nil {
+		if _, err := j.Admit(id, KindSweep, "", []byte(specJSON)); err == nil {
 			t.Errorf("Admit(%q) accepted", id)
 		}
 	}
 }
 
-// TestNilJournalIsInert: every method on a nil *Journal (and the nil
-// *Entry it hands back) is a safe no-op, so callers need no journal
-// guards.
+// TestNilJournalIsInert: every method on a nil *Journal is a safe
+// no-op, so callers need no journal guards.
 func TestNilJournalIsInert(t *testing.T) {
 	var j *Journal
-	e, fresh, err := j.Admit("x", KindSweep, "", nil)
-	if e != nil || fresh || err != nil {
-		t.Fatalf("nil Admit: %v %v %v", e, fresh, err)
+	if fresh, err := j.Admit("x", KindSweep, "", nil); fresh || err != nil {
+		t.Fatalf("nil Admit: %v %v", fresh, err)
 	}
-	if err := e.Point("p", "ok", false, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Finish("done"); err != nil {
-		t.Fatal(err)
-	}
-	e.Discard()
-	if _, err := j.Replay(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
+	if err := j.Remove("x"); err != nil {
 		t.Fatal(err)
 	}
 	j.Drop("x")
-	if st := j.Stats(); st.Admitted != 0 {
+	if _, err := j.Replay(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st != (Stats{}) {
 		t.Fatalf("nil stats %+v", st)
 	}
 }
 
-// TestConcurrentAppends: point records from concurrent workers all
-// land (json-per-line, single write each).
-func TestConcurrentAppends(t *testing.T) {
+// TestConcurrentAdmissions: racing admissions of one ID yield exactly
+// one fresh entry and one file, distinct IDs each get their own, and
+// concurrent removals leave nothing behind.
+func TestConcurrentAdmissions(t *testing.T) {
 	j, dir := open(t)
-	e, _, err := j.Admit("job1", KindSweep, "", []byte(specJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	const n = 64
+	const n = 32
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		fresh int
+	)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			e.Point(fmt.Sprintf("p%02d", i), "ok", false, 1)
-		}(i)
+			f, err := j.Admit("shared", KindSweep, "", []byte(specJSON))
+			if err != nil {
+				t.Error(err)
+			}
+			if _, err := j.Admit(fmt.Sprintf("job%02d", i), KindSweep, "", []byte(specJSON)); err != nil {
+				t.Error(err)
+			}
+			if f {
+				mu.Lock()
+				fresh++
+				mu.Unlock()
+			}
+		}()
 	}
 	wg.Wait()
-	j.Close()
-	j2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	if fresh != 1 || len(files(t, dir)) != n+1 {
+		t.Fatalf("%d fresh admissions of one ID, %d files; want 1 and %d", fresh, len(files(t, dir)), n+1)
 	}
-	pend, err := j2.Replay()
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j.Remove("shared")
+			j.Remove(fmt.Sprintf("job%02d", i))
+		}()
 	}
-	if len(pend) != 1 || len(pend[0].Points) != n {
-		t.Fatalf("want %d points, got %d", n, len(pend[0].Points))
+	wg.Wait()
+	if st := j.Stats(); len(files(t, dir)) != 0 || st.Live != 0 || st.Errors != 0 {
+		t.Fatalf("after removals: %v, stats %+v", files(t, dir), st)
 	}
 }
 
-func BenchmarkJournalAppend(b *testing.B) {
-	j, err := Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, _, err := j.Admit("bench", KindSweep, "", []byte(specJSON))
-	if err != nil {
-		b.Fatal(err)
-	}
-	hash := strings.Repeat("ab", 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Point(hash, "ok", false, 1); err != nil {
+// BenchmarkJournalAdmitRemove times one job's whole journal traffic:
+// its admission and its removal, an fsync each.
+func BenchmarkJournalAdmitRemove(b *testing.B) {
+	j, _ := open(b)
+	for b.Loop() {
+		if _, err := j.Admit("bench", KindSweep, "", []byte(specJSON)); err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Remove("bench"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestLeaseReplay: journals written while fleet replicas leased points
-// carry per-point lease lines ("status":"leased"). They still replay:
-// a leased point that never completed is pending work, never a
-// completion, and the completed points of the same journal still
-// count.
+// TestLeaseReplay: the files an earlier version appended to still
+// replay. Admission, per-point completion and fleet lease lines
+// ("status":"leased") replay as a pending job with its tenant — the
+// point lines are ignored, since the result cache holds whatever
+// settled — and a file closed with a terminal state line is dropped.
 func TestLeaseReplay(t *testing.T) {
 	j, dir := open(t)
-	lines := strings.Join([]string{
-		`{"v":1,"id":"job1","kind":"sweep","tenant":"t1","spec":` + specJSON + `}`,
+	writeFile(t, dir, "job1", admissionLine("job1", "t1"),
 		`{"point":"p1","status":"leased","holder":"replica-a"}`,
-		`{"point":"p1","status":"ok","attempts":1}`,             // lease settled by its completion
-		`{"point":"p2","status":"leased","holder":"replica-a"}`, // claimed, never finished: the crash
-		`{"point":"p3","status":"error","attempts":3}`,
-	}, "\n") + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "job1"+suffix), []byte(lines), 0o644); err != nil {
-		t.Fatal(err)
-	}
+		`{"point":"p1","status":"ok","attempts":1}`,
+		`{"point":"p2","status":"leased","holder":"replica-a"}`,
+		`{"point":"p3","status":"error","attempts":3}`)
+	writeFile(t, dir, "job2", admissionLine("job2", "t1"),
+		`{"point":"p1","status":"leased","holder":"replica-a"}`,
+		`{"point":"p1","status":"ok","attempts":1}`,
+		`{"state":"done"}`)
 	pend, err := j.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pend) != 1 || pend[0].ID != "job1" || pend[0].Tenant != "t1" {
-		t.Fatalf("want job1 pending, got %+v", pend)
+	want := Pending{ID: "job1", Kind: KindSweep, Tenant: "t1", Spec: []byte(specJSON)}
+	if len(pend) != 1 || pend[0].ID != want.ID || pend[0].Kind != want.Kind ||
+		pend[0].Tenant != want.Tenant || string(pend[0].Spec) != string(want.Spec) {
+		t.Fatalf("pending %+v, want only %+v", pend, want)
 	}
-	p := pend[0]
-	if _, done := p.Points["p2"]; done {
-		t.Fatal("leased-but-unfinished point replayed as a completion")
-	}
-	want := map[string]PointStatus{
-		"p1": {Status: "ok", Attempts: 1},
-		"p3": {Status: "error", Attempts: 3},
-	}
-	if len(p.Points) != len(want) {
-		t.Fatalf("completions = %v, want %v", p.Points, want)
-	}
-	for pt, st := range want {
-		if p.Points[pt] != st {
-			t.Fatalf("point %s replayed as %+v, want %+v", pt, p.Points[pt], st)
-		}
+	if got := files(t, dir); len(got) != 1 || filepath.Base(got[0]) != "job1"+suffix {
+		t.Fatalf("files after replay %v, want job1 alone", got)
 	}
 }

@@ -8,12 +8,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"qla/internal/engine"
 	"qla/internal/faultinject"
+	"qla/internal/jobs"
 	"qla/internal/journal"
+	"qla/internal/sched"
 	"qla/internal/sweep"
 )
 
@@ -187,16 +190,13 @@ func TestJournalReplayCompletesSweep(t *testing.T) {
 	journalDir := t.TempDir()
 
 	// Process 1 runs the sweep to completion, populating the disk cache.
-	srv1, ts1 := newTestServer(t, Config{CacheDir: cacheDir, JournalDir: journalDir})
+	_, ts1 := newTestServer(t, Config{CacheDir: cacheDir, JournalDir: journalDir})
 	_, sb, _ := postSweep(t, ts1.URL, gridSweep)
 	pollJob(t, ts1.URL, sb.JobID)
 	ts1.Close()
-	if err := srv1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Fabricate the crash: an admitted entry with no terminal record,
-	// exactly what a kill -9 mid-sweep leaves behind.
+	// Fabricate the crash: an admission file nothing removed, exactly
+	// what a kill -9 mid-sweep leaves behind.
 	sw, err := sweep.Expand(mustDecodeSpec(t, gridSweep))
 	if err != nil {
 		t.Fatal(err)
@@ -208,10 +208,9 @@ func TestJournalReplayCompletesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j.Admit(sw.Hash, journal.KindSweep, "", sw.JSON); err != nil {
+	if _, err := j.Admit(sw.Hash, journal.KindSweep, "", sw.JSON); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 
 	// Process 2 replays before serving.
 	srv2, ts2 := newTestServer(t, Config{CacheDir: cacheDir, JournalDir: journalDir})
@@ -244,6 +243,98 @@ func TestJournalReplayCompletesSweep(t *testing.T) {
 	}
 }
 
+// TestJournalFileLivesWithItsJob: a sweep's journal file exists only
+// while its job is unfinished and holds exactly its one admission line
+// all that time, in the format earlier versions wrote first, however
+// many points settle. A job that settles, is cancelled or fails leaves
+// no file, and neither does a fresh admission whose submission joined
+// a finished job or was refused.
+func TestJournalFileLivesWithItsJob(t *testing.T) {
+	journalDir := t.TempDir()
+	srv, ts := newTestServer(t, Config{JournalDir: journalDir, MaxJobs: 1})
+	// Once hang is set, one point attempt passes the fault seam and
+	// every later one hangs until its sweep ends.
+	var (
+		hang   atomic.Bool
+		passed atomic.Int32
+	)
+	srv.fault = func(ctx context.Context, _ string) error {
+		if hang.Load() && passed.Add(1) > 1 {
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	}
+	wals := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(journalDir, "*.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+
+	_, sb, _ := postSweep(t, ts.URL, gridSweep)
+	if snap := pollJob(t, ts.URL, sb.JobID); snap.State != jobs.StateDone || len(wals()) != 0 {
+		t.Fatalf("settled job: state %s, journal files %v", snap.State, wals())
+	}
+	if status, sb2, _ := postSweep(t, ts.URL, gridSweep); status != http.StatusOK || !sb2.Existing || len(wals()) != 0 {
+		t.Fatalf("joining the finished job: status %d, journal files %v", status, wals())
+	}
+
+	hang.Store(true)
+	running := fig7Sweep(16)
+	_, sb, _ = postSweep(t, ts.URL, running)
+	sw, err := sweep.Expand(mustDecodeSpec(t, running))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var snap jobs.Snapshot
+		if getJSON(t, ts.URL+"/v1/jobs/"+sb.JobID, &snap); snap.Progress.Done == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no point of the running sweep settled")
+		}
+	}
+	want := `{"v":1,"id":"` + sw.Hash + `","kind":"sweep","tenant":"` + sched.DefaultTenant + `","spec":` + string(sw.JSON) + "}\n"
+	if got, err := os.ReadFile(filepath.Join(journalDir, sw.Hash+".wal")); err != nil || string(got) != want {
+		t.Fatalf("running job's journal file %q (%v), want the one admission line %q", got, err, want)
+	}
+	// The store holds one job, and it is running: a new sweep is refused.
+	if status, _, raw := postSweep(t, ts.URL, fig7Sweep(17)); status != http.StatusServiceUnavailable || len(wals()) != 1 {
+		t.Fatalf("refused sweep: status %d %s, journal files %v", status, raw, wals())
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+sb.JobID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if snap := pollJob(t, ts.URL, sb.JobID); snap.State != jobs.StateCancelled || len(wals()) != 0 {
+		t.Fatalf("cancelled job: state %s, journal files %v", snap.State, wals())
+	}
+
+	// A sweep whose deadline passes while its points hang fails.
+	resp, err = http.Post(ts.URL+"/v1/sweeps?timeout=50ms", "application/json", strings.NewReader(fig7Sweep(18)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failing SubmitBody
+	err = json.NewDecoder(resp.Body).Decode(&failing)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := pollJob(t, ts.URL, failing.JobID); snap.State != jobs.StateFailed || len(wals()) != 0 {
+		t.Fatalf("failed job: state %s, journal files %v", snap.State, wals())
+	}
+	if st := srv.journal.Stats(); st.Errors != 0 || st.Live != 0 {
+		t.Fatalf("journal stats %+v", st)
+	}
+}
+
 // TestJournalGarbageDropped: a journal entry that cannot be decoded
 // back into a sweep is dropped at replay, not retried forever.
 func TestJournalGarbageDropped(t *testing.T) {
@@ -252,10 +343,9 @@ func TestJournalGarbageDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j.Admit("nothex", journal.KindSweep, "", []byte(`{"bogus":true}`)); err != nil {
+	if _, err := j.Admit("nothex", journal.KindSweep, "", []byte(`{"bogus":true}`)); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 
 	srv, _ := newTestServer(t, Config{JournalDir: journalDir})
 	n, err := srv.ReplayJournal()

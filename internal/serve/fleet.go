@@ -18,12 +18,14 @@ package serve
 //     the same job. Each replica starts the grid at its own rotation,
 //     so the replicas split it instead of racing point by point.
 //
-// A syncer goroutine per active sweep polls each peer's ledger of
-// settled points (GET /v1/leases/{sweep}) and prefetches them into the
+// A syncer goroutine per active sweep polls each peer's ledger
+// (GET /v1/leases/{sweep}) and prefetches the points it lists into the
 // local cache, so the fleet's results converge onto every replica while
 // the sweep runs — the property the kill -9 e2e test asserts: the
 // survivor finishes the dead replica's points from its own copy of
-// their bytes.
+// their bytes. The ledger is read from the cache, the one record of a
+// settled point: it lists the sweep's points the replica stores,
+// whoever computed them.
 //
 // Unreachable peers never block: per-peer circuit breakers
 // (internal/breaker) skip a dead peer after a few consecutive errors, a
@@ -41,7 +43,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -77,10 +78,10 @@ type fleet struct {
 	// construction.
 	breakers map[string]*breaker.Breaker
 
-	// sweeps maps each active sweep to its points, true once settled
-	// here: the ledger peers' syncers poll.
+	// sweeps holds the active sweeps by hash: the ledgers peers'
+	// syncers poll.
 	mu     sync.Mutex
-	sweeps map[string]map[string]bool
+	sweeps map[string]*sweep.Sweep
 
 	// Event counts, children of qla_fleet_events_total{event}: the only
 	// place they live.
@@ -96,7 +97,7 @@ func newFleet(cfg Config, c *cache.Cache, logger *slog.Logger, reg *obs.Registry
 		client:   &http.Client{Timeout: cfg.PeerTimeout},
 		log:      logger.With("subsystem", "fleet", "self", cfg.SelfID),
 		breakers: make(map[string]*breaker.Breaker, len(cfg.Peers)),
-		sweeps:   make(map[string]map[string]bool),
+		sweeps:   make(map[string]*sweep.Sweep),
 	}
 	for _, p := range cfg.Peers {
 		f.breakers[p] = breaker.New(fleetDegradeAfter, fleetProbeEvery)
@@ -108,20 +109,13 @@ func newFleet(cfg Config, c *cache.Cache, logger *slog.Logger, reg *obs.Registry
 	return f
 }
 
-// register starts the ledger for sw; idempotent so a resubmission
-// joining the running job never resets it.
+// register opens the ledger of sw while its job runs.
 func (f *fleet) register(sw *sweep.Sweep) {
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
-	if _, ok := f.sweeps[sw.Hash]; !ok {
-		pts := make(map[string]bool, len(sw.Points))
-		for _, pt := range sw.Points {
-			pts[pt.Canonical.Hash] = false
-		}
-		f.sweeps[sw.Hash] = pts
-	}
+	f.sweeps[sw.Hash] = sw
 	f.mu.Unlock()
 }
 
@@ -134,20 +128,6 @@ func (f *fleet) unregister(sweepHash string) {
 	}
 	f.mu.Lock()
 	delete(f.sweeps, sweepHash)
-	f.mu.Unlock()
-}
-
-// markDone records a locally settled point in the ledger.
-func (f *fleet) markDone(sweepHash, pointHash string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	if pts := f.sweeps[sweepHash]; pts != nil {
-		if _, ok := pts[pointHash]; ok {
-			pts[pointHash] = true
-		}
-	}
 	f.mu.Unlock()
 }
 
@@ -225,8 +205,8 @@ func (f *fleet) forward(sw *sweep.Sweep, timeout time.Duration, tenant, trace st
 }
 
 // sync polls each peer's ledger for sweepHash until done closes,
-// prefetching completions this replica does not hold into the local
-// cache tiers. This is what bounds the damage of a SIGKILLed replica:
+// prefetching points this replica does not hold into the local cache
+// tiers. This is what bounds the damage of a SIGKILLed replica:
 // its finished points are already local (or one peer-tier probe away)
 // on every survivor.
 func (f *fleet) sync(sweepHash string, done <-chan struct{}) {
@@ -254,7 +234,7 @@ func (f *fleet) sync(sweepHash string, done <-chan struct{}) {
 	}
 }
 
-// peerDone fetches the point hashes peer has completed for sweepHash;
+// peerDone fetches the point hashes peer's ledger lists for sweepHash;
 // every failure is just an empty answer (and breaker food).
 func (f *fleet) peerDone(peer, sweepHash string) []string {
 	if !f.breakers[peer].Allow() {
@@ -278,28 +258,31 @@ func (f *fleet) peerDone(peer, sweepHash string) []string {
 }
 
 // Ledger is the GET /v1/leases/{sweep} payload: the points of one
-// active sweep this replica has settled.
+// active sweep this replica's cache stores.
 type Ledger struct {
 	Sweep string   `json:"sweep"`
 	Total int      `json:"total"`
 	Done  []string `json:"done"`
 }
 
-// ledger snapshots one sweep's ledger for the polling route.
+// ledger lists, in grid order, the points of one active sweep that the
+// cache stores, in memory or on disk. A point counts whoever stored it
+// — this sweep, an earlier run or a peer prefetch — and a failed point,
+// which stores nothing, never does.
 func (f *fleet) ledger(sweepHash string) (Ledger, bool) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	pts := f.sweeps[sweepHash]
-	if pts == nil {
+	sw := f.sweeps[sweepHash]
+	f.mu.Unlock()
+	if sw == nil {
 		return Ledger{}, false
 	}
-	led := Ledger{Sweep: sweepHash, Total: len(pts), Done: make([]string, 0, len(pts))}
-	for h, done := range pts {
-		if done {
+	led := Ledger{Sweep: sweepHash, Total: len(sw.Points), Done: []string{}}
+	for i := range sw.Points {
+		h := sw.Points[i].Canonical.Hash
+		if stored, _ := f.cache.Contains(h); stored {
 			led.Done = append(led.Done, h)
 		}
 	}
-	sort.Strings(led.Done)
 	return led, true
 }
 
@@ -364,9 +347,8 @@ func (f *fleet) noteHeld() {
 	}
 }
 
-// handleLeaseLedger is GET /v1/leases/{sweep}: the ledger of settled
-// points that peers' syncers poll to prefetch this replica's
-// completions.
+// handleLeaseLedger is GET /v1/leases/{sweep}: the ledger of stored
+// points that peers' syncers poll to prefetch this replica's results.
 func (s *Server) handleLeaseLedger(w http.ResponseWriter, r *http.Request) {
 	if s.fleet == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("fleet mode disabled (start with -peers)"))

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"qla/internal/cache"
 	"qla/internal/engine"
+	"qla/internal/faultinject"
 	"qla/internal/jobs"
 	"qla/internal/sweep"
 )
@@ -190,6 +192,79 @@ func TestFleetSweepForwardedAndShared(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("replica %d still serves the settled ledger: %d", i, resp.StatusCode)
+		}
+	}
+}
+
+// TestFleetLedgerReadsCache: GET /v1/leases/{sweep} lists the points of
+// a running sweep that the replica's cache stores, whoever stored them.
+// Every point is held on the fault seam, one of them failing
+// permanently instead, so no point settles through the runner: the
+// ledger lists the one point an earlier POST /v1/run stored, never the
+// failed one, reports the grid size as its total, and is gone once the
+// job settles.
+func TestFleetLedgerReadsCache(t *testing.T) {
+	body := fleetFig7Sweep(640, 7100)
+	sw, err := sweep.Expand(mustDecodeSpec(t, body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvs, urls := newFleetServers(t, 2, nil)
+	// Replica 0 dispatches the failing point first, so it settles
+	// however few points run at once; the run stores the next one.
+	first := srvs[0].fleet.offset(sw)
+	next := (first + 1) % len(sw.Points)
+	failed, stored := sw.Points[first].Canonical.Hash, sw.Points[next].Canonical.Hash
+	run := fmt.Sprintf(`{"experiment": "figure7", "params": {"phys-errors": [0.003], "trials": 640, "seed": %d}}`, 7100+next)
+	if specHash(t, run) != stored {
+		t.Fatal("setup: the run is not a point of the sweep")
+	}
+	release := make(chan struct{})
+	for _, srv := range srvs {
+		srv.fault = func(ctx context.Context, hash string) error {
+			if hash == failed {
+				return &faultinject.Error{Hash: hash, Perm: true}
+			}
+			select {
+			case <-release:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+	}
+	if status, _, raw := postRun(t, urls[0], run); status != http.StatusOK {
+		t.Fatalf("run: status %d %s", status, raw)
+	}
+	_, sb, raw := postSweep(t, urls[0], body)
+	if sb.JobID != sw.Hash {
+		close(release)
+		t.Fatalf("submit: %s", raw)
+	}
+	// Replica 0 has settled the failed point, and the forward has landed
+	// on replica 1.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var snap jobs.Snapshot
+		if getJSON(t, urls[0]+"/v1/jobs/"+sw.Hash, &snap) == http.StatusOK && snap.Progress.Failed == 1 &&
+			getJSON(t, urls[1]+"/v1/jobs/"+sw.Hash, nil) == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("the failed point never settled on replica 0, or the sweep never reached replica 1: %+v", snap)
+		}
+	}
+	var led Ledger
+	if status := getJSON(t, urls[0]+"/v1/leases/"+sw.Hash, &led); status != http.StatusOK ||
+		led.Sweep != sw.Hash || led.Total != len(sw.Points) || !slices.Equal(led.Done, []string{stored}) {
+		close(release)
+		t.Fatalf("ledger: status %d %+v, want total %d and done [%s]", status, led, len(sw.Points), stored)
+	}
+	close(release)
+	for i, u := range urls {
+		pollJob(t, u, sw.Hash)
+		if status := getJSON(t, u+"/v1/leases/"+sw.Hash, nil); status != http.StatusNotFound {
+			t.Fatalf("replica %d serves the settled sweep's ledger: status %d", i, status)
 		}
 	}
 }

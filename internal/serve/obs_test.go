@@ -74,7 +74,6 @@ var (
 		"qla_journal_errors_total":   "",
 		"qla_journal_fsync_seconds":  "", // benchmark
 		"qla_journal_records_total":  "kind",
-		"qla_journal_resumed_total":  "",
 	}
 	fleetGolden = map[string]string{
 		"qla_fleet_events_total": "event",

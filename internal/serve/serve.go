@@ -328,13 +328,6 @@ func (s *Server) retryPolicy() sweep.RetryPolicy {
 	return sweep.RetryPolicy{MaxAttempts: attempts, PointTimeout: s.cfg.PointTimeout}
 }
 
-// Close releases the server's durable resources: open journal entries
-// are closed without a terminal record, so their jobs replay on the
-// next start. Call it after the HTTP listener has drained.
-func (s *Server) Close() error {
-	return s.journal.Close()
-}
-
 // retryAfterSeconds is the one Retry-After policy every 503 shares:
 // scaled to the scheduler backlog (one second, plus one per queued run
 // per worker, capped) so a saturated server asks clients to back off

@@ -114,7 +114,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	}
 
 	trace := obs.TraceFrom(r.Context())
-	job, created, err := s.startSweep(sw, timeout, nil, tenant, forwarded, trace)
+	job, created, err := s.startSweep(sw, timeout, tenant, forwarded, trace)
 	if err != nil {
 		var qe *jobs.QuotaError
 		if errors.As(err, &qe) {
@@ -160,31 +160,25 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 }
 
 // startSweep submits sw as an async job, wiring in the durable and
-// failure-tolerant machinery: the write-ahead journal entry (admitted
-// before the job starts, fed per-point completion records, finished
-// with the job's terminal state), the per-point retry policy, and the
-// test-only fault seam. resumed carries the already-open journal entry
-// when the sweep is being re-admitted by ReplayJournal; nil admits a
-// fresh one. tenant is the owning tenant: the job is quota-accounted
-// to it (unless quotaExempt — fleet-forwarded and journal-replayed
-// work was admitted elsewhere/earlier) and every point acquisition
-// runs as that tenant's bulk work. trace is the admitting request's
-// trace ID: the job manager detaches the run from the request context,
-// so the trace is re-attached by value inside the closure — every peer
-// cache probe carries it from there.
-func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *journal.Entry, tenant string, quotaExempt bool, trace string) (*jobs.Job, bool, error) {
-	entry := resumed
-	freshEntry := false
-	if entry == nil && s.journal != nil {
-		e, fresh, err := s.journal.Admit(sw.Hash, journal.KindSweep, tenant, sw.JSON)
-		if err != nil {
-			// Journal trouble must not block serving: the job runs, it
-			// just won't survive a crash.
-			s.log.Error("journal admission failed; job runs without durability",
-				"sweep", sw.Hash[:12], "err", err, "trace", trace)
-		} else {
-			entry, freshEntry = e, fresh
-		}
+// failure-tolerant machinery: the journal admission (written before the
+// job starts and removed when it ends, whatever the outcome), the
+// per-point retry policy, and the test-only fault seam. A sweep
+// ReplayJournal re-admits is already live in the journal, so its
+// admission joins the replayed file instead of rewriting it. tenant is
+// the owning tenant: the job is quota-accounted to it (unless
+// quotaExempt — fleet-forwarded and journal-replayed work was admitted
+// elsewhere/earlier) and every point acquisition runs as that tenant's
+// bulk work. trace is the admitting request's trace ID: the job manager
+// detaches the run from the request context, so the trace is
+// re-attached by value inside the closure — every peer cache probe
+// carries it from there.
+func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, tenant string, quotaExempt bool, trace string) (*jobs.Job, bool, error) {
+	fresh, err := s.journal.Admit(sw.Hash, journal.KindSweep, tenant, sw.JSON)
+	if err != nil {
+		// Journal trouble must not block serving: the job runs, it
+		// just won't survive a crash.
+		s.log.Error("journal admission failed; job runs without durability",
+			"sweep", sw.Hash[:12], "err", err, "trace", trace)
 	}
 	opts := jobs.SubmitOptions{Tenant: tenant, Total: len(sw.Points), BypassQuota: quotaExempt}
 	job, created, err := s.jobs.SubmitBody(sw.Hash, opts, func(ctx context.Context, report func(jobs.Progress)) (jobs.Body, error) {
@@ -207,30 +201,13 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 			Tenant:  tenant,
 			Offset:  s.fleet.offset(sw),
 			Metrics: s.pointMetrics,
-			Observer: func(pr sweep.PointResult) {
-				entry.Point(pr.SpecHash, pr.Status, pr.Cached, pr.Attempts)
-				if pr.Status == "ok" {
-					// Only successes enter the ledger: a failed point has
-					// no bytes to serve, so advertising it as done would
-					// send peers' syncers after bytes that never come.
-					s.fleet.markDone(sw.Hash, pr.SpecHash)
-				}
-			},
 		}
 		res, runErr := runner.Run(runCtx, sw, func(p sweep.Progress) {
 			report(jobs.Progress{Total: p.Total, Done: p.Done, Cached: p.Cached, Failed: p.Failed, Retries: p.Retries})
 		})
-		// The terminal record settles the journal entry whatever the
-		// outcome; in particular a failure is recorded (and the file
-		// removed) rather than left to replay as a stale failed job.
-		switch {
-		case runErr == nil:
-			entry.Finish(string(jobs.StateDone))
-		case errors.Is(runErr, context.Canceled):
-			entry.Finish(string(jobs.StateCancelled))
-		default:
-			entry.Finish(string(jobs.StateFailed))
-		}
+		// The job has ended: its journal file goes whatever the outcome,
+		// so a failure is never resurrected as a stale failed job.
+		s.journal.Remove(sw.Hash)
 		if runErr != nil {
 			return nil, runErr
 		}
@@ -242,12 +219,12 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 		}
 		return settled, nil
 	})
-	if (err != nil || !created) && freshEntry {
+	if (err != nil || !created) && fresh {
 		// The submission was rejected, or joined an existing job that
 		// owns no journal entry (a finished job still within its TTL):
 		// the fresh admission would otherwise replay a settled sweep
 		// after the next restart.
-		entry.Discard()
+		s.journal.Remove(sw.Hash)
 	}
 	return job, created, err
 }
@@ -262,9 +239,6 @@ func (s *Server) startSweep(sw *sweep.Sweep, timeout time.Duration, resumed *jou
 // to a different content address are dropped. It returns the number of
 // jobs re-admitted.
 func (s *Server) ReplayJournal() (int, error) {
-	if s.journal == nil {
-		return 0, nil
-	}
 	pending, err := s.journal.Replay()
 	if err != nil {
 		return 0, err
@@ -277,19 +251,13 @@ func (s *Server) ReplayJournal() (int, error) {
 			s.journal.Drop(p.ID)
 			continue
 		}
-		entry, err := s.journal.Resume(p.ID)
-		if err != nil {
-			// Re-admit anyway: completing the sweep beats preserving its
-			// journal continuity.
-			s.log.Warn("resuming journal entry", "entry", p.ID, "err", err)
-		}
 		// Replayed jobs keep the tenant recorded at admission and
 		// bypass the concurrent-job quota: refusing durable work at
 		// restart would silently drop it. Each replay runs under a
 		// fresh trace ID — the admitting request's trace died with the
 		// crashed process.
 		trace := obs.NewTraceID()
-		_, created, err := s.startSweep(sw, s.cfg.SweepTimeout, entry, p.Tenant, true, trace)
+		_, created, err := s.startSweep(sw, s.cfg.SweepTimeout, p.Tenant, true, trace)
 		if err != nil {
 			s.log.Error("re-admitting journaled sweep failed", "entry", p.ID, "err", err, "trace", trace)
 			continue
@@ -297,8 +265,7 @@ func (s *Server) ReplayJournal() (int, error) {
 		if created {
 			n++
 			s.journalReplayed.Add(1)
-			s.log.Info("re-admitted journaled sweep", "sweep", p.ID[:12],
-				"points", len(sw.Points), "completions_recorded", len(p.Points), "trace", trace)
+			s.log.Info("re-admitted journaled sweep", "sweep", p.ID[:12], "points", len(sw.Points), "trace", trace)
 		}
 	}
 	return n, nil

@@ -400,7 +400,7 @@ func TestSettledSweepHeapPerPoint(t *testing.T) {
 	srv := New(Config{})
 	settle := func(sw *sweep.Sweep) {
 		t.Helper()
-		job, created, err := srv.startSweep(sw, time.Minute, nil, "", false, "")
+		job, created, err := srv.startSweep(sw, time.Minute, "", false, "")
 		if err != nil || !created {
 			t.Fatalf("sweep %.12s: created %v, err %v", sw.Hash, created, err)
 		}

@@ -42,9 +42,10 @@ type Runner struct {
 	// point once with no per-attempt deadline.
 	Retry RetryPolicy
 	// Observer, when non-nil, is called with every point's final
-	// PointResult as it completes (after retries), never concurrently —
-	// the serving layer's journal appends per-point completion records
-	// through it.
+	// PointResult as it completes (after retries), never concurrently.
+	// The serving layer records nothing per point (the cache holds each
+	// settled point's bytes); perfbench's in-process mode times freshly
+	// computed points through it.
 	Observer func(PointResult)
 	// Fault is the test-only chaos seam (see FaultHook); nil in
 	// production.

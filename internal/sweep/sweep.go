@@ -166,7 +166,9 @@ func Expand(s Spec) (*Sweep, error) {
 	// Canonicalize the axes: check every value once against its field —
 	// coerced to the declared kind, a parameter's OneOf enforced — and
 	// reject duplicates within an axis (they would expand to duplicate
-	// points), unknown fields, and empty value lists.
+	// points), unknown fields, and empty value lists. A parameter value
+	// is keyed on its encoding in the point Spec, where a nil and an
+	// empty list are both null.
 	axes := make([]axis, len(s.Axes))
 	canonAxes := make([]Axis, len(s.Axes))
 	fields := make([]string, len(s.Axes))
@@ -233,7 +235,7 @@ func Expand(s Spec) (*Sweep, error) {
 		Points:     make([]Point, 0, total),
 	}
 
-	// Distinct parameter values encode distinctly, so only a machine
+	// Distinct parameter keys derive distinct points, so only a machine
 	// axis, whose values normalize (level 0 is level 2), can make two
 	// points one run: only then are the points' hashes compared.
 	var seenPoint map[string]int

@@ -128,6 +128,12 @@ func TestExpandValidation(t *testing.T) {
 		{"empty values", Spec{Base: ec, Axes: []Axis{axis("machine.level")}}, "has no values"},
 		{"duplicate field", Spec{Base: ec, Axes: []Axis{axis("machine.level", 1), axis("machine.level", 2)}}, "duplicate axis field"},
 		{"duplicate value", Spec{Base: ec, Axes: []Axis{axis("machine.level", 2, 2.0)}}, "repeats value"},
+		// A Go caller's nil or typed-empty list and []any{} coerce to
+		// distinct values (coordinates null and []) that derive one run.
+		{"empty list spelled two ways", Spec{Base: engine.Spec{Experiment: "compare-adders"},
+			Axes: []Axis{axis("params.widths", []any{}, []int(nil))}}, "repeats value null"},
+		{"typed empty list", Spec{Base: engine.Spec{Experiment: "compare-adders"},
+			Axes: []Axis{axis("params.widths", []int{}, []any{})}}, "repeats value null"},
 		{"unknown field", Spec{Base: ec, Axes: []Axis{axis("machine.tech", 1)}}, "unknown axis field"},
 		{"unknown param", Spec{Base: ec, Axes: []Axis{axis("params.trials", 1)}}, `declares no parameter "trials"`},
 		{"uncoercible value", Spec{Base: ec, Axes: []Axis{axis("machine.level", "two")}}, "want integer"},
