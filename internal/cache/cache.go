@@ -9,7 +9,10 @@
 // cache bounds itself by a byte budget with LRU eviction, and
 // de-duplicates concurrent identical requests (singleflight): N
 // callers asking for the same key while it computes share one
-// execution and receive the same bytes.
+// execution and receive the same bytes. A shared computation runs
+// while anyone waits for it: each caller's context ends only that
+// caller's wait, and a computation nobody waits for any more is
+// cancelled and caches nothing (see Do).
 //
 // WithDir adds an optional file persistence tier: stored values are
 // also written through to one file per key, and a memory miss consults
@@ -38,6 +41,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -99,17 +103,20 @@ type entry struct {
 	prev, next *entry
 }
 
-// flight is one in-progress lookup-then-computation. The leader writes
-// val/err and then closes done; followers read them only after done is
-// closed. computing and again are guarded by Cache.mu: computing is set
-// once every tier has missed and the leader commits to computing, and
-// again is set by Hold when it refused to hold a lower-ranked peer's
-// probe while the flight was still looking up — the leader then walks
-// the peers once more before it computes.
+// flight is one lookup-then-computation, run by fly under ctx. fly
+// writes val, err and computed, then closes done. Cache.mu guards the
+// rest: waiters counts the callers and held peer probes waiting on it,
+// computing is set once every tier has missed, and again by Hold when
+// it refused to hold a lower-ranked peer's probe during the lookup —
+// fly then walks the peers once more before it computes.
 type flight struct {
+	ctx       context.Context
+	cancel    context.CancelFunc
 	done      chan struct{}
 	val       []byte
 	err       error
+	computed  bool
+	waiters   int
 	computing bool
 	again     bool
 }
@@ -234,7 +241,8 @@ func New(maxBytes int64, opts ...Option) *Cache {
 	if c.dir != "" {
 		if err := os.MkdirAll(c.dir, 0o755); err != nil {
 			// An unusable directory disables the tier; the in-memory
-			// cache keeps working and the error counter shows it.
+			// cache keeps working.
+			c.logf("cache: disk tier disabled, running memory-only: %v", err)
 			c.dir = ""
 			c.m.persistErrors.Inc()
 		}
@@ -242,74 +250,91 @@ func New(maxBytes int64, opts ...Option) *Cache {
 	return c
 }
 
-// GetOrCompute returns the cached bytes for key, or runs compute to
-// produce them. Concurrent calls for the same key collapse onto one
-// compute (the first caller's); the rest wait and share its outcome,
-// reported as hits. Errors are never cached — a later call recomputes —
-// and the error of a collapsed flight is delivered to every waiter.
-// The context governs only the caller's own wait; it does not cancel a
-// computation other callers may still be waiting on.
-func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
-	if val, ok := c.Get(key); ok {
-		return val, true, nil
-	}
+// Do returns the cached bytes for key, or runs compute to produce them.
+// Concurrent calls for a key collapse onto one flight, which the rest
+// join as hits. A flight runs the disk probe, the peer walk and compute
+// on its own goroutine, under a context with the first caller's values
+// (tenant identity, trace ID) that is cancelled when its last waiter —
+// a caller or a probe Hold holds — stops waiting. Each waiter returns
+// when its own context ends; a cancelled flight leaves the in-flight
+// table at once and caches nothing, and a caller whose context has
+// ended starts and joins nothing. Errors, a panic in compute included,
+// reach every waiter and are never cached.
+func (c *Cache) Do(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (val []byte, hit bool, err error) {
 	c.mu.Lock()
-	// The entry may have landed since the probe, its flight gone.
 	if val, ok := c.getLocked(key); ok {
 		c.mu.Unlock()
 		c.m.memoryHits.Inc()
 		return val, true, nil
 	}
-	if f, ok := c.inflight[key]; ok {
+	if err := ctx.Err(); err != nil {
 		c.mu.Unlock()
-		c.m.inflightHits.Inc()
-		select {
-		case <-f.done:
-			if f.err != nil {
-				return nil, false, f.err
-			}
-			return f.val, true, nil
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		return nil, false, err
 	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
+	f, joined := c.inflight[key]
+	if !joined {
+		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		f = &flight{ctx: fctx, cancel: cancel, done: make(chan struct{})}
+		c.inflight[key] = f
+		go c.fly(key, f, compute)
+	}
+	f.waiters++
 	c.mu.Unlock()
+	if joined {
+		c.m.inflightHits.Inc()
+	}
+	if val, err = c.wait(ctx, key, f); err != nil {
+		return nil, false, err
+	}
+	return val, joined || !f.computed, nil
+}
 
+// GetOrCompute is Do for a compute that takes no context.
+func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, bool, error) {
+	return c.Do(ctx, key, func(context.Context) ([]byte, error) { return compute() })
+}
+
+// wait blocks one waiter of f until the flight lands or ctx ends,
+// whichever comes first. A waiter whose context ends stops waiting;
+// the last one to stop cancels the flight.
+func (c *Cache) wait(ctx context.Context, key string, f *flight) ([]byte, error) {
+	select {
+	case <-f.done:
+		return f.val, f.err
+	case <-ctx.Done():
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f.waiters--; f.waiters == 0 {
+		if c.inflight[key] == f {
+			delete(c.inflight, key)
+		}
+		f.cancel()
+	}
+	return nil, ctx.Err()
+}
+
+// fly runs flight f for key to its end: the disk tier, the peer tier,
+// then compute, each only while the flight's context lives.
+func (c *Cache) fly(key string, f *flight, compute func(context.Context) ([]byte, error)) {
+	defer f.cancel()
 	// Persistence tier: a value written by an earlier process (or
-	// evicted from memory since) replays without recomputation. The
-	// probe runs as the flight leader, so concurrent callers still
-	// collapse onto one disk read.
+	// evicted from memory since) replays without recomputation.
 	if val, ok := c.loadFile(key); ok {
 		c.m.diskHits.Inc()
-		c.mu.Lock()
-		delete(c.inflight, key)
-		c.storeLocked(key, val)
-		c.mu.Unlock()
-		f.val = val
-		close(f.done)
-		return val, true, nil
+		c.land(key, f, val, nil, false)
+		return
 	}
-
 	// Peer tier: another replica may already hold the bytes, or be
-	// computing them — still as the flight leader, so N concurrent callers
-	// cost one peer walk. If Hold turned a peer's probe away while this
+	// computing them. If Hold turned a peer's probe away while this
 	// flight was looking up, it marked the flight: walk the peers once
 	// more before computing, and find that peer computing. A peer hit is
-	// written through to the local disk (after releasing the followers,
-	// like the compute path): the peer can die, and the whole point of the
-	// fleet is that its results survive anywhere.
+	// written through to the local disk: the peer can die, and the whole
+	// point of the fleet is that its results survive anywhere.
 	for {
-		if val, ok := c.loadPeers(ctx, key, true); ok {
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.storeLocked(key, val)
-			c.mu.Unlock()
-			f.val = val
-			close(f.done)
-			c.writeFile(key, val)
-			return val, true, nil
+		if val, ok := c.loadPeers(f.ctx, key, true); ok {
+			c.land(key, f, val, nil, true)
+			return
 		}
 		c.mu.Lock()
 		again := f.again
@@ -319,42 +344,45 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 			break
 		}
 	}
-
+	if err := f.ctx.Err(); err != nil {
+		c.land(key, f, nil, err, false)
+		return
+	}
 	c.m.misses.Inc()
-
-	// A panic escaping compute must not strand the flight: waiters
-	// would block on done forever and the key would be poisoned until
-	// process restart. Resolve the flight with an error and let the
-	// panic continue to the caller.
-	completed := false
-	defer func() {
-		if completed {
-			return
-		}
-		c.mu.Lock()
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		f.err = fmt.Errorf("cache: computation for key %s panicked", key)
-		close(f.done)
+	f.computed = true
+	val, err := func() (val []byte, err error) {
+		// A panic here would take the process down: it becomes the
+		// flight's error instead.
+		defer func() {
+			if r := recover(); r != nil {
+				c.logf("cache: computation for key %s panicked: %v\n%s", key, r, debug.Stack())
+				val, err = nil, fmt.Errorf("cache: computation for key %s panicked: %v", key, r)
+			}
+		}()
+		return compute(f.ctx)
 	}()
-	val, err = compute()
-	completed = true
+	c.land(key, f, val, err, err == nil)
+}
 
+// land resolves f with val or err and releases its waiters; a flight
+// nobody waits for stores nothing. persist writes a stored value
+// through to disk first, so a caller that got the bytes (a sweep
+// reporting a point done) can count on them surviving a restart.
+func (c *Cache) land(key string, f *flight, val []byte, err error, persist bool) {
 	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
+	if c.inflight[key] == f {
+		delete(c.inflight, key)
+	}
+	store := err == nil && f.ctx.Err() == nil
+	if store {
 		c.storeLocked(key, val)
 	}
 	c.mu.Unlock()
-	f.val, f.err = val, err
-	close(f.done)
-	// Persist only after releasing the followers: the value is already
-	// in memory, and a slow disk must not add latency to requests that
-	// collapsed onto this flight.
-	if err == nil {
+	if store && persist {
 		c.writeFile(key, val)
 	}
-	return val, false, err
+	f.val, f.err = val, err
+	close(f.done)
 }
 
 // Get returns the bytes the memory tier holds for key, marking them
@@ -548,7 +576,7 @@ type Stats struct {
 	// actually executed; Evictions entries dropped to hold the budget.
 	Hits, Misses, Dedups, Evictions uint64
 	// Entries and Bytes describe the stored set; Inflight is the number
-	// of computations currently executing.
+	// of flights someone still waits for.
 	Entries  int
 	Bytes    int64
 	Inflight int

@@ -18,11 +18,11 @@ import (
 
 func mustGet(t *testing.T, c *Cache, key, val string) (got []byte, hit bool) {
 	t.Helper()
-	got, hit, err := c.GetOrCompute(context.Background(), key, func() ([]byte, error) {
+	got, hit, err := c.Do(context.Background(), key, func(context.Context) ([]byte, error) {
 		return []byte(val), nil
 	})
 	if err != nil {
-		t.Fatalf("GetOrCompute(%q): %v", key, err)
+		t.Fatalf("Do(%q): %v", key, err)
 	}
 	return got, hit
 }
@@ -57,7 +57,7 @@ func TestSingleflightCollapse(t *testing.T) {
 
 	results := make(chan []byte, followers+1)
 	go func() {
-		val, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+		val, _, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
 			executions.Add(1)
 			close(started)
 			<-release
@@ -75,7 +75,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, hit, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+			val, hit, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
 				executions.Add(1)
 				return []byte("shared"), nil
 			})
@@ -115,7 +115,7 @@ func TestSingleflightCollapse(t *testing.T) {
 func TestErrorsNotCached(t *testing.T) {
 	c := New(0)
 	boom := errors.New("boom")
-	_, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+	_, _, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
 		return nil, boom
 	})
 	if err != boom {
@@ -222,7 +222,7 @@ func TestWaiterContextCancel(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+		c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
 			close(started)
 			<-release
 			return []byte("late"), nil
@@ -232,7 +232,7 @@ func TestWaiterContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompute(ctx, "k", func() ([]byte, error) { return nil, nil })
+		_, _, err := c.Do(ctx, "k", func(context.Context) ([]byte, error) { return nil, nil })
 		errc <- err
 	}()
 	for c.Stats().Dedups != 1 {
@@ -253,39 +253,22 @@ func TestWaiterContextCancel(t *testing.T) {
 	}
 }
 
-// TestPanickedComputeDoesNotPoisonKey: a panic escaping compute must
-// fail waiters promptly (not strand them on the flight) and leave the
-// key recomputable; the panic itself propagates to the leader's caller.
+// TestPanickedComputeDoesNotPoisonKey: a panic escaping compute is
+// logged with its key and resolves the flight with an error for the
+// caller that started it; the key stays recomputable.
 func TestPanickedComputeDoesNotPoisonKey(t *testing.T) {
-	c := New(0)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	leaderPanicked := make(chan any, 1)
-	go func() {
-		defer func() { leaderPanicked <- recover() }()
-		c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
-			close(started)
-			<-release
-			panic("boom")
-		})
-	}()
-	<-started
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
-			return []byte("follower should not compute while flight is live"), nil
-		})
-		errc <- err
-	}()
-	for c.Stats().Dedups != 1 {
-		time.Sleep(100 * time.Microsecond)
+	var logged []string
+	c := New(0, WithLogger(func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}))
+	_, _, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+		panic("boom")
+	})
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v, want a panicked-flight error", err)
 	}
-	close(release)
-	if r := <-leaderPanicked; r == nil {
-		t.Fatal("panic did not propagate to the leader's caller")
-	}
-	if err := <-errc; err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("follower err = %v, want a panicked-flight error", err)
+	if len(logged) != 1 || !strings.Contains(logged[0], "key k panicked: boom") {
+		t.Fatalf("logged %q, want the panic with its key", logged)
 	}
 	if s := c.Stats(); s.Inflight != 0 || s.Entries != 0 {
 		t.Fatalf("flight not cleaned up: %+v", s)
@@ -306,7 +289,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("key-%d", i%8)
-			val, _, err := c.GetOrCompute(context.Background(), key, func() ([]byte, error) {
+			val, _, err := c.Do(context.Background(), key, func(context.Context) ([]byte, error) {
 				return []byte("val-" + key), nil
 			})
 			if err != nil {
@@ -341,7 +324,7 @@ func TestPersistenceWriteThroughAndReload(t *testing.T) {
 	// A new process over the same directory.
 	c2 := New(0, WithDir(dir))
 	var computed atomic.Int32
-	val, hit, err := c2.GetOrCompute(context.Background(), "aaaa", func() ([]byte, error) {
+	val, hit, err := c2.Do(context.Background(), "aaaa", func(context.Context) ([]byte, error) {
 		computed.Add(1)
 		return []byte("recomputed"), nil
 	})
@@ -373,7 +356,7 @@ func TestPersistenceSurvivesMemoryEviction(t *testing.T) {
 	if s := c.Stats(); s.Evictions != 1 {
 		t.Fatalf("stats %+v", s)
 	}
-	val, hit, err := c.GetOrCompute(context.Background(), "aaaa", func() ([]byte, error) {
+	val, hit, err := c.Do(context.Background(), "aaaa", func(context.Context) ([]byte, error) {
 		return []byte("recomputed"), nil
 	})
 	if err != nil || !hit || string(val) != `"value-aa"` {
@@ -399,14 +382,14 @@ func TestPersistenceUnsafeKeySkipsTier(t *testing.T) {
 func TestPersistenceErrorsNotWritten(t *testing.T) {
 	dir := t.TempDir()
 	c := New(0, WithDir(dir))
-	_, _, err := c.GetOrCompute(context.Background(), "bad1", func() ([]byte, error) {
+	_, _, err := c.Do(context.Background(), "bad1", func(context.Context) ([]byte, error) {
 		return nil, errors.New("nope")
 	})
 	if err == nil {
 		t.Fatal("error swallowed")
 	}
 	c2 := New(0, WithDir(dir))
-	val, hit, err := c2.GetOrCompute(context.Background(), "bad1", func() ([]byte, error) {
+	val, hit, err := c2.Do(context.Background(), "bad1", func(context.Context) ([]byte, error) {
 		return []byte("fresh"), nil
 	})
 	if err != nil || hit || string(val) != "fresh" {
@@ -427,7 +410,7 @@ func TestPersistenceCorruptFileRemoved(t *testing.T) {
 	if stored, _ := c.Contains("torn"); !stored {
 		t.Fatal("setup: the planted file does not read as stored")
 	}
-	_, hit, err := c.GetOrCompute(context.Background(), "torn", func() ([]byte, error) {
+	_, hit, err := c.Do(context.Background(), "torn", func(context.Context) ([]byte, error) {
 		return nil, errors.New("compute down")
 	})
 	if err == nil || hit {
@@ -442,11 +425,19 @@ func TestPersistenceCorruptFileRemoved(t *testing.T) {
 }
 
 // TestPersistenceUnusableDirDegrades: a directory that cannot be
-// created disables the tier; the cache itself keeps working.
+// created disables the tier, and the log says so once; the cache
+// itself keeps working.
 func TestPersistenceUnusableDirDegrades(t *testing.T) {
-	c := New(0, WithDir(string([]byte{0})))
+	var logged []string
+	c := New(0, WithDir(string([]byte{0})), WithLogger(func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}))
 	if s := c.Stats(); s.Persistent || s.PersistErrors != 1 {
 		t.Fatalf("stats %+v", s)
+	}
+	// Said once, with the reason: the operator asked for a disk tier.
+	if len(logged) != 1 || !strings.Contains(logged[0], "disk tier disabled") || !strings.Contains(logged[0], "invalid argument") {
+		t.Fatalf("logged %q, want one disabled-tier line with the error", logged)
 	}
 	if got, _ := mustGet(t, c, "k", "v"); string(got) != "v" {
 		t.Fatalf("got %q", got)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -144,7 +145,7 @@ func TestContains(t *testing.T) {
 	computed := make(chan struct{})
 	go func() {
 		defer close(computed)
-		c.GetOrCompute(t.Context(), "slow", func() ([]byte, error) {
+		c.Do(t.Context(), "slow", func(context.Context) ([]byte, error) {
 			close(started)
 			<-release
 			return []byte("v"), nil

@@ -61,6 +61,17 @@ func flightOf(c *Cache, key string) (exists, computing, again bool) {
 	return true, f.computing, f.again
 }
 
+// waitersOf returns how many callers and held probes wait on key's
+// flight (0 without one).
+func waitersOf(c *Cache, key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f := c.inflight[key]; f != nil {
+		return f.waiters
+	}
+	return 0
+}
+
 // waitFlight polls until key's flight satisfies cond.
 func waitFlight(t *testing.T, c *Cache, key string, what string, cond func(exists, computing, again bool) bool) {
 	t.Helper()
@@ -72,14 +83,14 @@ func waitFlight(t *testing.T, c *Cache, key string, what string, cond func(exist
 	}
 }
 
-// blockedCompute starts a GetOrCompute of key whose compute blocks
+// blockedCompute starts a Do of key whose compute blocks
 // until release is closed and then returns val or err; it returns once
 // the flight is computing. The channel delivers the leader's outcome.
 func blockedCompute(t *testing.T, c *Cache, key string, val []byte, err error, release <-chan struct{}) <-chan error {
 	t.Helper()
 	out := make(chan error, 1)
 	go func() {
-		_, _, e := c.GetOrCompute(context.Background(), key, func() ([]byte, error) {
+		_, _, e := c.Do(context.Background(), key, func(context.Context) ([]byte, error) {
 			<-release
 			return val, err
 		})
@@ -211,8 +222,8 @@ func TestHoldSelfNeverHeld(t *testing.T) {
 }
 
 // TestHoldDeadlineLeavesNothing: a hold whose context ends first is a
-// "computing" miss, and leaves the flight exactly as it found it — a
-// hold registers nothing.
+// "computing" miss, and leaves the flight exactly as it found it — the
+// held waiter it added is gone again, and the leader's compute runs on.
 func TestHoldDeadlineLeavesNothing(t *testing.T) {
 	c := New(0, WithSelfID("b"))
 	release := make(chan struct{})
@@ -228,6 +239,9 @@ func TestHoldDeadlineLeavesNothing(t *testing.T) {
 	}
 	if exists, computing, again := flightOf(c, "k"); !exists || !computing || again {
 		t.Fatalf("flight after an expired hold: exists %v computing %v again %v", exists, computing, again)
+	}
+	if n := waitersOf(c, "k"); n != 1 {
+		t.Fatalf("flight after an expired hold has %d waiters, want the leader alone", n)
 	}
 	close(release)
 	if err := <-leader; err != nil {
@@ -261,7 +275,7 @@ func TestHoldLookupRanksAndMarks(t *testing.T) {
 	var computes atomic.Int32
 	leader := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+		_, _, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
 			computes.Add(1)
 			return []byte(`"v"`), nil
 		})
@@ -315,12 +329,12 @@ func TestPeerComputingReasked(t *testing.T) {
 	t.Cleanup(ts.Close)
 	// One error would open the breaker.
 	c := New(0, WithSelfID("a"), WithPeers(ts.URL), WithPeerTimeout(time.Second), WithDegrade(1, time.Hour))
-	got, hit, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+	got, hit, err := c.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
 		t.Error("computed a key the peer was computing")
 		return []byte(`"mine"`), nil
 	})
 	if err != nil || !hit || string(got) != `"v"` {
-		t.Fatalf("GetOrCompute = %q, %v, %v", got, hit, err)
+		t.Fatalf("Do = %q, %v, %v", got, hit, err)
 	}
 	s := c.Stats()
 	if s.PeerHits != 1 || s.PeerMisses != 0 || s.PeerErrors != 0 || s.PeersDegraded != 0 || s.Misses != 0 {
@@ -358,7 +372,7 @@ func TestPeerKilledMidHold(t *testing.T) {
 	started := time.Now()
 	got, hit := mustGet(t, c, "k", `"mine"`)
 	if hit || string(got) != `"mine"` {
-		t.Fatalf("GetOrCompute = %q, hit %v: want a fresh compute", got, hit)
+		t.Fatalf("Do = %q, hit %v: want a fresh compute", got, hit)
 	}
 	if took := time.Since(started); took > 4*time.Second {
 		t.Fatalf("the dead peer's probe took %v to fail", took)
@@ -399,7 +413,7 @@ func TestHoldComputesOnceAcrossReplicas(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						val, _, err := rt.c.GetOrCompute(context.Background(), fmt.Sprint("k", k), func() ([]byte, error) {
+						val, _, err := rt.c.Do(context.Background(), fmt.Sprint("k", k), func(context.Context) ([]byte, error) {
 							computes[k].Add(1)
 							time.Sleep(5 * time.Millisecond)
 							return []byte(fmt.Sprintf(`"v%d"`, k)), nil
@@ -417,5 +431,32 @@ func TestHoldComputesOnceAcrossReplicas(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPeerFetchCancelledWithFlight: a peer fetch cut short because
+// nobody waits for the key any more is no fault of the peer's: its
+// breaker and counters do not see it, and nothing is computed.
+func TestPeerFetchCancelledWithFlight(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-r.Context().Done()
+	}))
+	t.Cleanup(ts.Close)
+	// One counted error would open the breaker.
+	c := New(0, WithSelfID("a"), WithPeers(ts.URL), WithPeerTimeout(10*time.Second), WithDegrade(1, time.Hour))
+	ctx, leave := context.WithCancel(context.Background())
+	got := call(c, ctx, "k", func(context.Context) ([]byte, error) {
+		t.Error("computed a key nobody waits for")
+		return nil, nil
+	})
+	<-arrived
+	done := flightDone(t, c, "k")
+	leave()
+	expectOutcome(t, "leader", got, outcome{err: context.Canceled})
+	<-done
+	if s := c.Stats(); s.PeerErrors != 0 || s.PeerMisses != 0 || s.PeersDegraded != 0 || s.Misses != 0 {
+		t.Fatalf("stats: %+v", s)
 	}
 }

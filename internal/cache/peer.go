@@ -139,10 +139,11 @@ func BodyHash(val []byte) string {
 // loadPeers fetches key from the first peer that holds it. With hold,
 // each probe asks the peer to hold it on the peer's own flight for up
 // to half the peer timeout (see Hold), and a peer still computing the
-// key is asked again for as long as ctx lives. ctx's cancellation ends
-// only that asking again: followers collapsed onto this flight may
-// outlive the leader's request, so each fetch carries ctx's values (the
-// trace ID forwarded to peers) and is bounded by the client timeout.
+// key is asked again for as long as ctx lives. A flight passes its own
+// context, which ends only when nobody waits for the key any more, and
+// each fetch carries its values (the trace ID forwarded to peers). A
+// fetch cut short by ctx ends the walk and is no fault of the peer's:
+// its breaker and counters do not see it.
 func (c *Cache) loadPeers(ctx context.Context, key string, hold bool) ([]byte, bool) {
 	if len(c.peers) == 0 || !safeKey(key) {
 		return nil, false
@@ -151,18 +152,17 @@ func (c *Cache) loadPeers(ctx context.Context, key string, hold bool) ([]byte, b
 	if hold {
 		wait = c.peerTimeout / 2
 	}
-	fctx := context.WithoutCancel(ctx)
 	for _, p := range c.peers {
 		if !p.br.Allow() {
 			continue
 		}
 		for {
-			val, ok, err := c.fetchPeer(fctx, p.url, key, wait)
+			val, ok, err := c.fetchPeer(ctx, p.url, key, wait)
+			if ctx.Err() != nil {
+				return nil, false
+			}
 			if errors.Is(err, errComputing) {
-				if ctx.Err() == nil {
-					continue
-				}
-				err = nil // our wait is over, through no fault of the peer's
+				continue
 			}
 			if c.recordPeer(p, ok, err) {
 				return val, true
@@ -326,8 +326,10 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 // replica itself is never held and marks nothing. ctx bounds the hold.
 // held is "" for an answer given at once, else the outcome: HoldLanded,
 // HoldFailed, or HoldComputing when ctx ended first. Hold never
-// computes or consults peers, and registers nothing: it waits on the
-// flight's own done channel.
+// computes or consults peers. A held probe is one of the flight's
+// waiters, like a local caller of Do: the flight runs on while it is
+// held, even if every local caller has left, and a hold that ends
+// leaves as the callers do.
 func (c *Cache) Hold(ctx context.Context, key, from string) (val []byte, ok bool, held string) {
 	if val, ok := c.Peek(key); ok {
 		return val, true, ""
@@ -347,15 +349,15 @@ func (c *Cache) Hold(ctx context.Context, key, from string) (val []byte, ok bool
 		c.mu.Unlock()
 		return nil, false, ""
 	}
+	f.waiters++
 	c.mu.Unlock()
-	select {
-	case <-f.done:
-		if f.err != nil {
-			return nil, false, HoldFailed
-		}
-		return f.val, true, HoldLanded
-	case <-ctx.Done():
+	switch val, err := c.wait(ctx, key, f); {
+	case err == nil:
+		return val, true, HoldLanded
+	case ctx.Err() != nil:
 		return nil, false, HoldComputing
+	default:
+		return nil, false, HoldFailed
 	}
 }
 

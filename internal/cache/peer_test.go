@@ -40,12 +40,12 @@ func TestPeerHit(t *testing.T) {
 	c := New(0, WithDir(dir), WithPeers(ts.URL))
 
 	computed := false
-	got, hit, err := c.GetOrCompute(context.Background(), "k1", func() ([]byte, error) {
+	got, hit, err := c.Do(context.Background(), "k1", func(context.Context) ([]byte, error) {
 		computed = true
 		return []byte("fresh"), nil
 	})
 	if err != nil || !hit || string(got) != `"peer-bytes"` {
-		t.Fatalf("GetOrCompute = %q, hit=%v, err=%v", got, hit, err)
+		t.Fatalf("Do = %q, hit=%v, err=%v", got, hit, err)
 	}
 	if computed {
 		t.Fatal("compute ran despite a peer hit")
@@ -150,7 +150,7 @@ func TestPeerCorruptBody(t *testing.T) {
 
 	dir := t.TempDir()
 	c := New(0, WithDir(dir), WithPeers(ts.URL))
-	got, hit, err := c.GetOrCompute(context.Background(), "k1", func() ([]byte, error) {
+	got, hit, err := c.Do(context.Background(), "k1", func(context.Context) ([]byte, error) {
 		return []byte("fresh"), nil
 	})
 	if err != nil || hit || string(got) != "fresh" {
@@ -195,7 +195,7 @@ func TestPeerRecovers(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("peer never recovered: %+v", c.Stats())
 		}
-		c.GetOrCompute(context.Background(), fmt.Sprintf("k%d", i), func() ([]byte, error) { return []byte("v"), nil })
+		c.Do(context.Background(), fmt.Sprintf("k%d", i), func(context.Context) ([]byte, error) { return []byte("v"), nil })
 		time.Sleep(5 * time.Millisecond)
 	}
 	if s := c.Stats(); s.PeersDegraded != 0 {
@@ -302,7 +302,7 @@ func TestPeerInvalidJSON(t *testing.T) {
 	ts := peerServer(t, map[string][]byte{"k1": []byte(`{"truncated":`)})
 	dir := t.TempDir()
 	c := New(0, WithDir(dir), WithPeers(ts.URL))
-	got, hit, err := c.GetOrCompute(context.Background(), "k1", func() ([]byte, error) {
+	got, hit, err := c.Do(context.Background(), "k1", func(context.Context) ([]byte, error) {
 		return []byte(`"fresh"`), nil
 	})
 	if err != nil || hit || string(got) != `"fresh"` {

@@ -36,8 +36,9 @@ import (
 // Kind labels what the admitted spec payload decodes as.
 const KindSweep = "sweep"
 
-// suffix is the journal file extension.
-const suffix = ".wal"
+// suffix is the journal file extension, and tmpPattern follows the ID
+// in the os.CreateTemp pattern of an admission's temp file.
+const suffix, tmpPattern = ".wal", ".tmp-*"
 
 // record is one JSON line of a journal file. This version writes only
 // the admission line (V, ID, Kind, Tenant, Spec), in the format earlier
@@ -110,7 +111,7 @@ func (j *Journal) Instrument(reg *obs.Registry) {
 	rec := reg.CounterVec("qla_journal_records_total",
 		"Journal writes, by kind: admit (an admission file written) and finish (a job's file removed when it ended).", "kind")
 	j.admitted, j.finished = rec.With("admit"), rec.With("finish")
-	j.dropped = reg.Counter("qla_journal_dropped_total", "Journal files deleted at replay: settled, unreadable or no longer replayable.")
+	j.dropped = reg.Counter("qla_journal_dropped_total", "Journal files deleted at replay: settled, unreadable or no longer replayable, or a temp file an interrupted admission left.")
 	j.errors = reg.Counter("qla_journal_errors_total", "Failed journal writes and removals.")
 }
 
@@ -164,7 +165,7 @@ func (j *Journal) Admit(id, kind, tenant string, spec []byte) (fresh bool, err e
 func (j *Journal) write(id string, line []byte) error {
 	start := time.Now()
 	defer func() { j.appendSec.Observe(time.Since(start).Seconds()) }()
-	tmp, err := os.CreateTemp(j.dir, id+".tmp-*")
+	tmp, err := os.CreateTemp(j.dir, id+tmpPattern)
 	if err != nil {
 		return err
 	}
@@ -258,10 +259,23 @@ func fsyncDir(dir string) error {
 // deleted: one whose admission line is unreadable, and one an earlier
 // version closed with a terminal record — the job settled; in
 // particular a journaled failure is dropped rather than resurrected, so
-// resubmitting its spec starts a fresh run.
+// resubmitting its spec starts a fresh run. So is the temp file of an
+// admission a crash interrupted before its rename: a file becomes an
+// admission only when it is renamed, so no temp file is live when
+// Replay runs, before the server serves.
 func (j *Journal) Replay() ([]Pending, error) {
 	if j == nil {
 		return nil, nil
+	}
+	temps, err := filepath.Glob(filepath.Join(j.dir, "*"+tmpPattern))
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	for _, name := range temps {
+		if !strings.HasSuffix(name, suffix) {
+			j.dropped.Inc()
+			os.Remove(name)
+		}
 	}
 	names, err := filepath.Glob(filepath.Join(j.dir, "*"+suffix))
 	if err != nil {

@@ -197,6 +197,31 @@ func TestUnreadableAdmissionDeleted(t *testing.T) {
 	}
 }
 
+// TestInterruptedAdmissionTempDeleted: the temp file of an admission a
+// crash cut short between its create and its rename is deleted at
+// replay and counted as dropped; the valid admission beside it replays.
+func TestInterruptedAdmissionTempDeleted(t *testing.T) {
+	j, dir := open(t)
+	writeFile(t, dir, "job1", admissionLine("job1", "acme"))
+	tmp := filepath.Join(dir, "job2.tmp-123")
+	if err := os.WriteFile(tmp, []byte(admissionLine("job2", "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pend, err := j.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pend) != 1 || pend[0].ID != "job1" || pend[0].Tenant != "acme" {
+		t.Fatalf("replayed %+v, want job1 alone", pend)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("interrupted admission's temp file left behind: %v", err)
+	}
+	if s := j.Stats(); s.Dropped != 1 || s.Live != 1 {
+		t.Fatalf("stats %+v", s)
+	}
+}
+
 // TestAdmitJoinsOpenEntry: a second admission of a live ID joins it
 // without touching the file.
 func TestAdmitJoinsOpenEntry(t *testing.T) {

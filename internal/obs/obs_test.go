@@ -206,7 +206,8 @@ func TestTraceContext(t *testing.T) {
 	if got := TraceFrom(ctx); got != id {
 		t.Fatalf("TraceFrom = %q, want %q", got, id)
 	}
-	// Values survive WithoutCancel — the detached-compute contract.
+	// Values survive WithoutCancel — how a cache flight keeps its first
+	// caller's trace.
 	if got := TraceFrom(context.WithoutCancel(ctx)); got != id {
 		t.Fatalf("trace lost through WithoutCancel: %q", got)
 	}

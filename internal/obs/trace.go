@@ -48,8 +48,8 @@ func SanitizeTraceID(id string) string {
 }
 
 // WithTrace returns ctx carrying the trace ID. Like sched.Identity,
-// the value survives context.WithoutCancel, so detached singleflight
-// computes keep their originating trace.
+// the value survives context.WithoutCancel, which is how a cache
+// flight carries the trace of the request that started it.
 func WithTrace(ctx context.Context, id string) context.Context {
 	if id == "" {
 		return ctx

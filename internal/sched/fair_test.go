@@ -50,44 +50,8 @@ func drainOrder(t *testing.T, p *Pool, block func(), ids []Identity) []Identity 
 	return got
 }
 
-// TestWeightedFairShare: two bulk tenants flood a one-slot pool with
-// weights 2:1. While both stay backlogged, stride scheduling must give
-// the weight-2 tenant twice the grants of the weight-1 tenant.
-func TestWeightedFairShare(t *testing.T) {
-	p := NewFair(Config{Capacity: 1, Weights: map[string]float64{"heavy": 2, "light": 1}})
-	_, blocker, err := p.Acquire(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var ids []Identity
-	for i := 0; i < 16; i++ {
-		ids = append(ids, Identity{Tenant: "heavy", Class: ClassBulk})
-	}
-	for i := 0; i < 8; i++ {
-		ids = append(ids, Identity{Tenant: "light", Class: ClassBulk})
-	}
-	got := drainOrder(t, p, blocker, ids)
-	if len(got) != 24 {
-		t.Fatalf("granted %d of 24 waiters", len(got))
-	}
-	// While both tenants are backlogged (the first 12 grants: light's 8
-	// waiters outlast heavy's share of 8), heavy must receive 2× light.
-	heavy, light := 0, 0
-	for _, id := range got[:12] {
-		if id.Tenant == "heavy" {
-			heavy++
-		} else {
-			light++
-		}
-	}
-	if heavy != 8 || light != 4 {
-		t.Fatalf("first 12 grants: heavy=%d light=%d, want 8/4 (2:1 weights)", heavy, light)
-	}
-}
-
-// TestEqualWeightInterleave: with default weights, two backlogged
-// tenants of one class alternate grants instead of one draining first.
+// TestEqualWeightInterleave: two backlogged tenants of one class
+// alternate grants instead of one draining first.
 func TestEqualWeightInterleave(t *testing.T) {
 	p := NewFair(Config{Capacity: 1})
 	_, blocker, err := p.Acquire(context.Background(), 1)

@@ -15,11 +15,11 @@
 // optional slot floor (Config.InteractiveReserve) keeps bulk work from
 // ever occupying the last reserve slots, so an interactive arrival is
 // admitted without waiting for a saturating sweep to drain. Inside a
-// class, queued tenants share capacity by stride-style weighted fair
-// queuing: each tenant carries a virtual-time pass, the tenant with the
-// smallest pass is served next, and a grant of g slots advances the
-// pass by g/weight — a flood of one tenant's requests therefore costs
-// only that tenant virtual time and cannot starve another's queue.
+// class, queued tenants share capacity by stride-style fair queuing:
+// each tenant carries a virtual-time pass, the tenant with the smallest
+// pass is served next, and a grant of g slots advances the pass by g —
+// a flood of one tenant's requests therefore costs only that tenant
+// virtual time and cannot starve another's queue.
 package sched
 
 import (
@@ -74,9 +74,9 @@ type Identity struct {
 
 type identityKey struct{}
 
-// WithIdentity returns a context carrying the given identity. The
-// identity survives context.WithoutCancel, so detached compute
-// contexts keep their owner.
+// WithIdentity returns a context carrying the given identity. A cache
+// flight's context keeps its first caller's values, so a shared
+// computation acquires slots as the caller that started it.
 func WithIdentity(ctx context.Context, id Identity) context.Context {
 	return context.WithValue(ctx, identityKey{}, id)
 }
@@ -95,8 +95,7 @@ func IdentityFrom(ctx context.Context) Identity {
 }
 
 // Config describes a fair pool. The zero value is usable: GOMAXPROCS
-// capacity, no reserve, unbounded queue waits, weight 1 for every
-// tenant.
+// capacity, no reserve, unbounded queue waits.
 type Config struct {
 	// Capacity is the global slot budget; <= 0 means GOMAXPROCS.
 	Capacity int
@@ -111,10 +110,6 @@ type Config struct {
 	// *QueueWaitError. Zero means wait forever.
 	InteractiveMaxWait time.Duration
 	BulkMaxWait        time.Duration
-	// Weights maps tenant name to fair-share weight (default 1).
-	// A tenant with weight 2 receives twice the slot-time of a
-	// weight-1 tenant while both have queued work.
-	Weights map[string]float64
 	// Metrics is the registry the pool's instruments register on (nil =
 	// a private one): a qla_sched_queue_wait_seconds observation for
 	// every grant (zero for fast-path grants), labeled by class and
@@ -184,9 +179,8 @@ type classQueue struct {
 // time, i.e. fairness history applies only while a tenant stays
 // backlogged.
 type tenantQueue struct {
-	ws     []*waiter
-	pass   float64
-	weight float64
+	ws   []*waiter
+	pass float64
 }
 
 type waiter struct {
@@ -198,8 +192,7 @@ type waiter struct {
 }
 
 // New builds a single-class-behaving Pool with the given slot capacity
-// (<= 0 means GOMAXPROCS): no reserve, no queue-wait bounds, equal
-// weights. Existing callers that never attach an Identity get the old
+// (<= 0 means GOMAXPROCS): no reserve, no queue-wait bounds. Existing callers that never attach an Identity get the old
 // strict-FIFO semantics, since all their work lands in one tenant
 // queue of one class.
 func New(capacity int) *Pool {
@@ -251,14 +244,6 @@ func NewFair(cfg Config) *Pool {
 
 // bulkCap is the ceiling on bulk in-use slots.
 func (p *Pool) bulkCap() int { return p.capacity - p.reserve }
-
-// weightOf returns the configured fair-share weight for a tenant.
-func (p *Pool) weightOf(tenant string) float64 {
-	if w, ok := p.cfg.Weights[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
 
 // Acquire obtains between 1 and want slots, blocking while the pool is
 // exhausted (or while earlier acquirers of the same tenant are queued —
@@ -371,7 +356,7 @@ func (p *Pool) enqueueLocked(w *waiter) {
 	cq := p.classes[w.id.Class]
 	tq := cq.tenants[w.id.Tenant]
 	if tq == nil {
-		tq = &tenantQueue{pass: cq.vtime, weight: p.weightOf(w.id.Tenant)}
+		tq = &tenantQueue{pass: cq.vtime}
 		cq.tenants[w.id.Tenant] = tq
 	}
 	tq.ws = append(tq.ws, w)
@@ -403,7 +388,7 @@ func (p *Pool) removeWaiterLocked(w *waiter) bool {
 // dispatchLocked hands freed capacity to queued waiters: interactive
 // strictly first, then bulk while under its cap; within a class, the
 // backlogged tenant with the smallest pass (ties broken by name for
-// determinism), charging pass += granted/weight per grant.
+// determinism), charging pass += granted per grant.
 func (p *Pool) dispatchLocked() {
 	for {
 		free := p.capacity - p.inUse
@@ -436,7 +421,7 @@ func (p *Pool) dispatchLocked() {
 		if cq.vtime < tq.pass {
 			cq.vtime = tq.pass
 		}
-		tq.pass += float64(g) / tq.weight
+		tq.pass += float64(g)
 		if len(tq.ws) == 0 {
 			delete(cq.tenants, name)
 		}

@@ -46,8 +46,9 @@ func (s *Server) instrument() {
 // trace is the ingress middleware: accept a well-formed client
 // X-QLA-Trace or mint one, stamp it on the response up front (error
 // envelopes read it back), and carry it in the request context — from
-// where it survives context.WithoutCancel into detached computes and
-// rides outbound fleet requests.
+// where it rides into the cache flight the request starts (a flight's
+// context keeps its first caller's values) and on outbound fleet
+// requests.
 func (s *Server) trace(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := obs.SanitizeTraceID(r.Header.Get(obs.TraceHeader))

@@ -494,27 +494,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	body, hit, err := s.cache.GetOrCompute(ctx, canon.Hash, func() ([]byte, error) {
-		// Contains→GetOrCompute is a check-then-act window: the stored
-		// entry this request was admitted against can be evicted (or the
-		// flight it meant to join can fail) before we get here, leaving a
-		// request that bypassed admission holding a compute slot. Re-check
-		// the overload bound at the moment compute actually starts.
+	// The computation is the cache flight's: it runs while this request
+	// or any request collapsed onto it waits, so this request's deadline
+	// or hang-up ends only its own wait.
+	body, hit, err := s.cache.Do(ctx, canon.Hash, func(ctx context.Context) ([]byte, error) {
+		// Contains→Do is a check-then-act window: the stored entry this
+		// request was admitted against can be evicted (or the flight it
+		// meant to join can fail) before we get here, leaving a request
+		// that bypassed admission holding a compute slot. Re-check the
+		// overload bound at the moment compute actually starts.
 		if cacheable {
 			s.shedBypassMisses.Add(1)
 			if over, retryAfter := s.overloaded(); over {
 				return nil, shedError{retryAfter: retryAfter}
 			}
 		}
-		// The computation is detached from the leader's request context:
-		// collapsed followers share this one execution, so the leader
-		// hanging up (or carrying a shorter deadline than its followers)
-		// must not fail them. The run still gets the leader's timeout
-		// budget; each waiter's own deadline governs only its wait.
-		runCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), timeout)
-		defer cancel()
 		s.runsExecuted.Add(1)
-		res, err := s.eng.RunCanonical(runCtx, canon)
+		res, err := s.eng.RunCanonical(ctx, canon)
 		if err != nil {
 			return nil, err
 		}

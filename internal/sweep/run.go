@@ -14,11 +14,6 @@ import (
 	"qla/internal/sched"
 )
 
-// defaultCancelGrace is how long a cache-shared point computation may
-// keep running after its sweep's context is cancelled, for the sake of
-// singleflight followers collapsed onto it.
-const defaultCancelGrace = 10 * time.Second
-
 // Runner executes an expanded Sweep's points.
 type Runner struct {
 	// Engine runs the points (required). Scheduler-equipped engines
@@ -50,10 +45,6 @@ type Runner struct {
 	// Fault is the test-only chaos seam (see FaultHook); nil in
 	// production.
 	Fault FaultHook
-	// CancelGrace overrides how long a cache-shared point computation
-	// survives its sweep's cancellation for the sake of collapsed
-	// followers (0 = 10s).
-	CancelGrace time.Duration
 	// Offset rotates the order points are dispatched in (still landing
 	// by index): fleet replicas start at different offsets, so they
 	// split the grid between them instead of racing point by point.
@@ -186,9 +177,9 @@ func (r *Runner) Run(ctx context.Context, sw *Sweep, progress func(Progress)) (*
 		eng = engine.New()
 	}
 	// Every point acquisition below is this tenant's bulk-class work;
-	// the identity rides the context through the cache's compute
-	// closures (context.WithoutCancel keeps values) into the engine's
-	// scheduler acquisitions.
+	// the identity rides the context into the cache flight a point
+	// starts (a flight's context keeps its first caller's values) and on
+	// into the engine's scheduler acquisitions.
 	ctx = sched.WithIdentity(ctx, sched.Identity{Tenant: r.Tenant, Class: sched.ClassBulk})
 	workers := r.Concurrency
 	if workers <= 0 {
@@ -350,35 +341,12 @@ func (r *Runner) runPointOnce(parent context.Context, eng *engine.Engine, sw *Sw
 		hit  bool
 	)
 	if r.Cache != nil {
-		grace := r.CancelGrace
-		if grace <= 0 {
-			grace = defaultCancelGrace
-		}
-		// Through a shared cache the computation may have singleflight
-		// followers from other callers (a concurrent /v1/run on the same
-		// Spec), so it must not die instantly with this attempt's context —
-		// the detachment serve.handleRun applies. But fully detached
-		// work would keep holding the shared scheduler budget until the
-		// sweep deadline after an explicit cancel, so cancellation
-		// propagates after a grace window: long enough for a collapsed
-		// follower's point to finish in the common case, short enough
-		// that a cancelled runaway sweep actually stops.
-		body, hit, err = r.Cache.GetOrCompute(ctx, pt.Canonical.Hash, func() ([]byte, error) {
-			runCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-			defer cancel()
-			if deadline, ok := ctx.Deadline(); ok {
-				runCtx, cancel = context.WithDeadline(runCtx, deadline)
-				defer cancel()
-			}
-			stop := context.AfterFunc(ctx, func() {
-				timer := time.AfterFunc(grace, cancel)
-				// The compute's own deadline caps the timer's useful
-				// life; letting it fire against a finished context is a
-				// no-op, so no cleanup is needed beyond cancel itself.
-				_ = timer
-			})
-			defer stop()
-			out, err := eng.RunCanonical(runCtx, pt.Canonical)
+		// Through a shared cache the computation is the cache flight's:
+		// a concurrent /v1/run on the same Spec may wait on it too, and
+		// it runs while anyone does, so this attempt's deadline or the
+		// sweep's cancellation ends only this point's wait.
+		body, hit, err = r.Cache.Do(ctx, pt.Canonical.Hash, func(ctx context.Context) ([]byte, error) {
+			out, err := eng.RunCanonical(ctx, pt.Canonical)
 			if err != nil {
 				return nil, err
 			}
