@@ -72,7 +72,7 @@ func main() {
 	journalDir := flag.String("journal-dir", "", "directory for the write-ahead job journal: unfinished sweeps are re-admitted after a restart (empty = jobs die with the process)")
 	pointRetries := flag.Int("point-retries", 0, "extra attempts a failed sweep point gets (0 = 2, negative = none)")
 	pointTimeout := flag.Duration("point-timeout", 0, "per-attempt deadline of one sweep point (0 = 5m)")
-	maxQueue := flag.Int("max-queue", 0, "scheduler queue bound before uncacheable work is shed with 503 + Retry-After (0 = 4×workers, negative = unbounded)")
+	maxQueue := flag.Int("max-queue", 0, "scheduler queue bound: at it, a run no cache tier can serve and no worker is free for, and a fresh sweep, are shed with 503 + Retry-After (0 = 4×workers, negative = unbounded)")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long SIGTERM/SIGINT waits for in-flight requests to drain before exiting")
 	peers := flag.String("peers", "", "comma-separated base URLs of the other fleet replicas; non-empty enables fleet mode: the peer cache tier, whose probes wait on a peer's own computation, and sweep forwarding (empty = standalone)")
 	selfID := flag.String("self-id", "", "replica identity used in peer probes, unique across the fleet; of replicas that miss a point at once, the lowest ID computes it (empty = random)")

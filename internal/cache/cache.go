@@ -473,23 +473,21 @@ func (c *Cache) writeFile(key string, val []byte) {
 	}
 }
 
-// Contains reports whether key would be served without computing:
-// stored says the value is in memory or on disk, inflight that an
-// identical computation is running (a caller would join it). It is a
-// pure probe — no counters move and nothing is promoted — sized for
-// the serving layer's load-shed check, which must not 503 requests the
-// cache can answer. It never consults peers (a network round-trip in
-// an admission decision is the same bug class as a hung disk stat) and
-// skips the disk stat while the tier is degraded.
+// Contains reports whether this replica holds key: stored says the
+// value is in memory or on disk, inflight that an identical computation
+// is running (a caller would join it). It is a pure probe — no counters
+// move and nothing is promoted — sized for the fleet's ledger, which
+// lists the points a replica stores, and its syncer, which prefetches
+// only what the replica lacks. It never consults peers and skips the
+// disk stat while the tier is degraded.
 func (c *Cache) Contains(key string) (stored, inflight bool) {
 	c.mu.Lock()
 	_, stored = c.entries[key]
 	_, inflight = c.inflight[key]
 	c.mu.Unlock()
-	// A degraded disk may be hung, not just full: the admission probe
-	// must never block on it. Get keeps reading the tier (a hit is
-	// still worth a slow read); the probe just stops promising one, so
-	// an affected request is shed instead of stalled.
+	// A degraded disk may be hung, not just full: the probe must never
+	// block on it. Get keeps reading the tier (a hit is still worth a
+	// slow read); the probe just stops promising one.
 	if !stored && c.dir != "" && safeKey(key) && !c.disk.Open() {
 		if _, err := os.Stat(filepath.Join(c.dir, key)); err == nil {
 			stored = true

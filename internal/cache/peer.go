@@ -35,9 +35,11 @@
 // circuit breaker with the WithDegrade knobs: after degradeAfter
 // consecutive errors the peer is skipped (one probe request allowed
 // per probeInterval to detect recovery) instead of adding a timeout's
-// worth of latency to every miss. Peer fetches are
-// strictly best-effort — every failure degrades to the next tier,
-// never to a request failure.
+// worth of latency to every miss. It is the peer's one breaker: the
+// serving layer's other peer traffic asks PeerDegraded instead of
+// keeping a breaker of its own. Peer fetches are strictly best-effort
+// — every failure degrades to the next tier, never to a request
+// failure.
 package cache
 
 import (
@@ -192,6 +194,19 @@ func (c *Cache) recordPeer(p *peer, ok bool, err error) bool {
 	default:
 		c.m.peerHits.Inc()
 		return true
+	}
+	return false
+}
+
+// PeerDegraded reports whether the peer at url — as WithPeers
+// normalized it — is skipped by its breaker for now. It claims no
+// probe slot, so a caller that obeys it never stands in for the tier's
+// own recovery probes; a url the tier does not know is never degraded.
+func (c *Cache) PeerDegraded(url string) bool {
+	for _, p := range c.peers {
+		if p.url == url {
+			return p.br.Open()
+		}
 	}
 	return false
 }

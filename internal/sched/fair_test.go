@@ -159,6 +159,49 @@ func TestInteractiveReserve(t *testing.T) {
 	<-queued
 }
 
+// TestSaturated: a class is saturated only while no slot can be granted
+// to it at once and the queue holds at least the bound. With bulk at
+// its cap and two bulk acquirers queued, the idle reserved slot keeps
+// interactive arrivals unsaturated until interactive work takes it.
+func TestSaturated(t *testing.T) {
+	p := NewFair(Config{Capacity: 2, InteractiveReserve: 1})
+	bctx, cancel := context.WithCancel(WithIdentity(context.Background(), Identity{Tenant: "batch", Class: ClassBulk}))
+	_, brel, err := p.Acquire(bctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		go p.Acquire(bctx, 1) // parks: bulk is at its cap
+	}
+	for deadline := time.Now().Add(5 * time.Second); p.Stats().Waiting != 2; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("bulk acquirers never queued")
+		}
+	}
+	check := func(stage string, c Class, bound int, want bool) {
+		t.Helper()
+		if got := p.Saturated(c, bound); got != want {
+			t.Errorf("%s: Saturated(%s, %d) = %v, want %v", stage, c, bound, got, want)
+		}
+	}
+	check("reserve idle", ClassBulk, 2, true)
+	check("reserve idle", ClassBulk, 3, false)
+	check("reserve idle", ClassBulk, -1, false)
+	check("reserve idle", ClassInteractive, 2, false)
+	check("reserve idle", ClassInteractive, 0, false)
+
+	_, irel, err := p.Acquire(WithIdentity(context.Background(), Identity{Tenant: "live"}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("pool full", ClassInteractive, 2, true)
+	check("pool full", ClassInteractive, 3, false)
+	check("pool full", ClassInteractive, -1, false)
+	cancel()
+	irel()
+	brel()
+}
+
 // TestQueueWaitBound: an acquisition queued past its class bound is
 // refused with a *QueueWaitError and counted in class stats.
 func TestQueueWaitBound(t *testing.T) {

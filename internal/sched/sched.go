@@ -506,15 +506,33 @@ type Stats struct {
 }
 
 // Backlog returns the queued acquirers and the global slot budget —
-// what a load-shed check reads on every uncached request — without
+// what a load-shed check reads on every sweep submission — without
 // building a Stats snapshot.
 func (p *Pool) Backlog() (waiting, capacity int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.waitingLocked(), p.capacity
+}
+
+// Saturated reports whether an arrival of class c would queue behind a
+// full backlog: no slot can be granted to it at once, and at least bound
+// acquirers wait already. A class with a free slot (the interactive
+// reserve included) is never saturated; a negative bound never fills.
+func (p *Pool) Saturated(c Class, bound int) bool {
+	if bound < 0 {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return !p.canGrantNowLocked(c) && p.waitingLocked() >= bound
+}
+
+// waitingLocked counts the queued acquirers of every class.
+func (p *Pool) waitingLocked() (waiting int) {
 	for _, cq := range p.classes {
 		waiting += cq.waiting
 	}
-	return waiting, p.capacity
+	return waiting
 }
 
 // Stats returns a snapshot of the pool.

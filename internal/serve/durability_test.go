@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -114,9 +115,9 @@ func TestLoadShedSweepSubmission(t *testing.T) {
 	}
 }
 
-// TestOverloadedAllocatesNothing: the load-shed check runs on every
-// uncached /v1/run and every sweep submission, so it reads the backlog
-// without building a scheduler stats snapshot.
+// TestOverloadedAllocatesNothing: the sweep-submission load-shed check
+// runs on every sweep submission, so it reads the backlog without
+// building a scheduler stats snapshot.
 func TestOverloadedAllocatesNothing(t *testing.T) {
 	srv := New(Config{Workers: 2})
 	if allocs := testing.AllocsPerRun(100, func() { srv.overloaded() }); allocs != 0 {
@@ -178,6 +179,69 @@ func TestUnboundedQueueNeverSheds(t *testing.T) {
 	}
 	if n := metric(t, ts.URL, "qla_serve_throttled_total", `limit="queue"`); n != 0 {
 		t.Fatalf("queue throttles = %v, want 0", n)
+	}
+}
+
+// TestLoadShedSparesPeerHit: a run is refused for overload only once
+// every tier has missed. With replica B's queue at its bound, a spec
+// replica A computed is served from B's peer tier, without a worker,
+// instead of being shed.
+func TestLoadShedSparesPeerHit(t *testing.T) {
+	srvs, urls := newFleetServers(t, 2, func(_ int, cfg *Config) { cfg.Workers, cfg.MaxQueue = 1, 1 })
+	if status, xc, raw := postRun(t, urls[0], tinySpec(54)); status != http.StatusOK || xc != "miss" {
+		t.Fatalf("run on A: status %d xcache %q %s", status, xc, raw)
+	}
+	release := saturate(t, srvs[1], 1)
+	defer release()
+
+	if status, xc, raw := postRun(t, urls[1], tinySpec(54)); status != http.StatusOK || xc != "hit" {
+		t.Fatalf("run on overloaded B: status %d xcache %q %s, want a peer-tier hit", status, xc, raw)
+	}
+	if n := metric(t, urls[1], "qla_cache_hits_total", `tier="peer"`); n != 1 {
+		t.Fatalf("B peer-tier hits = %v, want 1", n)
+	}
+	if n := metric(t, urls[1], "qla_serve_throttled_total", `limit="queue"`); n != 0 {
+		t.Fatalf("B queue throttles = %v, want 0", n)
+	}
+}
+
+// TestLoadShedSparesIdleReserve: a queue at its bound sheds a run only
+// when no worker is free for it. The one bulk slot of a 2-worker pool
+// is held with two bulk acquirers queued behind it, but the reserved
+// interactive slot is idle, so an uncached run computes there.
+func TestLoadShedSparesIdleReserve(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2, InteractiveReserve: 1, MaxQueue: 2})
+	ctx, cancel := context.WithCancel(sched.WithIdentity(context.Background(), sched.Identity{Tenant: "batch", Class: sched.ClassBulk}))
+	_, rel, err := srv.pool.Acquire(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { cancel(); rel() }()
+	for i := 0; i < 2; i++ {
+		go srv.pool.Acquire(ctx, 1) // parks: bulk is at its cap
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.pool.Stats().Waiting < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("bulk acquirers never queued: %+v", srv.pool.Stats())
+		}
+	}
+
+	if status, xc, raw := postRun(t, ts.URL, tinySpec(55)); status != http.StatusOK || xc != "miss" {
+		t.Fatalf("uncached run beside an idle reserved slot: status %d xcache %q %s", status, xc, raw)
+	}
+}
+
+// TestUnusableCacheDirRunsMemoryOnly: a -cache-dir the cache cannot
+// create disables the disk tier, and the resolved Config says so
+// instead of naming the directory.
+func TestUnusableCacheDirRunsMemoryOnly(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{CacheDir: filepath.Join(file, "cache"), Logger: slog.New(slog.DiscardHandler)})
+	if dir := srv.Config().CacheDir; dir != "" {
+		t.Fatalf("Config().CacheDir = %q for a disabled disk tier, want \"\"", dir)
 	}
 }
 
@@ -459,13 +523,12 @@ func TestJobStoreSaturationRetryAfterScaled(t *testing.T) {
 	}
 }
 
-// TestShedBypassRecheck is the Contains→Get race regression test: a
-// request admitted as cache-servable whose entry turns out unreadable
-// must re-check the overload bound before computing, not ride its
-// stale admission into a saturated pool. A directory squatting on the
-// cache file path makes Contains (a stat) say stored while the read
-// fails.
-func TestShedBypassRecheck(t *testing.T) {
+// TestShedUnreadableDiskEntry: a run whose disk entry cannot be read
+// is a disk miss, so under overload it is shed once the lookup has
+// missed, not ridden into a saturated pool on the strength of a file
+// being there. A directory squatting on the cache file path is the
+// unreadable entry.
+func TestShedUnreadableDiskEntry(t *testing.T) {
 	cacheDir := t.TempDir()
 	srv, ts := newTestServer(t, Config{Workers: 1, MaxQueue: 1, CacheDir: cacheDir})
 
@@ -490,13 +553,10 @@ func TestShedBypassRecheck(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("bypass miss under overload: status %d, want 503", resp.StatusCode)
+		t.Fatalf("unreadable entry under overload: status %d, want 503", resp.StatusCode)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("Retry-After header %q", ra)
-	}
-	if n := metric(t, ts.URL, "qla_serve_shed_bypass_misses_total"); n != 1 {
-		t.Fatalf("shed bypass misses = %v, want 1", n)
 	}
 	if n := metric(t, ts.URL, "qla_serve_throttled_total", `limit="queue"`); n != 1 {
 		t.Fatalf("queue throttles = %v, want 1", n)

@@ -27,11 +27,13 @@ package serve
 // settled point: it lists the sweep's points the replica stores,
 // whoever computed them.
 //
-// Unreachable peers never block: per-peer circuit breakers
-// (internal/breaker) skip a dead peer after a few consecutive errors, a
-// peer that dies mid-hold fails the probe at once, and a partitioned
-// fleet degrades to replicas computing independently — duplicated work
-// the shared tier absorbs, never a stalled sweep.
+// Unreachable peers never block. Each peer has one circuit breaker,
+// the cache tier's (internal/breaker): the tier's probes feed it, it
+// skips a dead peer after a few consecutive errors, and the syncer
+// skips that peer's ledger while it is open. A peer that dies mid-hold
+// fails the probe at once, and a partitioned fleet degrades to replicas
+// computing independently — duplicated work the shared tier absorbs,
+// never a stalled sweep.
 
 import (
 	"bytes"
@@ -47,7 +49,6 @@ import (
 	"sync"
 	"time"
 
-	"qla/internal/breaker"
 	"qla/internal/cache"
 	"qla/internal/obs"
 	"qla/internal/sweep"
@@ -58,13 +59,6 @@ import (
 // loop-prevention bit.
 const forwardHeader = "X-QLA-Forwarded"
 
-// Per-peer breaker knobs: skip a peer after a few consecutive errors,
-// probe it occasionally.
-const (
-	fleetDegradeAfter = 3
-	fleetProbeEvery   = 5 * time.Second
-)
-
 // fleet is the per-server coordination state of fleet mode.
 type fleet struct {
 	self   string
@@ -73,10 +67,6 @@ type fleet struct {
 	cache  *cache.Cache
 	client *http.Client
 	log    *slog.Logger
-
-	// breakers holds one breaker per peer; the map is fixed at
-	// construction.
-	breakers map[string]*breaker.Breaker
 
 	// sweeps holds the active sweeps by hash: the ledgers peers'
 	// syncers poll.
@@ -90,17 +80,13 @@ type fleet struct {
 
 func newFleet(cfg Config, c *cache.Cache, logger *slog.Logger, reg *obs.Registry) *fleet {
 	f := &fleet{
-		self:     cfg.SelfID,
-		peers:    cfg.Peers,
-		poll:     cfg.FleetPoll,
-		cache:    c,
-		client:   &http.Client{Timeout: cfg.PeerTimeout},
-		log:      logger.With("subsystem", "fleet", "self", cfg.SelfID),
-		breakers: make(map[string]*breaker.Breaker, len(cfg.Peers)),
-		sweeps:   make(map[string]*sweep.Sweep),
-	}
-	for _, p := range cfg.Peers {
-		f.breakers[p] = breaker.New(fleetDegradeAfter, fleetProbeEvery)
+		self:   cfg.SelfID,
+		peers:  cfg.Peers,
+		poll:   cfg.FleetPoll,
+		cache:  c,
+		client: &http.Client{Timeout: cfg.PeerTimeout},
+		log:    logger.With("subsystem", "fleet", "self", cfg.SelfID),
+		sweeps: make(map[string]*sweep.Sweep),
 	}
 	ev := reg.CounterVec("qla_fleet_events_total",
 		"Fleet events: sweeps forwarded to peers, peer completions prefetched, peer probes the cache route held on this replica's own flight.",
@@ -142,18 +128,6 @@ func (f *fleet) offset(sw *sweep.Sweep) int {
 	io.WriteString(h, f.self)
 	io.WriteString(h, sw.Hash)
 	return int(h.Sum32() % uint32(len(sw.Points)))
-}
-
-// record feeds one request's outcome to peer's breaker, logging once
-// per episode: the steady state of a dead peer is silent skips.
-func (f *fleet) record(peer string, err error) {
-	switch f.breakers[peer].Record(err) {
-	case breaker.Opened:
-		f.log.Warn("fleet peer skipped", "peer", peer, "consecutive_errors", fleetDegradeAfter,
-			"err", err, "probe_every", fleetProbeEvery)
-	case breaker.Closed:
-		f.log.Info("fleet peer reachable again", "peer", peer)
-	}
 }
 
 // forward replicates a freshly admitted sweep to every peer,
@@ -235,13 +209,14 @@ func (f *fleet) sync(sweepHash string, done <-chan struct{}) {
 }
 
 // peerDone fetches the point hashes peer's ledger lists for sweepHash;
-// every failure is just an empty answer (and breaker food).
+// every failure is just an empty answer. A peer the cache tier's
+// breaker skips is not polled: the tier's own probes, which every
+// sweep-point miss makes, find out when it is back.
 func (f *fleet) peerDone(peer, sweepHash string) []string {
-	if !f.breakers[peer].Allow() {
+	if f.cache.PeerDegraded(peer) {
 		return nil
 	}
 	resp, err := f.client.Get(peer + "/v1/leases/" + sweepHash)
-	f.record(peer, err)
 	if err != nil {
 		return nil
 	}

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,6 +300,60 @@ func TestFleetSelfListedPeer(t *testing.T) {
 	_, sb, raw := postSweep(t, self, gridSweep)
 	if snap := pollJob(t, self, sb.JobID); snap.State != jobs.StateDone {
 		t.Fatalf("sweep on a self-listed replica: %+v %s", snap, raw)
+	}
+}
+
+// TestFleetSyncerObeysCacheBreaker: a fleet peer has one breaker, the
+// cache tier's. Three runs whose peer probes fail open it, and from
+// then on the ledger syncer of a running sweep leaves the peer alone,
+// however short its poll.
+func TestFleetSyncerObeysCacheBreaker(t *testing.T) {
+	var polls atomic.Int32
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasPrefix(r.URL.Path, cache.PeerPath):
+			http.Error(w, "broken", http.StatusInternalServerError)
+		case strings.HasPrefix(r.URL.Path, "/v1/leases/"):
+			polls.Add(1)
+			http.NotFound(w, r)
+		default: // the sweep forward
+			w.WriteHeader(http.StatusAccepted)
+		}
+	}))
+	defer peer.Close()
+	srv, ts := newTestServer(t, Config{Peers: []string{peer.URL}, SelfID: "replica-0",
+		FleetPoll: 10 * time.Millisecond, PeerTimeout: time.Second})
+	for seed := 75; seed < 78; seed++ {
+		if status, _, raw := postRun(t, ts.URL, tinySpec(seed)); status != http.StatusOK {
+			t.Fatalf("run %d: status %d %s", seed, status, raw)
+		}
+	}
+	if n := metric(t, ts.URL, "qla_cache_peers_degraded"); n != 1 {
+		t.Fatalf("qla_cache_peers_degraded = %v after three failed probes, want 1", n)
+	}
+
+	release := make(chan struct{})
+	srv.fault = func(ctx context.Context, _ string) error {
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	_, sb, raw := postSweep(t, ts.URL, fleetFig7Sweep(64, 7200))
+	if sb.JobID == "" {
+		close(release)
+		t.Fatalf("submit failed: %s", raw)
+	}
+	time.Sleep(200 * time.Millisecond)
+	n := polls.Load()
+	close(release)
+	if snap := pollJob(t, ts.URL, sb.JobID); snap.State != jobs.StateDone {
+		t.Fatalf("sweep: %+v", snap)
+	}
+	if n != 0 {
+		t.Fatalf("the syncer polled a peer the cache tier skips %d times in 200ms, want 0", n)
 	}
 }
 

@@ -22,8 +22,6 @@ import (
 func (s *Server) instrument() {
 	reg := s.reg
 	s.runsExecuted = reg.Counter("qla_serve_runs_executed_total", "Fresh engine executions (cache misses that computed).")
-	s.shedBypassMisses = reg.Counter("qla_serve_shed_bypass_misses_total",
-		"Runs admitted as cache-servable whose entry vanished before compute (re-checked admission).")
 	s.peerServes = reg.Counter("qla_serve_peer_serves_total", "GET /v1/cache/{hash} hits served to fleet peers.")
 	s.throttled = reg.CounterVec("qla_serve_throttled_total",
 		"Refused submissions by tenant and deciding limit: rate and quota answer 429, queue (load shed, queue-wait bound, full job store) 503.",

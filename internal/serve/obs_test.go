@@ -25,44 +25,43 @@ import (
 // qla_serve_throttled_total{tenant,limit} renders from the first
 // refusal on; the tenant tests read it.
 var metricsGolden = map[string]string{
-	"qla_cache_bytes":                    "",
-	"qla_cache_degrade_events_total":     "",
-	"qla_cache_disk_degraded":            "",
-	"qla_cache_disk_writes_total":        "",
-	"qla_cache_entries":                  "",
-	"qla_cache_evictions_total":          "",
-	"qla_cache_hits_total":               "tier", // benchmark
-	"qla_cache_misses_total":             "",     // benchmark
-	"qla_cache_peer_errors_total":        "",
-	"qla_cache_peer_misses_total":        "",
-	"qla_cache_peer_rtt_seconds":         "",
-	"qla_cache_peers_degraded":           "",
-	"qla_cache_persist_errors_total":     "",
-	"qla_cache_skipped_writes_total":     "",
-	"qla_experiments":                    "",
-	"qla_http_request_duration_seconds":  "route",               // benchmark
-	"qla_http_requests_inflight":         "",                    //
-	"qla_http_requests_total":            "route,status,tenant", // benchmark
-	"qla_jobs_events_total":              "event",
-	"qla_jobs_result_bytes":              "",
-	"qla_jobs_running":                   "",
-	"qla_jobs_stored":                    "",
-	"qla_journal_replayed_jobs_total":    "",
-	"qla_sched_capacity":                 "",
-	"qla_sched_in_use":                   "",
-	"qla_sched_interactive_reserve":      "",
-	"qla_sched_queue_timeouts_total":     "class",
-	"qla_sched_queue_wait_seconds":       "class,tenant", // benchmark
-	"qla_sched_queued_total":             "class",
-	"qla_sched_waiting":                  "",
-	"qla_serve_max_queue":                "",
-	"qla_serve_peer_serves_total":        "",
-	"qla_serve_runs_executed_total":      "",
-	"qla_serve_shed_bypass_misses_total": "",
-	"qla_sweep_point_duration_seconds":   "outcome", // benchmark
-	"qla_sweep_point_retries_total":      "",
-	"qla_sweep_points_retried_total":     "",
-	"qla_uptime_seconds":                 "",
+	"qla_cache_bytes":                   "",
+	"qla_cache_degrade_events_total":    "",
+	"qla_cache_disk_degraded":           "",
+	"qla_cache_disk_writes_total":       "",
+	"qla_cache_entries":                 "",
+	"qla_cache_evictions_total":         "",
+	"qla_cache_hits_total":              "tier", // benchmark
+	"qla_cache_misses_total":            "",     // benchmark
+	"qla_cache_peer_errors_total":       "",
+	"qla_cache_peer_misses_total":       "",
+	"qla_cache_peer_rtt_seconds":        "",
+	"qla_cache_peers_degraded":          "",
+	"qla_cache_persist_errors_total":    "",
+	"qla_cache_skipped_writes_total":    "",
+	"qla_experiments":                   "",
+	"qla_http_request_duration_seconds": "route",               // benchmark
+	"qla_http_requests_inflight":        "",                    //
+	"qla_http_requests_total":           "route,status,tenant", // benchmark
+	"qla_jobs_events_total":             "event",
+	"qla_jobs_result_bytes":             "",
+	"qla_jobs_running":                  "",
+	"qla_jobs_stored":                   "",
+	"qla_journal_replayed_jobs_total":   "",
+	"qla_sched_capacity":                "",
+	"qla_sched_in_use":                  "",
+	"qla_sched_interactive_reserve":     "",
+	"qla_sched_queue_timeouts_total":    "class",
+	"qla_sched_queue_wait_seconds":      "class,tenant", // benchmark
+	"qla_sched_queued_total":            "class",
+	"qla_sched_waiting":                 "",
+	"qla_serve_max_queue":               "",
+	"qla_serve_peer_serves_total":       "",
+	"qla_serve_runs_executed_total":     "",
+	"qla_sweep_point_duration_seconds":  "outcome", // benchmark
+	"qla_sweep_point_retries_total":     "",
+	"qla_sweep_points_retried_total":    "",
+	"qla_uptime_seconds":                "",
 }
 
 // journalGolden and fleetGolden are the families a -journal-dir server

@@ -95,8 +95,9 @@ type Config struct {
 	// (0 = 5 min). Cancellations and permanent failures never retry.
 	PointRetries int
 	PointTimeout time.Duration
-	// MaxQueue bounds the scheduler's wait queue before new
-	// uncacheable work is shed with 503 + Retry-After (0 = 4×Workers,
+	// MaxQueue bounds the scheduler's wait queue: at the bound, a run
+	// no cache tier can serve and no worker is free for, and a fresh
+	// sweep submission, are shed with 503 + Retry-After (0 = 4×Workers,
 	// negative = unbounded).
 	MaxQueue int
 	// Peers lists the base URLs of the other fleet replicas; non-empty
@@ -167,11 +168,10 @@ type Server struct {
 	// production servers leave it nil.
 	fault sweep.FaultHook
 
-	runsExecuted     *obs.Counter
-	shedBypassMisses *obs.Counter
-	peerServes       *obs.Counter
-	journalReplayed  *obs.Counter
-	throttled        *obs.CounterVec // by tenant and deciding limit
+	runsExecuted    *obs.Counter
+	peerServes      *obs.Counter
+	journalReplayed *obs.Counter
+	throttled       *obs.CounterVec // by tenant and deciding limit
 }
 
 // New builds a Server with its engine, cache, scheduler and job
@@ -257,10 +257,14 @@ func New(cfg Config) *Server {
 		cfg.Peers = nil
 	}
 	copts = append(copts, cache.WithSelfID(cfg.SelfID))
+	c := cache.New(cfg.CacheBytes, copts...)
+	if !c.Stats().Persistent {
+		cfg.CacheDir = "" // cache.New disabled an unusable directory, and logged why
+	}
 	s := &Server{
 		cfg:   cfg,
 		eng:   engine.New(engine.WithScheduler(pool)),
-		cache: cache.New(cfg.CacheBytes, copts...),
+		cache: c,
 		pool:  pool,
 		jobs: jobs.NewManager(jobs.Config{
 			MaxJobs:              cfg.MaxJobs,
@@ -341,10 +345,11 @@ func (s *Server) retryAfterSeconds() int {
 	return ra
 }
 
-// overloaded implements the load-shed bound: when the scheduler's wait
-// queue exceeds MaxQueue the server refuses new uncacheable work
-// rather than queueing unboundedly, and retryAfter suggests when to
-// try again.
+// overloaded implements the sweep-submission load-shed bound: when the
+// scheduler's wait queue reaches MaxQueue the server refuses a fresh
+// sweep rather than queueing its points unboundedly, and retryAfter
+// suggests when to try again. A run is refused in its cache flight
+// instead (see handleRun).
 func (s *Server) overloaded() (shed bool, retryAfter int) {
 	if s.cfg.MaxQueue < 0 {
 		return false, 0
@@ -406,9 +411,8 @@ type errorBody struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// shedError carries the Retry-After hint out of a compute closure whose
-// request was admitted as cache-servable but lost its entry before the
-// compute started (see the re-check in handleRun).
+// shedError carries the Retry-After hint out of a run's compute closure
+// that refused the run for overload (see handleRun).
 type shedError struct{ retryAfter int }
 
 func (e shedError) Error() string {
@@ -470,21 +474,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A memory hit is answered at once: it needs no shed check, no
-	// scheduler identity and no deadline.
+	// A memory hit is answered at once: it needs no scheduler identity
+	// and no deadline.
 	if body, ok := s.cache.Get(canon.Hash); ok {
 		writeRun(w, canon.Hash, true, body)
-		return
-	}
-	// Load shedding: a saturated scheduler queue refuses fresh compute
-	// work — but only fresh work. A request the cache can serve (stored
-	// bytes, or an identical computation already in flight it would
-	// join) costs no worker and is never shed.
-	cacheable := false
-	if stored, inflight := s.cache.Contains(canon.Hash); stored || inflight {
-		cacheable = true
-	} else if over, retryAfter := s.overloaded(); over {
-		s.shed(w, tenant, retryAfter, "uncached run")
 		return
 	}
 	// The request's compute runs as this tenant's interactive work:
@@ -498,16 +491,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// or any request collapsed onto it waits, so this request's deadline
 	// or hang-up ends only its own wait.
 	body, hit, err := s.cache.Do(ctx, canon.Hash, func(ctx context.Context) ([]byte, error) {
-		// Contains→Do is a check-then-act window: the stored entry this
-		// request was admitted against can be evicted (or the flight it
-		// meant to join can fail) before we get here, leaving a request
-		// that bypassed admission holding a compute slot. Re-check the
-		// overload bound at the moment compute actually starts.
-		if cacheable {
-			s.shedBypassMisses.Add(1)
-			if over, retryAfter := s.overloaded(); over {
-				return nil, shedError{retryAfter: retryAfter}
-			}
+		// Load shedding, the one place a run is refused for overload:
+		// memory, disk and every peer have missed, so the run needs a
+		// worker. It is refused only when the scheduler could not grant
+		// it one at once and the queue is at its bound; every request
+		// collapsed onto this flight gets the same 503.
+		if s.pool.Saturated(sched.ClassInteractive, s.cfg.MaxQueue) {
+			return nil, shedError{retryAfter: s.retryAfterSeconds()}
 		}
 		s.runsExecuted.Add(1)
 		res, err := s.eng.RunCanonical(ctx, canon)
@@ -519,7 +509,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var se shedError
 		if errors.As(err, &se) {
-			s.shed(w, tenant, se.retryAfter, "uncached run (cache entry lost before compute)")
+			s.shed(w, tenant, se.retryAfter, "uncached run")
 			return
 		}
 		var qw *sched.QueueWaitError

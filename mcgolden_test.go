@@ -27,9 +27,13 @@ var update = flag.Bool("update", false, "rewrite testdata/mc_golden.json")
 const mcGoldenFile = "testdata/mc_golden.json"
 
 // goldenMCSpecs are small runs of every Monte Carlo kernel the engine
-// serves, under both backends and fixed seeds. Each trial count leaves
-// its final 64-lane block partial (1000 = 15·64+40, 200 = 3·64+8,
-// 6000 = 93·64+48, and syndrome-rates' level 2 runs 600 = 9·64+24).
+// serves — the threshold and code-catalog Monte Carlos, the
+// repeater-chain one behind run-chain, chain-validation and
+// compare-comm, and arq's noisy Pauli-frame run — under both backends
+// where the experiment has two, and fixed seeds. Each trial count
+// leaves its final 64-lane block partial (1000 = 15·64+40,
+// 200 = 3·64+8, 6000 = 93·64+48, and syndrome-rates' level 2 runs
+// 600 = 9·64+24).
 func goldenMCSpecs() map[string]engine.Spec {
 	specs := map[string]engine.Spec{}
 	for _, backend := range []string{threshold.BackendBatch, threshold.BackendScalar} {
@@ -50,7 +54,31 @@ func goldenMCSpecs() map[string]engine.Spec {
 			"mc-seed":   9,
 			"backend":   backend,
 		}}
+		specs["run-chain/"+backend] = engine.Spec{Experiment: "run-chain", Params: map[string]any{
+			"links":         4,
+			"purify-rounds": 2,
+			"swap-eps":      0.02,
+			"trials":        200,
+			"seed":          13,
+			"backend":       backend,
+		}}
+		specs["chain-validation/"+backend] = engine.Spec{Experiment: "chain-validation", Params: map[string]any{
+			"trials":  200,
+			"seed":    15,
+			"backend": backend,
+		}}
+		specs["compare-comm/"+backend] = engine.Spec{Experiment: "compare-comm", Params: map[string]any{
+			"trials":  200,
+			"seed":    17,
+			"backend": backend,
+		}}
 	}
+	// The expected parameter set injects no fault into 200 trials of the
+	// default circuit; the current one injects a few dozen.
+	specs["arq-noisy"] = engine.Spec{Experiment: "arq-noisy", Machine: engine.MachineSpec{ParamSet: "current"}, Params: map[string]any{
+		"trials": 200,
+		"seed":   19,
+	}}
 	return specs
 }
 
