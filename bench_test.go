@@ -68,7 +68,7 @@ func benchFig7Trial(b *testing.B, level int, seed uint64) {
 				MovePerCell: threshold.DefaultMovePerCell,
 				Trials:      b.N, Seed: seed, Backend: backend,
 			}
-			pt, err := threshold.Run(cfg)
+			pt, err := threshold.RunCtx(context.Background(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -103,11 +103,11 @@ func BenchmarkFig7Crossing(b *testing.B) {
 	var crossing float64
 	for i := 0; i < b.N; i++ {
 		ps := []float64{5e-4, 1.5e-3, 3e-3}
-		l1, err := threshold.Sweep(1, ps, 20000, 11)
+		l1, err := threshold.SweepCtx(context.Background(), 1, ps, 20000, 11, 0, "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		l2, err := threshold.Sweep(2, ps, 10000, 12)
+		l2, err := threshold.SweepCtx(context.Background(), 2, ps, 10000, 12, 0, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkChainTrial(b *testing.B) {
 			cfg := base
 			cfg.Trials = b.N
 			cfg.Backend = backend
-			res, err := commsim.RunChain(cfg)
+			res, err := commsim.RunChainCtx(context.Background(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func BenchmarkChainTrial(b *testing.B) {
 				probe.Backend = backend
 				probe.Parallelism = 1
 				allocs := testing.AllocsPerRun(5, func() {
-					if _, err := commsim.RunChain(probe); err != nil {
+					if _, err := commsim.RunChainCtx(context.Background(), probe); err != nil {
 						b.Fatal(err)
 					}
 				})
@@ -238,7 +238,8 @@ func BenchmarkFig9FullSeries(b *testing.B) {
 func BenchmarkScheduler(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
-		rows, err := netsim.DefaultExperiment([]int{2})
+		// scheduler-sweep's default grid, Toffoli count and seed.
+		rows, err := netsim.RunBandwidthSweep(20, 20, 25, []int{2}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}

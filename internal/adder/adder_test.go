@@ -1,6 +1,7 @@
 package adder
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -289,4 +290,60 @@ func BenchmarkAdd16(b *testing.B) {
 			}
 		})
 	}
+}
+
+// The helpers below serve only this package's tests.
+
+// PackBits builds the circuit input as a bit slice, for circuits wider
+// than the 64-wire packed executor.
+func (l Layout) PackBits(a, b uint64, cin bool) []bool {
+	if l.N < 64 && (a >= 1<<uint(l.N) || b >= 1<<uint(l.N)) {
+		panic(fmt.Sprintf("adder: operand exceeds %d bits", l.N))
+	}
+	bits := make([]bool, l.Width)
+	for i := 0; i < l.N; i++ {
+		bits[l.A[i]] = a>>uint(i)&1 == 1
+		bits[l.B[i]] = b>>uint(i)&1 == 1
+	}
+	if cin {
+		if l.Cin < 0 {
+			panic("adder: adder has no carry-in wire")
+		}
+		bits[l.Cin] = true
+	}
+	return bits
+}
+
+// UnpackBits is the bit-slice analogue of Unpack.
+func (l Layout) UnpackBits(bits []bool) (aOut, sum uint64, carry, ancClean bool) {
+	for i := 0; i < l.N; i++ {
+		if bits[l.A[i]] {
+			aOut |= 1 << uint(i)
+		}
+		if bits[l.B[i]] {
+			sum |= 1 << uint(i)
+		}
+	}
+	carry = bits[l.Cout]
+	ancClean = true
+	for _, w := range l.Anc {
+		if bits[w] {
+			ancClean = false
+		}
+	}
+	return aOut, sum, carry, ancClean
+}
+
+// AddWide runs the adder through the bit-slice executor, supporting
+// circuits of any width. Semantics match Add.
+func AddWide(c *revcirc.Circuit, lay Layout, a, b uint64, cin bool) (sum uint64, carry bool) {
+	out := c.Run(lay.PackBits(a, b, cin))
+	aOut, sum, carry, clean := lay.UnpackBits(out)
+	if aOut != a || !clean {
+		panic(fmt.Sprintf("adder: corrupted state a=%d aOut=%d clean=%v", a, aOut, clean))
+	}
+	if lay.Cin >= 0 && out[lay.Cin] != cin {
+		panic(fmt.Sprintf("adder: carry-in not restored: in=%v out=%v", cin, out[lay.Cin]))
+	}
+	return sum, carry
 }

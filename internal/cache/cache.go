@@ -135,21 +135,6 @@ func WithDir(dir string) Option {
 	return func(c *Cache) { c.dir = dir }
 }
 
-// WithDegrade tunes the disk tier's graceful degradation: after
-// consecutive persist errors the tier downgrades to memory-only, and
-// probe sets how often a single probe write is allowed to test whether
-// the disk recovered. Zero values keep the defaults (3 errors, 30s).
-func WithDegrade(consecutive int, probe time.Duration) Option {
-	return func(c *Cache) {
-		if consecutive > 0 {
-			c.degradeAfter = consecutive
-		}
-		if probe > 0 {
-			c.probeInterval = probe
-		}
-	}
-}
-
 // WithLogger routes the cache's rare episode logs (tier degradation
 // and recovery) through logf instead of the standard library default.
 func WithLogger(logf func(format string, args ...any)) Option {

@@ -161,3 +161,20 @@ func TestContains(t *testing.T) {
 		t.Fatalf("inflight entry: stored=%v inflight=%v", stored, inflight)
 	}
 }
+
+// The helpers below serve only this package's tests.
+
+// WithDegrade tunes the disk tier's graceful degradation: after
+// consecutive persist errors the tier downgrades to memory-only, and
+// probe sets how often a single probe write is allowed to test whether
+// the disk recovered. Zero values keep the defaults (3 errors, 30s).
+func WithDegrade(consecutive int, probe time.Duration) Option {
+	return func(c *Cache) {
+		if consecutive > 0 {
+			c.degradeAfter = consecutive
+		}
+		if probe > 0 {
+			c.probeInterval = probe
+		}
+	}
+}

@@ -246,15 +246,6 @@ func (c *Circuit) AppendMapped(other *Circuit, target []int) *Circuit {
 	return c
 }
 
-// CountOps returns the number of ops of each type.
-func (c *Circuit) CountOps() map[OpType]int {
-	m := make(map[OpType]int)
-	for _, op := range c.Ops {
-		m[op.Type]++
-	}
-	return m
-}
-
 // Measurements returns the number of measurement ops.
 func (c *Circuit) Measurements() int {
 	n := 0
@@ -317,20 +308,6 @@ func (c *Circuit) Duration(p iontrap.Params) float64 {
 		}
 		if end > total {
 			total = end
-		}
-	}
-	return total
-}
-
-// SerialDuration returns the latency when every op runs sequentially (one
-// laser, SIMD-less control).
-func (c *Circuit) SerialDuration(p iontrap.Params) float64 {
-	total := 0.0
-	for _, op := range c.Ops {
-		if op.Type == Move {
-			total += p.MoveTime(op.Cells, op.Corners)
-		} else {
-			total += p.Time[op.Type.OpClass()]
 		}
 	}
 	return total

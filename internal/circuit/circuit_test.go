@@ -57,12 +57,9 @@ func TestDurationParallelVsSerial(t *testing.T) {
 	p := iontrap.Expected()
 	c := New(4)
 	c.H(0).H(1).H(2).H(3)
-	// Four parallel 1µs gates: critical path 1µs, serial 4µs.
+	// Four parallel 1µs gates: critical path 1µs.
 	if d := c.Duration(p); math.Abs(d-1e-6) > 1e-12 {
 		t.Errorf("parallel duration = %g, want 1µs", d)
-	}
-	if d := c.SerialDuration(p); math.Abs(d-4e-6) > 1e-12 {
-		t.Errorf("serial duration = %g, want 4µs", d)
 	}
 	// A CNOT chain serializes.
 	c2 := New(3)
@@ -108,7 +105,7 @@ move 2 cells=120 corners=2
 measure 0
 measurex 1
 `
-	c, err := ParseString(src)
+	c, err := Parse(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +116,7 @@ measurex 1
 		t.Errorf("move parsed as %+v", c.Ops[3])
 	}
 	// Round trip through String.
-	c2, err := ParseString(c.String())
+	c2, err := Parse(strings.NewReader(c.String()))
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
@@ -142,19 +139,15 @@ func TestParseErrors(t *testing.T) {
 		"",                            // empty
 	}
 	for _, src := range bad {
-		if _, err := ParseString(src); err == nil {
-			t.Errorf("ParseString(%q) should fail", src)
+		if _, err := Parse(strings.NewReader(src)); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
 		}
 	}
 }
 
-func TestCountOps(t *testing.T) {
+func TestMeasurements(t *testing.T) {
 	c := New(3)
 	c.H(0).H(1).CNOT(0, 1).MeasureZ(0)
-	counts := c.CountOps()
-	if counts[H] != 2 || counts[CNOT] != 1 || counts[MeasureZ] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
 	if c.Measurements() != 1 {
 		t.Errorf("Measurements = %d", c.Measurements())
 	}

@@ -61,11 +61,6 @@ func Parse(r io.Reader) (*Circuit, error) {
 	return c, nil
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (*Circuit, error) {
-	return Parse(strings.NewReader(s))
-}
-
 var mnemonic = func() map[string]OpType {
 	m := make(map[string]OpType)
 	for t := OpType(0); t < numOpTypes; t++ {

@@ -168,34 +168,18 @@ func (c *Code) IsLogical(p pauli.String) bool {
 // the distance exceeds maxWeight).
 func (c *Code) Distance(maxWeight int) (int, bool) {
 	for w := 1; w <= maxWeight; w++ {
-		if c.searchWeight(w, 0) {
+		if c.searchWeight(w) {
 			return w, true
 		}
 	}
 	return 0, false
 }
 
-// TypedDistance is Distance restricted to errors built from a single
-// Pauli letter ('X' or 'Z'). For asymmetric codes such as the 3-qubit
-// repetition codes, the X- and Z-distances differ; the repetition code
-// of the paper's Figure 4 has X-distance 3 but Z-distance 1.
-func (c *Code) TypedDistance(letter byte, maxWeight int) (int, bool) {
-	for w := 1; w <= maxWeight; w++ {
-		if c.searchWeight(w, letter) {
-			return w, true
-		}
-	}
-	return 0, false
-}
-
-// searchWeight enumerates weight-w Paulis (all letters, or a single
-// letter when typed != 0) and reports whether any is a logical.
-func (c *Code) searchWeight(w int, typed byte) bool {
+// searchWeight enumerates weight-w Paulis and reports whether any is a
+// logical.
+func (c *Code) searchWeight(w int) bool {
 	positions := make([]int, w)
 	letters := []byte{'X', 'Y', 'Z'}
-	if typed != 0 {
-		letters = []byte{typed}
-	}
 	var rec func(start, depth int) bool
 	assign := make([]byte, w)
 	var tryLetters func(depth int) bool

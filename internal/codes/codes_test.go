@@ -41,30 +41,6 @@ func TestDistances(t *testing.T) {
 	}
 }
 
-// TestTypedDistances pins the asymmetry of the repetition codes: the
-// bit-flip code protects against X at distance 3 but fails Z at weight
-// 1, and vice versa for the phase-flip code.
-func TestTypedDistances(t *testing.T) {
-	cases := []struct {
-		code     *Code
-		letter   byte
-		distance int
-	}{
-		{Bitflip3(), 'X', 3},
-		{Bitflip3(), 'Z', 1},
-		{Phaseflip3(), 'X', 1},
-		{Phaseflip3(), 'Z', 3},
-		{Steane7(), 'X', 3},
-		{Steane7(), 'Z', 3},
-	}
-	for _, tc := range cases {
-		d, ok := tc.code.TypedDistance(tc.letter, tc.code.N)
-		if !ok || d != tc.distance {
-			t.Errorf("%s %c-distance: got (%d,%v), want %d", tc.code.Name, tc.letter, d, ok, tc.distance)
-		}
-	}
-}
-
 func TestValidateRejectsBrokenCodes(t *testing.T) {
 	broken := func(mutate func(*Code)) *Code {
 		c := Steane7()

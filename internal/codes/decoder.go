@@ -64,9 +64,6 @@ func NewDecoder(c *Code, maxWeight int) (*Decoder, error) {
 	return d, nil
 }
 
-// MaxWeight returns the weight budget the table was built with.
-func (d *Decoder) MaxWeight() int { return d.maxWeight }
-
 // TableSize returns the number of distinct syndromes in the table.
 func (d *Decoder) TableSize() int { return len(d.table) }
 
@@ -101,54 +98,4 @@ func (d *Decoder) Corrects(err pauli.String) bool {
 		}
 	}
 	return true // residual is identity
-}
-
-// CorrectsAllWeight reports whether every weight-w error is exactly
-// corrected. For a distance-d code with table budget t = (d-1)/2 this
-// must hold for all w ≤ t.
-func (d *Decoder) CorrectsAllWeight(w int) bool {
-	c := d.code
-	positions := make([]int, w)
-	assign := make([]byte, w)
-	letters := []byte{'X', 'Y', 'Z'}
-	ok := true
-	var overPositions func(start, depth int)
-	var overLetters func(depth int)
-	overLetters = func(depth int) {
-		if !ok {
-			return
-		}
-		if depth == w {
-			p := pauli.NewIdentity(c.N)
-			for i := 0; i < w; i++ {
-				p.Set(positions[i], assign[i])
-			}
-			if !d.Corrects(p) {
-				ok = false
-			}
-			return
-		}
-		for _, l := range letters {
-			assign[depth] = l
-			overLetters(depth + 1)
-		}
-	}
-	overPositions = func(start, depth int) {
-		if !ok {
-			return
-		}
-		if depth == w {
-			overLetters(0)
-			return
-		}
-		for q := start; q <= c.N-(w-depth); q++ {
-			positions[depth] = q
-			overPositions(q+1, depth+1)
-		}
-	}
-	if w == 0 {
-		return d.Corrects(pauli.NewIdentity(c.N))
-	}
-	overPositions(0, 0)
-	return ok
 }

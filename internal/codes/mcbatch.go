@@ -194,8 +194,9 @@ func (k *mcKernel) runBlock(model *noise.BatchModel, f *pauliframe.Batch, residu
 	return bits.OnesCount64(fail & active)
 }
 
-// mcBatch is the bit-sliced backend of MonteCarloLogicalError: blocks
-// of 64 trials, each block's noise model seeded from its global index.
+// mcBatch is the bit-sliced backend of MonteCarloLogicalErrorBackend:
+// blocks of 64 trials, each block's noise model seeded from its global
+// index.
 func mcBatch(c *Code, dec *Decoder, p float64, trials int, seed uint64) int {
 	k := newMCKernel(c, dec)
 	f := pauliframe.NewBatch(c.N)

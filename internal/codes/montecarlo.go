@@ -36,13 +36,6 @@ type MCResult struct {
 	Backend string `json:"Backend,omitempty"`
 }
 
-// MonteCarloLogicalError measures the logical failure rate of a code
-// under i.i.d. per-qubit depolarizing noise with probability p on the
-// default (batch) backend — see MonteCarloLogicalErrorBackend.
-func MonteCarloLogicalError(c *Code, p float64, trials int, seed uint64) (MCResult, error) {
-	return MonteCarloLogicalErrorBackend(c, p, trials, seed, "")
-}
-
 // MonteCarloLogicalErrorBackend measures the logical failure rate of a
 // code under i.i.d. per-qubit depolarizing noise with probability p,
 // using the weight-t syndrome-table decoder: each trial draws an
@@ -122,15 +115,9 @@ func mcScalar(c *Code, dec *Decoder, p float64, trials int, seed uint64) int {
 	return failures
 }
 
-// MonteCarloSweep measures every catalog code at each physical error
-// rate on the default (batch) backend — the code-layer analogue of the
-// paper's Figure 7.
-func MonteCarloSweep(physErrors []float64, trials int, seed uint64) ([]MCResult, error) {
-	return MonteCarloSweepBackend(physErrors, trials, seed, "")
-}
-
-// MonteCarloSweepBackend is MonteCarloSweep with an explicit backend
-// selection (empty means BackendBatch).
+// MonteCarloSweepBackend measures every catalog code at each physical
+// error rate on backend (empty means BackendBatch) — the code-layer
+// analogue of the paper's Figure 7.
 func MonteCarloSweepBackend(physErrors []float64, trials int, seed uint64, backend string) ([]MCResult, error) {
 	var out []MCResult
 	for i, c := range All() {

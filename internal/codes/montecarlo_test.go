@@ -7,20 +7,20 @@ import (
 
 func TestMonteCarloValidation(t *testing.T) {
 	c := Steane7()
-	if _, err := MonteCarloLogicalError(c, -0.1, 100, 1); err == nil {
+	if _, err := MonteCarloLogicalErrorBackend(c, -0.1, 100, 1, BackendBatch); err == nil {
 		t.Fatal("negative p accepted")
 	}
-	if _, err := MonteCarloLogicalError(c, 1.5, 100, 1); err == nil {
+	if _, err := MonteCarloLogicalErrorBackend(c, 1.5, 100, 1, BackendBatch); err == nil {
 		t.Fatal("p>1 accepted")
 	}
-	if _, err := MonteCarloLogicalError(c, 0.1, 0, 1); err == nil {
+	if _, err := MonteCarloLogicalErrorBackend(c, 0.1, 0, 1, BackendBatch); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 }
 
 func TestMonteCarloNoiselessIsPerfect(t *testing.T) {
 	for _, c := range All() {
-		r, err := MonteCarloLogicalError(c, 0, 500, 3)
+		r, err := MonteCarloLogicalErrorBackend(c, 0, 500, 3, BackendBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,11 +36,11 @@ func TestMonteCarloNoiselessIsPerfect(t *testing.T) {
 // than linear scaling would give.
 func TestDistance3QuadraticSuppression(t *testing.T) {
 	for _, c := range []*Code{Perfect5(), Steane7(), Shor9()} {
-		hi, err := MonteCarloLogicalError(c, 0.02, 200000, 7)
+		hi, err := MonteCarloLogicalErrorBackend(c, 0.02, 200000, 7, BackendBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, err := MonteCarloLogicalError(c, 0.002, 200000, 8)
+		lo, err := MonteCarloLogicalErrorBackend(c, 0.002, 200000, 8, BackendBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +60,11 @@ func TestDistance3QuadraticSuppression(t *testing.T) {
 // first order — its logical rate tracks p linearly.
 func TestRepetitionCodeLinearFailure(t *testing.T) {
 	c := Bitflip3()
-	hi, err := MonteCarloLogicalError(c, 0.02, 100000, 9)
+	hi, err := MonteCarloLogicalErrorBackend(c, 0.02, 100000, 9, BackendBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := MonteCarloLogicalError(c, 0.002, 100000, 10)
+	lo, err := MonteCarloLogicalErrorBackend(c, 0.002, 100000, 10, BackendBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRepetitionCodeLinearFailure(t *testing.T) {
 		t.Fatalf("suppression ratio %.1f, want ~10 (linear leak)", ratio)
 	}
 	// And at equal p, the d=1 code must fail far more often than Steane.
-	steane, err := MonteCarloLogicalError(Steane7(), 0.02, 100000, 11)
+	steane, err := MonteCarloLogicalErrorBackend(Steane7(), 0.02, 100000, 11, BackendBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRepetitionCodeLinearFailure(t *testing.T) {
 // counts and well-separated points).
 func TestSweepShape(t *testing.T) {
 	ps := []float64{0.001, 0.01, 0.05}
-	rows, err := MonteCarloSweep(ps, 40000, 13)
+	rows, err := MonteCarloSweepBackend(ps, 40000, 13, BackendBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestSweepShape(t *testing.T) {
 }
 
 func TestMonteCarloDeterministic(t *testing.T) {
-	a, err := MonteCarloLogicalError(Steane7(), 0.03, 5000, 77)
+	a, err := MonteCarloLogicalErrorBackend(Steane7(), 0.03, 5000, 77, BackendBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarloLogicalError(Steane7(), 0.03, 5000, 77)
+	b, err := MonteCarloLogicalErrorBackend(Steane7(), 0.03, 5000, 77, BackendBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func BenchmarkMonteCarloSteane(b *testing.B) {
 	c := Steane7()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloLogicalError(c, 0.01, 2000, uint64(i)); err != nil {
+		if _, err := MonteCarloLogicalErrorBackend(c, 0.01, 2000, uint64(i), BackendBatch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package commsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,13 +24,13 @@ func TestChainBatchBitExactScalar(t *testing.T) {
 	} {
 		scalar := cfg
 		scalar.Backend = BackendScalar
-		want, err := RunChain(scalar)
+		want, err := RunChainCtx(context.Background(), scalar)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch := cfg
 		batch.Backend = BackendBatch
-		got, err := RunChain(batch)
+		got, err := RunChainCtx(context.Background(), batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,14 +143,14 @@ func TestChainBatchParallelMatchesSerial(t *testing.T) {
 	}
 	serial := base
 	serial.Parallelism = 1
-	want, err := RunChain(serial)
+	want, err := RunChainCtx(context.Background(), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5, 16} {
 		cfg := base
 		cfg.Parallelism = workers
-		got, err := RunChain(cfg)
+		got, err := RunChainCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,14 +171,14 @@ func TestChainBackendStatisticalAgreement(t *testing.T) {
 	scalar := base
 	scalar.Backend = BackendScalar
 	scalar.Seed = 101
-	sp, err := RunChain(scalar)
+	sp, err := RunChainCtx(context.Background(), scalar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := base
 	batch.Backend = BackendBatch
 	batch.Seed = 202
-	bp, err := RunChain(batch)
+	bp, err := RunChainCtx(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestChainBackendStatisticalAgreement(t *testing.T) {
 // the catalogued error text.
 func TestChainBackendValidation(t *testing.T) {
 	cfg := ChainConfig{Links: 1, Trials: 10, Backend: "warp"}
-	_, err := RunChain(cfg)
+	_, err := RunChainCtx(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("unknown backend accepted")
 	}

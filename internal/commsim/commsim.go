@@ -252,13 +252,8 @@ func (r *chainRun) purifiedPair(x, y, k int) error {
 	return errPurifyDiverged()
 }
 
-// RunChain executes the full protocol cfg.Trials times and aggregates
-// delivered-state error rates and raw-pair consumption.
-func RunChain(cfg ChainConfig) (ChainResult, error) {
-	return RunChainCtx(context.Background(), cfg)
-}
-
-// RunChainCtx is RunChain with cooperative cancellation: trials (or
+// RunChainCtx executes the full protocol cfg.Trials times and aggregates
+// delivered-state error rates and raw-pair consumption. Trials (or
 // 64-trial blocks, on the batch backend) fan out over a worker pool of
 // cfg.Parallelism goroutines (GOMAXPROCS when zero), each unit seeded
 // from its global index so the aggregate is bit-identical to a serial
@@ -444,7 +439,7 @@ func (c ChainConfig) predictFidelity() float64 {
 func ResourceCurve(linkEps float64, maxRounds, trials int, seed uint64) ([]ChainResult, error) {
 	out := make([]ChainResult, 0, maxRounds+1)
 	for k := 0; k <= maxRounds; k++ {
-		r, err := RunChain(ChainConfig{
+		r, err := RunChainCtx(context.Background(), ChainConfig{
 			Links: 1, LinkEps: linkEps, PurifyRounds: k,
 			Trials: trials, Seed: seed + uint64(k),
 		})
@@ -465,17 +460,12 @@ type NaiveVsRepeater struct {
 	Naive, Repeater ChainResult
 }
 
-// CompareStrategies runs both strategies over a channel whose per-link
-// depolarization is perLinkEps and which the repeater splits into
-// links equal segments. The naive strategy sees the accumulated noise
-// 1-(1-perLinkEps)^links on its single stretched pair.
-func CompareStrategies(perLinkEps float64, links, purifyRounds, trials int, seed uint64) (NaiveVsRepeater, error) {
-	return CompareStrategiesCtx(context.Background(), perLinkEps, links, purifyRounds, trials, seed, 0, "")
-}
-
-// CompareStrategiesCtx is CompareStrategies with cooperative
-// cancellation, an explicit worker-pool width (parallelism 0 means
-// GOMAXPROCS) and a backend selection (empty means BackendBatch).
+// CompareStrategiesCtx runs both strategies over a channel whose
+// per-link depolarization is perLinkEps and which the repeater splits
+// into links equal segments. The naive strategy sees the accumulated
+// noise 1-(1-perLinkEps)^links on its single stretched pair. Both runs
+// honor ctx, fan out over parallelism workers (0 means GOMAXPROCS) and
+// use backend (empty means BackendBatch).
 func CompareStrategiesCtx(ctx context.Context, perLinkEps float64, links, purifyRounds, trials int, seed uint64, parallelism int, backend string) (NaiveVsRepeater, error) {
 	accum := 1.0
 	for i := 0; i < links; i++ {

@@ -1,6 +1,7 @@
 package commsim
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -27,7 +28,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestNoiselessChainIsPerfect(t *testing.T) {
-	res, err := RunChain(ChainConfig{Links: 4, Trials: 200, Seed: 7})
+	res, err := RunChainCtx(context.Background(), ChainConfig{Links: 4, Trials: 200, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestNoiselessChainIsPerfect(t *testing.T) {
 }
 
 func TestFullyTrackedBases(t *testing.T) {
-	res, err := RunChain(ChainConfig{Links: 2, LinkEps: 0.1, Trials: 101, Seed: 3})
+	res, err := RunChainCtx(context.Background(), ChainConfig{Links: 2, LinkEps: 0.1, Trials: 101, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestFullyTrackedBases(t *testing.T) {
 // errs in one fixed basis with probability 2(1-F)/3, so the combined
 // two-basis observable is ~2/3 of the envelope 1-F.
 func TestErrorRateTracksPrediction(t *testing.T) {
-	res, err := RunChain(ChainConfig{
+	res, err := RunChainCtx(context.Background(), ChainConfig{
 		Links: 3, LinkEps: 0.06, SwapEps: 0.01, Trials: 4000, Seed: 11,
 	})
 	if err != nil {
@@ -79,11 +80,11 @@ func TestErrorRateTracksPrediction(t *testing.T) {
 // TestPurificationImprovesDeliveredState: at fixed link noise, one
 // BBPSSW round must reduce the measured error rate.
 func TestPurificationImprovesDeliveredState(t *testing.T) {
-	raw, err := RunChain(ChainConfig{Links: 2, LinkEps: 0.12, Trials: 3000, Seed: 21})
+	raw, err := RunChainCtx(context.Background(), ChainConfig{Links: 2, LinkEps: 0.12, Trials: 3000, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pur, err := RunChain(ChainConfig{Links: 2, LinkEps: 0.12, PurifyRounds: 1, Trials: 3000, Seed: 22})
+	pur, err := RunChainCtx(context.Background(), ChainConfig{Links: 2, LinkEps: 0.12, PurifyRounds: 1, Trials: 3000, Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestResourceCurveDoubles(t *testing.T) {
 // pair is badly degraded, splitting into repeater links delivers a
 // lower error rate with the same purification depth.
 func TestRepeaterBeatsNaive(t *testing.T) {
-	cmp, err := CompareStrategies(0.05, 8, 1, 3000, 41)
+	cmp, err := CompareStrategiesCtx(context.Background(), 0.05, 8, 1, 3000, 41, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +147,11 @@ func TestRepeaterBeatsNaive(t *testing.T) {
 // TestSwapNoiseAccumulates: adding swap noise must not decrease the
 // prediction, and the measured rate should grow with chain length.
 func TestSwapNoiseAccumulates(t *testing.T) {
-	short, err := RunChain(ChainConfig{Links: 2, LinkEps: 0.04, SwapEps: 0.02, Trials: 3000, Seed: 51})
+	short, err := RunChainCtx(context.Background(), ChainConfig{Links: 2, LinkEps: 0.04, SwapEps: 0.02, Trials: 3000, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := RunChain(ChainConfig{Links: 6, LinkEps: 0.04, SwapEps: 0.02, Trials: 3000, Seed: 52})
+	long, err := RunChainCtx(context.Background(), ChainConfig{Links: 6, LinkEps: 0.04, SwapEps: 0.02, Trials: 3000, Seed: 52})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func TestSwapNoiseAccumulates(t *testing.T) {
 // TestDeterministicSeeding: identical configs give identical results.
 func TestDeterministicSeeding(t *testing.T) {
 	cfg := ChainConfig{Links: 3, LinkEps: 0.07, PurifyRounds: 1, Trials: 500, Seed: 61}
-	a, err := RunChain(cfg)
+	a, err := RunChainCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChain(cfg)
+	b, err := RunChainCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func BenchmarkRunChain4Links(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i)
-		if _, err := RunChain(cfg); err != nil {
+		if _, err := RunChainCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

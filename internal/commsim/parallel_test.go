@@ -18,14 +18,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		serial := base
 		serial.Parallelism = 1
-		want, err := RunChain(serial)
+		want, err := RunChainCtx(context.Background(), serial)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 5, 16} {
 			cfg := base
 			cfg.Parallelism = workers
-			got, err := RunChain(cfg)
+			got, err := RunChainCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

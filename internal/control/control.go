@@ -16,17 +16,14 @@
 //   - the photodetector count (peak concurrent fluorescence readouts);
 //   - the classical-control event rate the surrounding processors must
 //     sustain, compared against the paper's observation that quantum
-//     latencies are orders of magnitude above classical ones;
-//   - electrode-wiring totals for a floorplan.
+//     latencies are orders of magnitude above classical ones.
 package control
 
 import (
-	"fmt"
 	"sort"
 
 	"qla/internal/arq"
 	"qla/internal/circuit"
-	"qla/internal/layout"
 )
 
 // Budget is the classical-resource bill for one pulse schedule.
@@ -167,46 +164,6 @@ func Analyze(pulses []arq.PulseOp, eventWindow float64) Budget {
 	}
 	b.PeakEventRate = float64(peak) / eventWindow
 	return b
-}
-
-// Wiring is the electrode-control estimate for a floorplan.
-type Wiring struct {
-	// Cells is the total cell count of the chip.
-	Cells int
-	// Electrodes assumes the paper's segmented-trap structure: three
-	// control electrodes per trap cell.
-	Electrodes int
-	// DACChannels assumes one digital-analog channel per electrode.
-	DACChannels int
-}
-
-// ElectrodesPerCell is the segmented RF Paul trap electrode count per
-// 20 µm cell (one RF rail shared, two DC segments plus one control pad
-// per cell in the Kielpinski-style geometry).
-const ElectrodesPerCell = 3
-
-// WiringFor estimates electrode wiring for a floorplan.
-func WiringFor(f layout.Floorplan) Wiring {
-	cells := f.WidthCells() * f.HeightCells()
-	return Wiring{
-		Cells:       cells,
-		Electrodes:  cells * ElectrodesPerCell,
-		DACChannels: cells * ElectrodesPerCell,
-	}
-}
-
-// LaserFeasibility compares a budget against an available laser count,
-// returning an error naming the shortfall. SIMD grouping is assumed,
-// per the paper's stated scaling strategy.
-func LaserFeasibility(b Budget, lasersAvailable int) error {
-	if lasersAvailable <= 0 {
-		return fmt.Errorf("control: no lasers available")
-	}
-	if b.PeakLasersSIMD > lasersAvailable {
-		return fmt.Errorf("control: schedule needs %d SIMD laser groups, only %d lasers available",
-			b.PeakLasersSIMD, lasersAvailable)
-	}
-	return nil
 }
 
 // ClassicalHeadroom returns the ratio between the control deadline (one

@@ -1,13 +1,11 @@
 package control
 
 import (
-	"strings"
 	"testing"
 
 	"qla/internal/arq"
 	"qla/internal/circuit"
 	"qla/internal/iontrap"
-	"qla/internal/layout"
 )
 
 func scheduleFor(t *testing.T, build func(c *circuit.Circuit)) []arq.PulseOp {
@@ -125,34 +123,6 @@ func TestEventRates(t *testing.T) {
 	// All eight pulses start at t=0, inside one window.
 	if want := 8 / 1e-6; b.PeakEventRate != want {
 		t.Fatalf("peak event rate %g, want %g", b.PeakEventRate, want)
-	}
-}
-
-func TestWiringFor(t *testing.T) {
-	f, err := layout.NewFloorplan(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := WiringFor(f)
-	if w.Cells != f.WidthCells()*f.HeightCells() {
-		t.Fatalf("cells %d", w.Cells)
-	}
-	if w.Electrodes != w.Cells*ElectrodesPerCell || w.DACChannels != w.Electrodes {
-		t.Fatalf("wiring %+v", w)
-	}
-}
-
-func TestLaserFeasibility(t *testing.T) {
-	b := Budget{PeakLasersSIMD: 3}
-	if err := LaserFeasibility(b, 3); err != nil {
-		t.Fatal(err)
-	}
-	err := LaserFeasibility(b, 2)
-	if err == nil || !strings.Contains(err.Error(), "3 SIMD") {
-		t.Fatalf("want shortfall error, got %v", err)
-	}
-	if err := LaserFeasibility(b, 0); err == nil {
-		t.Fatal("zero lasers accepted")
 	}
 }
 

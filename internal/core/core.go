@@ -133,24 +133,6 @@ func (m *Machine) Overlapped(a, b int) (bool, error) {
 	return t <= m.ecStep, nil
 }
 
-// GateCost returns the latency of one logical operation in EC steps:
-// every logical gate is followed by an error-correction step, so
-// transversal one- and two-qubit gates cost one step; a fault-tolerant
-// Toffoli costs 21 (Section 5).
-func (m *Machine) GateCost(t circuit.OpType) int {
-	switch {
-	case t == circuit.CNOT || t == circuit.CZ || t == circuit.SWAP:
-		return 1
-	case t.IsMeasurement():
-		return 1
-	default:
-		return 1
-	}
-}
-
-// ToffoliCost is the EC-step cost of a fault-tolerant Toffoli.
-func (m *Machine) ToffoliCost() int { return ft.ToffoliECSteps }
-
 // Report summarizes the estimated execution of a mapped circuit.
 type Report struct {
 	LogicalQubits  int

@@ -26,9 +26,6 @@ const (
 	KernelBitrev = "bitrev"
 )
 
-// KernelNames lists the synthetic kernels in spec order.
-var KernelNames = []string{KernelRandom, KernelNeighbor, KernelTransversal, KernelBitrev}
-
 // MakeKernel generates n logical ops of the named synthetic kernel on
 // a W×H grid. Generation is deterministic in (kernel, w, h, n, seed).
 func MakeKernel(kernel string, w, h, n int, seed uint64) ([]Op, error) {

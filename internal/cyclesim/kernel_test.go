@@ -112,3 +112,8 @@ func TestParseTraceMatchesDefaultSpec(t *testing.T) {
 		t.Errorf("parsed %d ops from default trace", len(ops))
 	}
 }
+
+// The helpers below serve only this package's tests.
+
+// KernelNames lists the synthetic kernels in spec order.
+var KernelNames = []string{KernelRandom, KernelNeighbor, KernelTransversal, KernelBitrev}

@@ -70,13 +70,6 @@ func (f *fabric) reserve(from tilegrid.Coord, dir int, t, occ int64) int64 {
 	return start
 }
 
-// step is one hop decision: the direction taken and whether it turned
-// a corner relative to the previous hop.
-type step struct {
-	dir    int
-	corner bool
-}
-
 // route walks a minimal path from src to dst, reserving a lane on each
 // link as it goes. headOcc is the occupancy charged per link beyond
 // the corner penalty (transit + payload tail + per-hop stalls);

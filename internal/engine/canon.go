@@ -313,16 +313,6 @@ func derivedValue(v any) any {
 	return v
 }
 
-// CanonicalJSON returns the byte-stable JSON encoding of the canonical
-// form of spec (parameter keys sorted).
-func CanonicalJSON(spec Spec) ([]byte, error) {
-	c, err := MakeCanonical(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.JSON, nil
-}
-
 // SpecHash returns the content address of spec: the hex SHA-256 of its
 // canonical JSON. Two Specs hash equal exactly when Run would execute
 // the same computation, and fixed-seed results are bit-identical at any

@@ -304,3 +304,15 @@ func TestDecodeSpecStrict(t *testing.T) {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 }
+
+// The helpers below serve only this package's tests.
+
+// CanonicalJSON returns the byte-stable JSON encoding of the canonical
+// form of spec (parameter keys sorted).
+func CanonicalJSON(spec Spec) ([]byte, error) {
+	c, err := MakeCanonical(spec)
+	if err != nil {
+		return nil, err
+	}
+	return c.JSON, nil
+}

@@ -23,13 +23,9 @@ const (
 	// PthLocal is the Steane-code threshold accounting for movement and
 	// gates on a local architecture (Svore, Terhal, DiVincenzo).
 	PthLocal = 7.5e-5
-	// PthReichardt is the improved ancilla-preparation threshold estimate.
-	PthReichardt = 9e-3
 	// PthEmpiricalQLA is the paper's measured pseudo-threshold for the QLA
 	// logical qubit: (2.1 ± 1.8)×10⁻³.
 	PthEmpiricalQLA = 2.1e-3
-	// PthEmpiricalQLAErr is the quoted uncertainty.
-	PthEmpiricalQLAErr = 1.8e-3
 )
 
 // Toffoli gate cost in error-correction steps (Section 5).

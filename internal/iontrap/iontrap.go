@@ -93,8 +93,7 @@ type Params struct {
 // within-trap shuttling) and "a single trap can be traversed with a time
 // cost of T = 0.01 µs" for pipelined ballistic channel transport
 // (Section 2.1). Channel transport dominates QLA communication, so
-// OpMoveCell uses the 0.01 µs/cell figure; LocalMoveTime exposes the
-// 10 ns/µm rate for intra-block shuttling.
+// OpMoveCell uses the 0.01 µs/cell figure.
 const (
 	TimeSingle   = 1e-6   // 1 µs
 	TimeDouble   = 10e-6  // 10 µs
@@ -104,9 +103,6 @@ const (
 	TimeCorner   = 10e-6 // "corner-turning speed equivalent to splitting"
 	TimeCool     = 1e-6
 	TimePrep     = 1e-6
-
-	// LocalMoveSecPerUM is the Table-1 movement rate: 10 ns/µm.
-	LocalMoveSecPerUM = 10e-9
 
 	// CellSizeUM is the default trap separation (ARDA roadmap scaling).
 	CellSizeUM = 20.0
@@ -233,12 +229,6 @@ func (p Params) MoveFailure(cells, corners int) float64 {
 		surv *= 1 - p.Fail[OpCorner]
 	}
 	return 1 - surv
-}
-
-// LocalMoveTime returns the latency of an intra-block move of the given
-// distance in micrometers at the Table-1 rate of 10 ns/µm.
-func (p Params) LocalMoveTime(um float64) float64 {
-	return um * LocalMoveSecPerUM
 }
 
 // ChannelBandwidthQBPS returns the pipelined ballistic channel bandwidth in

@@ -122,14 +122,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestLocalMoveTime(t *testing.T) {
-	p := Expected()
-	// Table 1: 10 ns/µm.
-	if got := p.LocalMoveTime(20); math.Abs(got-200e-9) > 1e-15 {
-		t.Errorf("LocalMoveTime(20µm) = %g, want 200ns", got)
-	}
-}
-
 func TestOpClassString(t *testing.T) {
 	if OpSingle.String() != "single-gate" || OpMeasure.String() != "measure" {
 		t.Error("OpClass names wrong")

@@ -562,10 +562,6 @@ func (j *Job) wakeLocked() {
 // ID returns the job's content-addressed identifier.
 func (j *Job) ID() string { return j.id }
 
-// Tenant returns the tenant the job was submitted under (empty for
-// library submissions with no tenant accounting).
-func (j *Job) Tenant() string { return j.tenant }
-
 // Snapshot returns a point-in-time view of the job.
 func (j *Job) Snapshot() Snapshot {
 	j.mu.Lock()

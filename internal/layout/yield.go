@@ -59,21 +59,6 @@ func SparesNeeded(required int, tileYield, yieldTarget float64) (int, error) {
 	}
 }
 
-// ProvisionedFloorplan builds a floorplan for `required` logical qubits
-// plus the spares demanded by the defect model, returning the plan and the
-// spare count.
-func ProvisionedFloorplan(required int, cellDefectProb, yieldTarget float64) (Floorplan, int, error) {
-	spares, err := SparesNeeded(required, TileYield(cellDefectProb), yieldTarget)
-	if err != nil {
-		return Floorplan{}, 0, err
-	}
-	fp, err := NewFloorplan(required + spares)
-	if err != nil {
-		return Floorplan{}, 0, err
-	}
-	return fp, spares, nil
-}
-
 // normalQuantile computes the standard normal quantile by bisection on the
 // complementary error function (stdlib-only, no statistics dependency).
 func normalQuantile(p float64) float64 {

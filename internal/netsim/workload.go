@@ -10,9 +10,6 @@ import (
 const (
 	ToffoliOperands = 3
 	ToffoliAncilla  = 6
-	// RequestsPerToffoli is the EPR traffic per gate: each ancilla links
-	// to an operand and the operands link pairwise.
-	RequestsPerToffoli = ToffoliAncilla + 2
 )
 
 // ToffoliRequests builds the EPR request set of `toffolis` concurrent
@@ -115,11 +112,4 @@ func RunBandwidthSweep(w, h, toffolis int, bandwidths []int, seed uint64) ([]Ban
 		})
 	}
 	return out, nil
-}
-
-// DefaultExperiment is the canonical Section-5 configuration: a 20×20
-// island grid carrying 25 concurrent fault-tolerant Toffoli gates, which
-// at bandwidth 2 yields full overlap at ≈23% utilization.
-func DefaultExperiment(bandwidths []int) ([]BandwidthResult, error) {
-	return RunBandwidthSweep(20, 20, 25, bandwidths, 7)
 }

@@ -307,16 +307,3 @@ func (p String) Embed(n int, qubits []int) String {
 	}
 	return r
 }
-
-// Restrict extracts the sub-operator acting on the given qubits, discarding
-// the rest (phase is preserved).
-func (p String) Restrict(qubits []int) String {
-	r := NewIdentity(len(qubits))
-	r.Phase = p.Phase
-	for i, q := range qubits {
-		p.check(q)
-		r.SetX(i, p.xBit(q))
-		r.SetZ(i, p.zBit(q))
-	}
-	return r
-}

@@ -160,15 +160,11 @@ func TestMulCommutationSign(t *testing.T) {
 	}
 }
 
-func TestEmbedRestrict(t *testing.T) {
+func TestEmbed(t *testing.T) {
 	p := MustParse("-XY")
 	e := p.Embed(5, []int{3, 1})
 	if e.String() != "-IYIXI" {
 		t.Errorf("Embed = %s, want -IYIXI", e)
-	}
-	back := e.Restrict([]int{3, 1})
-	if !back.Equal(p) {
-		t.Errorf("Restrict(Embed) = %s, want %s", back, p)
 	}
 }
 

@@ -1,9 +1,6 @@
 package pauliframe
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Lanes is the number of independent trials a Batch packs per word.
 const Lanes = 64
@@ -174,28 +171,4 @@ func (b *Batch) DirtyLanes() uint64 {
 		m |= b.x[q] | b.z[q]
 	}
 	return m
-}
-
-// Lane extracts one trial's frame as a scalar Frame (for debugging and
-// cross-checking against the scalar backend).
-func (b *Batch) Lane(lane int) *Frame {
-	if lane < 0 || lane >= Lanes {
-		panic("pauliframe: lane out of range")
-	}
-	f := New(b.n)
-	for q := 0; q < b.n; q++ {
-		f.setX(q, b.x[q]>>uint(lane)&1 == 1)
-		f.setZ(q, b.z[q]>>uint(lane)&1 == 1)
-	}
-	return f
-}
-
-// PopulationWeight returns the total number of set error bits across
-// all lanes and qubits (X and Z components counted separately).
-func (b *Batch) PopulationWeight() int {
-	w := 0
-	for q := 0; q < b.n; q++ {
-		w += bits.OnesCount64(b.x[q]) + bits.OnesCount64(b.z[q])
-	}
-	return w
 }

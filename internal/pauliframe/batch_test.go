@@ -1,6 +1,7 @@
 package pauliframe
 
 import (
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 )
@@ -167,4 +168,30 @@ func TestBatchLaneAndDirty(t *testing.T) {
 	if b.DirtyLanes() != 0 {
 		t.Fatal("Clear must empty every lane")
 	}
+}
+
+// The helpers below serve only this package's tests.
+
+// Lane extracts one trial's frame as a scalar Frame (for debugging and
+// cross-checking against the scalar backend).
+func (b *Batch) Lane(lane int) *Frame {
+	if lane < 0 || lane >= Lanes {
+		panic("pauliframe: lane out of range")
+	}
+	f := New(b.n)
+	for q := 0; q < b.n; q++ {
+		f.setX(q, b.x[q]>>uint(lane)&1 == 1)
+		f.setZ(q, b.z[q]>>uint(lane)&1 == 1)
+	}
+	return f
+}
+
+// PopulationWeight returns the total number of set error bits across
+// all lanes and qubits (X and Z components counted separately).
+func (b *Batch) PopulationWeight() int {
+	w := 0
+	for q := 0; q < b.n; q++ {
+		w += bits.OnesCount64(b.x[q]) + bits.OnesCount64(b.z[q])
+	}
+	return w
 }

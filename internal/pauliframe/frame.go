@@ -234,15 +234,6 @@ func (f *Frame) Pauli() pauli.String {
 	return p
 }
 
-// SetPauli overwrites the frame with the content of p (phase ignored).
-func (f *Frame) SetPauli(p pauli.String) {
-	if p.N != f.n {
-		panic("pauliframe: SetPauli size mismatch")
-	}
-	copy(f.x, p.X)
-	copy(f.z, p.Z)
-}
-
 // Clone returns an independent copy of the frame.
 func (f *Frame) Clone() *Frame {
 	c := New(f.n)

@@ -242,3 +242,14 @@ func BenchmarkFrameCNOT(b *testing.B) {
 		f.CNOT(i%1023, (i%1023)+1)
 	}
 }
+
+// The helpers below serve only this package's tests.
+
+// SetPauli overwrites the frame with the content of p (phase ignored).
+func (f *Frame) SetPauli(p pauli.String) {
+	if p.N != f.n {
+		panic("pauliframe: SetPauli size mismatch")
+	}
+	copy(f.x, p.X)
+	copy(f.z, p.Z)
+}

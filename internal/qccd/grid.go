@@ -107,71 +107,10 @@ func (g *Grid) String() string {
 	return sb.String()
 }
 
-// Parse reads the ASCII map format produced by String: '#' wall,
-// 'T' trap, '.' channel. All rows must have equal width.
-func Parse(s string) (*Grid, error) {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		return nil, fmt.Errorf("qccd: empty grid")
-	}
-	w := len(lines[0])
-	g := NewGrid(w, len(lines))
-	for y, line := range lines {
-		if len(line) != w {
-			return nil, fmt.Errorf("qccd: row %d has width %d, want %d", y, len(line), w)
-		}
-		for x, ch := range line {
-			switch ch {
-			case '#':
-				g.Set(x, y, Wall)
-			case 'T':
-				g.Set(x, y, Trap)
-			case '.':
-				g.Set(x, y, Channel)
-			default:
-				return nil, fmt.Errorf("qccd: unknown cell %q at (%d,%d)", ch, x, y)
-			}
-		}
-	}
-	return g, nil
-}
-
 // Pos is a cell coordinate — the shared tilegrid coordinate type, so
 // qccd cell positions, netsim island nodes and cyclesim tiles agree on
 // geometry (Adjacent, Manhattan) and wire format.
 type Pos = tilegrid.Coord
-
-// TrapRowGrid builds the canonical single-block test geometry: a row of
-// nTraps trap cells at y=1 separated by channel cells, with full
-// channel rows above and below so ions can route around each other —
-// the "investment in communication channels for ballistic ion movement
-// around the physical qubits" of Section 3.
-//
-// Layout (nTraps=3):
-//
-//	#.......#
-//	#.T.T.T.#
-//	#.......#
-//
-// plus a wall border.
-func TrapRowGrid(nTraps int) *Grid {
-	if nTraps <= 0 {
-		panic("qccd: non-positive trap count")
-	}
-	w := 2*nTraps + 3
-	g := NewGrid(w, 5)
-	for x := 1; x < w-1; x++ {
-		g.Set(x, 1, Channel)
-		g.Set(x, 3, Channel)
-	}
-	for x := 1; x < w-1; x++ {
-		g.Set(x, 2, Channel)
-	}
-	for i := 0; i < nTraps; i++ {
-		g.Set(2+2*i, 2, Trap)
-	}
-	return g
-}
 
 // TrapPositions returns the trap cells of a grid in row-major order.
 func (g *Grid) TrapPositions() []Pos {

@@ -115,12 +115,6 @@ func NewSim(g *Grid, p iontrap.Params) *Sim {
 	}
 }
 
-// SetHeatModel overrides the heating calibration.
-func (s *Sim) SetHeatModel(h HeatModel) { s.heat = h }
-
-// Grid returns the simulator's cell map.
-func (s *Sim) Grid() *Grid { return s.grid }
-
 // Stats returns a copy of the activity counters.
 func (s *Sim) Stats() Stats { return s.stats }
 
@@ -142,9 +136,6 @@ func (s *Sim) AddIon(k IonKind, at Pos) (int, error) {
 // Ion returns a copy of the ion's state.
 func (s *Sim) Ion(id int) Ion { return *s.ions[id] }
 
-// Clock returns the time at which ion id is next free.
-func (s *Sim) Clock(id int) float64 { return s.busy[id] }
-
 // Makespan returns the completion time of the latest operation.
 func (s *Sim) Makespan() float64 {
 	m := 0.0
@@ -152,16 +143,6 @@ func (s *Sim) Makespan() float64 {
 		if b > m {
 			m = b
 		}
-	}
-	return m
-}
-
-// Barrier aligns every ion clock to the makespan (a global sync point
-// between algorithm phases) and returns it.
-func (s *Sim) Barrier() float64 {
-	m := s.Makespan()
-	for i := range s.busy {
-		s.busy[i] = m
 	}
 	return m
 }
@@ -388,18 +369,6 @@ func (s *Sim) tryReserve(id int, path []Pos, start, tSplit, tMove, tCorner float
 }
 
 // --- physical operations ---------------------------------------------------
-
-// Gate1 applies a single-qubit gate to an ion. The ion must be below
-// the heating threshold.
-func (s *Sim) Gate1(id int) (float64, error) {
-	ion := s.ions[id]
-	if ion.Heat > s.heat.MaxGateHeat {
-		return 0, ErrTooHot
-	}
-	s.busy[id] += s.p.Time[iontrap.OpSingle]
-	s.stats.Gates1++
-	return s.busy[id], nil
-}
 
 // Gate2 applies a two-qubit gate between adjacent ions (a linear chain
 // across neighbouring cells). Both must be cool enough; the gate starts

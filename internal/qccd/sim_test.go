@@ -318,3 +318,33 @@ func BenchmarkRouteTwoBlock(b *testing.B) {
 		}
 	}
 }
+
+// The helpers below serve only this package's tests.
+
+// SetHeatModel overrides the heating calibration.
+func (s *Sim) SetHeatModel(h HeatModel) { s.heat = h }
+
+// Clock returns the time at which ion id is next free.
+func (s *Sim) Clock(id int) float64 { return s.busy[id] }
+
+// Barrier aligns every ion clock to the makespan (a global sync point
+// between algorithm phases) and returns it.
+func (s *Sim) Barrier() float64 {
+	m := s.Makespan()
+	for i := range s.busy {
+		s.busy[i] = m
+	}
+	return m
+}
+
+// Gate1 applies a single-qubit gate to an ion. The ion must be below
+// the heating threshold.
+func (s *Sim) Gate1(id int) (float64, error) {
+	ion := s.ions[id]
+	if ion.Heat > s.heat.MaxGateHeat {
+		return 0, ErrTooHot
+	}
+	s.busy[id] += s.p.Time[iontrap.OpSingle]
+	s.stats.Gates1++
+	return s.busy[id], nil
+}

@@ -56,9 +56,13 @@ var Routes = []string{
 	"GET /healthz",
 }
 
+// maxBodyBytes caps the POST /v1/run and POST /v1/sweeps request
+// bodies; a larger body is answered 413.
+const maxBodyBytes = 1 << 20
+
 // Config sizes a Server. The zero value is production-usable: a 64 MiB
 // result cache, a GOMAXPROCS worker budget, 60 s default and 10 min
-// maximum per-request deadlines, 1 MiB spec bodies.
+// maximum per-request deadlines.
 type Config struct {
 	// CacheBytes is the result-cache byte budget (0 = 64 MiB, negative =
 	// unbounded).
@@ -70,9 +74,6 @@ type Config struct {
 	// what ?timeout= may ask for.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxBodyBytes caps the POST /v1/run and POST /v1/sweeps request
-	// bodies.
-	MaxBodyBytes int64
 	// CacheDir enables the result cache's file persistence tier: run
 	// and sweep-point results survive a restart ("" = memory only).
 	CacheDir string
@@ -185,9 +186,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 10 * time.Minute
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -449,7 +447,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.rateLimit(w, tenant) {
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError

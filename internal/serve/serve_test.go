@@ -347,14 +347,28 @@ func TestTimeoutClamped(t *testing.T) {
 	}
 }
 
-// TestBodyLimit: an oversized spec body is rejected as 413, not
-// conflated with malformed JSON.
+// TestBodyLimit: a request body one byte over the 1 MiB cap is
+// rejected as 413 on both POST routes, not conflated with malformed
+// JSON: each body is a valid request padded with whitespace.
 func TestBodyLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
-	big := `{"experiment":"figure7","params":{"phys-errors":[` + strings.Repeat("0.004,", 100) + `0.004]}}`
-	status, _, body := postRun(t, ts.URL, big)
-	if status != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, body %s", status, body)
+	_, ts := newTestServer(t, Config{})
+	for route, doc := range map[string]string{
+		"/v1/run":    tinySpec(12),
+		"/v1/sweeps": fig7Sweep(64),
+	} {
+		body := doc + strings.Repeat(" ", 1<<20+1-len(doc))
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", route, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: status %d, body %s", route, resp.StatusCode, raw)
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	if !forwarded && !s.rateLimit(w, tenant) {
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError

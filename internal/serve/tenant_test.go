@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -70,6 +71,21 @@ func TestInteractiveNotStarvedByBulk(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("tenant-a sweep submit: %d", resp.StatusCode)
 	}
+	var sb SubmitBody
+	if err := json.NewDecoder(resp.Body).Decode(&sb); err != nil {
+		t.Fatal(err)
+	}
+	// Cancel the sweep when the test ends: its points would otherwise
+	// go on computing beside every later test in the process.
+	t.Cleanup(func() {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+sb.JobID, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		pollJob(t, ts.URL, sb.JobID)
+	})
 
 	// Wait until bulk work actually occupies the pool.
 	deadline := time.Now().Add(30 * time.Second)

@@ -44,12 +44,6 @@ func QCLAToffoliDepth(n int) int {
 	return 4 * Log2Ceil(n)
 }
 
-// QCLACNOTs and QCLANOTs are the adder's non-Toffoli depth terms.
-const (
-	QCLACNOTs = 4
-	QCLANOTs  = 2
-)
-
 // MultiplierCalls is IM: the number of calls to the modular multiplier
 // (one per bit of the 2N-bit exponent register).
 func MultiplierCalls(n int) int { return 2 * n }

@@ -23,15 +23,14 @@ import (
 
 // State is an n-qubit stabilizer state.
 type State struct {
-	n     int
-	w     int // words per row
-	x     [][]uint64
-	z     [][]uint64
-	r     []uint8 // sign bits (0 => +, 1 => -)
-	rng   *rand.Rand
-	xbuf  []uint64 // scratch for MeasurePauli
-	zbuf  []uint64
-	germs int // count of random measurement outcomes drawn (for tests)
+	n    int
+	w    int // words per row
+	x    [][]uint64
+	z    [][]uint64
+	r    []uint8 // sign bits (0 => +, 1 => -)
+	rng  *rand.Rand
+	xbuf []uint64 // scratch for MeasurePauli
+	zbuf []uint64
 }
 
 // New returns the n-qubit state |0…0⟩ with a deterministically seeded RNG.
@@ -79,10 +78,6 @@ func NewWithRand(n int, rng *rand.Rand) *State {
 // N returns the number of qubits.
 func (s *State) N() int { return s.n }
 
-// RandomOutcomes returns how many uniformly random measurement outcomes the
-// state has produced so far.
-func (s *State) RandomOutcomes() int { return s.germs }
-
 // Clone returns a deep copy sharing nothing with s. The RNG position is
 // NOT preserved: the clone's RNG stream is split off the parent's
 // (Clone advances the parent RNG by two draws), so sibling clones of
@@ -97,7 +92,6 @@ func (s *State) Clone() *State {
 		copy(c.z[i], s.z[i])
 	}
 	copy(c.r, s.r)
-	c.germs = s.germs
 	return c
 }
 
@@ -106,8 +100,6 @@ func (s *State) check(q int) {
 		panic(fmt.Sprintf("stabilizer: qubit %d out of range [0,%d)", q, s.n))
 	}
 }
-
-func bit(v []uint64, q int) uint64 { return v[q/64] >> (uint(q) % 64) & 1 }
 
 func setBit(v []uint64, q int, b uint64) {
 	if b != 0 {
@@ -302,7 +294,6 @@ func (s *State) Measure(q int) int {
 		}
 		setBit(s.z[p], q, 1)
 		out := uint8(s.rng.IntN(2))
-		s.germs++
 		s.r[p] = out
 		return int(out)
 	}
@@ -319,41 +310,6 @@ func (s *State) Measure(q int) int {
 		}
 	}
 	return int(s.r[sc])
-}
-
-// MeasureForced measures qubit q and, when the outcome is random, forces it
-// to the supplied value (postselection). It returns the outcome and whether
-// the outcome was random. Forcing a determinate measurement to the opposite
-// value is impossible and reported via ok=false with the true outcome.
-func (s *State) MeasureForced(q, want int) (out int, random, ok bool) {
-	s.check(q)
-	wi, m := q/64, uint64(1)<<(uint(q)%64)
-	p := -1
-	for i := s.n; i < 2*s.n; i++ {
-		if s.x[i][wi]&m != 0 {
-			p = i
-			break
-		}
-	}
-	if p < 0 {
-		got := s.Measure(q)
-		return got, false, got == want
-	}
-	for i := 0; i <= 2*s.n; i++ {
-		if i != p && s.x[i][wi]&m != 0 {
-			s.rowsum(i, p)
-		}
-	}
-	copy(s.x[p-s.n], s.x[p])
-	copy(s.z[p-s.n], s.z[p])
-	s.r[p-s.n] = s.r[p]
-	for w := 0; w < s.w; w++ {
-		s.x[p][w] = 0
-		s.z[p][w] = 0
-	}
-	setBit(s.z[p], q, 1)
-	s.r[p] = uint8(want)
-	return want, true, true
 }
 
 // MeasureReset measures qubit q and resets it to |0⟩, returning the
@@ -386,7 +342,6 @@ func (s *State) ResetAllZero() {
 		s.x[i][i/64] |= 1 << (uint(i) % 64)     // destabilizer i = X_i
 		s.z[i+s.n][i/64] |= 1 << (uint(i) % 64) // stabilizer i  = Z_i
 	}
-	s.germs = 0
 }
 
 // --- Pauli-operator measurement and expectations ---
@@ -470,7 +425,6 @@ func (s *State) MeasurePauli(p pauli.String) int {
 	// Install (-1)^out · p as the new stabilizer row; rows are letter-form
 	// Paulis, so the row sign is p's sign plus the outcome.
 	out := s.rng.IntN(2)
-	s.germs++
 	copy(s.x[anti], p.X)
 	copy(s.z[anti], p.Z)
 	s.r[anti] = uint8((int(p.Phase)/2 + out) % 2)
@@ -486,14 +440,6 @@ func (s *State) Stabilizer(i int) pauli.String {
 		panic("stabilizer: generator index out of range")
 	}
 	return s.rowPauli(i + s.n)
-}
-
-// Destabilizer returns the i-th destabilizer generator.
-func (s *State) Destabilizer(i int) pauli.String {
-	if i < 0 || i >= s.n {
-		panic("stabilizer: generator index out of range")
-	}
-	return s.rowPauli(i)
 }
 
 func (s *State) rowPauli(row int) pauli.String {
@@ -529,32 +475,4 @@ func (s *State) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// CheckInvariants verifies the tableau's structural invariants:
-// destabilizer i anticommutes with stabilizer i and commutes with all other
-// rows. It returns an error describing the first violation.
-func (s *State) CheckInvariants() error {
-	for i := 0; i < s.n; i++ {
-		di := s.rowPauli(i)
-		for j := 0; j < s.n; j++ {
-			sj := s.rowPauli(j + s.n)
-			comm := di.Commutes(sj)
-			if i == j && comm {
-				return fmt.Errorf("stabilizer: destabilizer %d commutes with its stabilizer", i)
-			}
-			if i != j && !comm {
-				return fmt.Errorf("stabilizer: destabilizer %d anticommutes with stabilizer %d", i, j)
-			}
-		}
-		for j := i + 1; j < s.n; j++ {
-			if !s.rowPauli(i).Commutes(s.rowPauli(j)) {
-				return fmt.Errorf("stabilizer: destabilizers %d and %d anticommute", i, j)
-			}
-			if !s.rowPauli(i + s.n).Commutes(s.rowPauli(j + s.n)) {
-				return fmt.Errorf("stabilizer: stabilizers %d and %d anticommute", i, j)
-			}
-		}
-	}
-	return nil
 }

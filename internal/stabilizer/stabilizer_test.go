@@ -1,6 +1,7 @@
 package stabilizer
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -469,4 +470,69 @@ func BenchmarkMeasure100(b *testing.B) {
 		s.H(q)
 		s.Measure(q)
 	}
+}
+
+// The oracles below serve only this package's tests.
+
+// MeasureForced measures qubit q and, when the outcome is random, forces it
+// to the supplied value (postselection). It returns the outcome and whether
+// the outcome was random. Forcing a determinate measurement to the opposite
+// value is impossible and reported via ok=false with the true outcome.
+func (s *State) MeasureForced(q, want int) (out int, random, ok bool) {
+	s.check(q)
+	wi, m := q/64, uint64(1)<<(uint(q)%64)
+	p := -1
+	for i := s.n; i < 2*s.n; i++ {
+		if s.x[i][wi]&m != 0 {
+			p = i
+			break
+		}
+	}
+	if p < 0 {
+		got := s.Measure(q)
+		return got, false, got == want
+	}
+	for i := 0; i <= 2*s.n; i++ {
+		if i != p && s.x[i][wi]&m != 0 {
+			s.rowsum(i, p)
+		}
+	}
+	copy(s.x[p-s.n], s.x[p])
+	copy(s.z[p-s.n], s.z[p])
+	s.r[p-s.n] = s.r[p]
+	for w := 0; w < s.w; w++ {
+		s.x[p][w] = 0
+		s.z[p][w] = 0
+	}
+	setBit(s.z[p], q, 1)
+	s.r[p] = uint8(want)
+	return want, true, true
+}
+
+// CheckInvariants verifies the tableau's structural invariants:
+// destabilizer i anticommutes with stabilizer i and commutes with all other
+// rows. It returns an error describing the first violation.
+func (s *State) CheckInvariants() error {
+	for i := 0; i < s.n; i++ {
+		di := s.rowPauli(i)
+		for j := 0; j < s.n; j++ {
+			sj := s.rowPauli(j + s.n)
+			comm := di.Commutes(sj)
+			if i == j && comm {
+				return fmt.Errorf("stabilizer: destabilizer %d commutes with its stabilizer", i)
+			}
+			if i != j && !comm {
+				return fmt.Errorf("stabilizer: destabilizer %d anticommutes with stabilizer %d", i, j)
+			}
+		}
+		for j := i + 1; j < s.n; j++ {
+			if !s.rowPauli(i).Commutes(s.rowPauli(j)) {
+				return fmt.Errorf("stabilizer: destabilizers %d and %d anticommute", i, j)
+			}
+			if !s.rowPauli(i + s.n).Commutes(s.rowPauli(j + s.n)) {
+				return fmt.Errorf("stabilizer: stabilizers %d and %d anticommute", i, j)
+			}
+		}
+	}
+	return nil
 }

@@ -20,12 +20,6 @@ import (
 // N is the number of physical qubits per code block.
 const N = 7
 
-// K is the number of logical qubits per block.
-const K = 1
-
-// Distance is the code distance.
-const Distance = 3
-
 // Supports lists the qubit support of the three Hamming parity checks; the
 // code's X-stabilizers and Z-stabilizers both use these rows (the code is
 // CSS and self-dual). Column q carries the binary representation of q+1:
@@ -99,16 +93,6 @@ func EncodeZero() *circuit.Circuit {
 	c.CNOT(0, 2)
 	c.CNOT(0, 4)
 	c.CNOT(0, 6)
-	return c
-}
-
-// EncodePlus returns the circuit preparing |+⟩_L: |0⟩_L followed by a
-// transversal Hadamard (the code is self-dual, so H⊗7 is the logical H).
-func EncodePlus() *circuit.Circuit {
-	c := EncodeZero()
-	for q := 0; q < N; q++ {
-		c.H(q)
-	}
 	return c
 }
 

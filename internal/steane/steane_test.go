@@ -55,22 +55,6 @@ func TestEncodeZeroStabilized(t *testing.T) {
 	}
 }
 
-func TestEncodePlusStabilized(t *testing.T) {
-	s := stabilizer.New(N)
-	EncodePlus().RunOn(s)
-	for i, g := range Generators() {
-		if e := s.Expectation(g); e != 1 {
-			t.Errorf("<generator %d> = %d on |+>_L, want +1", i, e)
-		}
-	}
-	if e := s.Expectation(LogicalX()); e != 1 {
-		t.Errorf("<X_L> = %d on |+>_L, want +1", e)
-	}
-	if e := s.Expectation(LogicalZ()); e != 0 {
-		t.Errorf("<Z_L> = %d on |+>_L, want 0", e)
-	}
-}
-
 func TestTransversalXFlipsLogical(t *testing.T) {
 	s := stabilizer.New(N)
 	EncodeZero().RunOn(s)

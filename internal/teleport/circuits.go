@@ -3,50 +3,8 @@ package teleport
 import (
 	"math/rand/v2"
 
-	"qla/internal/circuit"
 	"qla/internal/stabilizer"
 )
-
-// BellPrep appends a Bell-pair preparation |Φ+⟩ on qubits (a, b) to c.
-func BellPrep(c *circuit.Circuit, a, b int) {
-	c.Prep0(a).Prep0(b).H(a).CNOT(a, b)
-}
-
-// TeleportCircuit returns the canonical 3-qubit teleportation circuit:
-// qubit 0 is the source, (1,2) become the EPR pair, qubit 2 receives the
-// state. Classical corrections are deferred to the caller (the two
-// measurement outcomes are, in order, the Z- and X-correction selectors
-// for qubit 2: m0 -> Z, m1 -> X).
-func TeleportCircuit() *circuit.Circuit {
-	c := circuit.New(3)
-	BellPrep(c, 1, 2)
-	c.CNOT(0, 1)
-	c.H(0)
-	c.MeasureZ(0)
-	c.MeasureZ(1)
-	return c
-}
-
-// Teleport runs the teleportation protocol on the supplied state: the
-// state of qubit src is moved onto qubit dst using mid as the second half
-// of a fresh EPR pair, applying the classical corrections. src and mid are
-// left measured out.
-func Teleport(s *stabilizer.State, src, mid, dst int) {
-	s.Reset(mid)
-	s.Reset(dst)
-	s.H(mid)
-	s.CNOT(mid, dst)
-	s.CNOT(src, mid)
-	s.H(src)
-	m0 := s.Measure(src)
-	m1 := s.Measure(mid)
-	if m1 == 1 {
-		s.X(dst)
-	}
-	if m0 == 1 {
-		s.Z(dst)
-	}
-}
 
 // PurifyResult reports one Monte Carlo BBPSSW experiment.
 type PurifyResult struct {

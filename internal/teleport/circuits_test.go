@@ -7,40 +7,6 @@ import (
 	"qla/internal/stabilizer"
 )
 
-func TestTeleportMovesArbitraryStabilizerStates(t *testing.T) {
-	preps := []struct {
-		name  string
-		prep  func(s *stabilizer.State)
-		check pauli.String
-	}{
-		{"zero", func(s *stabilizer.State) {}, pauli.MustParse("+Z")},
-		{"one", func(s *stabilizer.State) { s.X(0) }, pauli.MustParse("-Z")},
-		{"plus", func(s *stabilizer.State) { s.H(0) }, pauli.MustParse("+X")},
-		{"minus", func(s *stabilizer.State) { s.H(0); s.Z(0) }, pauli.MustParse("-X")},
-		{"plusI", func(s *stabilizer.State) { s.H(0); s.S(0) }, pauli.MustParse("+Y")},
-	}
-	for _, tc := range preps {
-		for seed := uint64(1); seed <= 25; seed++ {
-			s := stabilizer.NewSeeded(3, seed)
-			tc.prep(s)
-			Teleport(s, 0, 1, 2)
-			if e := s.Expectation(tc.check.Embed(3, []int{2})); e != 1 {
-				t.Fatalf("%s: teleported state check failed (seed %d, got %d)", tc.name, seed, e)
-			}
-		}
-	}
-}
-
-func TestTeleportCircuitShape(t *testing.T) {
-	c := TeleportCircuit()
-	if c.N != 3 {
-		t.Errorf("teleport circuit over %d qubits", c.N)
-	}
-	if c.Measurements() != 2 {
-		t.Errorf("teleport circuit has %d measurements, want 2", c.Measurements())
-	}
-}
-
 func TestEntanglementSwapChain(t *testing.T) {
 	// Build a chain of 4 Bell pairs across 8 qubits and swap them down to
 	// a single end-to-end pair; verify it is a Bell pair.
@@ -81,23 +47,5 @@ func TestMonteCarloPurifyCleanPairs(t *testing.T) {
 	res := MonteCarloPurify(0, 300, 12)
 	if res.RawFidelity != 1 || res.PurifiedFid != 1 || res.AcceptanceFrc != 1 {
 		t.Errorf("noiseless purification should be perfect: %+v", res)
-	}
-}
-
-func TestBellPrep(t *testing.T) {
-	c := TeleportCircuit() // includes BellPrep(1,2)
-	s := stabilizer.NewSeeded(3, 3)
-	// Run only the Bell prep portion: rebuild it.
-	c2 := c
-	_ = c2
-	s.Reset(1)
-	s.Reset(2)
-	s.H(1)
-	s.CNOT(1, 2)
-	if e := s.Expectation(pauli.MustParse("+XX").Embed(3, []int{1, 2})); e != 1 {
-		t.Error("Bell prep fails XX")
-	}
-	if e := s.Expectation(pauli.MustParse("+ZZ").Embed(3, []int{1, 2})); e != 1 {
-		t.Error("Bell prep fails ZZ")
 	}
 }

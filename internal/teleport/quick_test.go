@@ -87,16 +87,3 @@ func TestQuickPurifyToConsistent(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: the chain fidelity over more stages is never better than over
-// fewer stages (swapping only degrades).
-func TestQuickChainMonotone(t *testing.T) {
-	f := func(raw uint16, stagesRaw uint8) bool {
-		fid := fidelityFrom(raw)
-		stages := int(stagesRaw) % 8
-		return ChainFidelity(fid, stages+1, 1e-5) <= ChainFidelity(fid, stages, 1e-5)+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

@@ -2,7 +2,7 @@
 // fidelity algebra on Werner states (Bennett/BBPSSW entanglement
 // purification and entanglement swapping, after Dür et al.), the repeater
 // link model behind Figure 9's connection-time analysis, and the
-// teleportation / purification circuits themselves, executable on the
+// purification and swapping circuits themselves, executable on the
 // stabilizer backend.
 package teleport
 
@@ -94,18 +94,6 @@ func PurifyTo(fRaw, fTarget float64, maxRounds int) PurifyPlan {
 	return plan
 }
 
-// ChainFidelity returns the end-to-end fidelity of connecting 2^stages
-// identical links of fidelity fLink by dyadic entanglement swapping, with
-// each Bell measurement depolarizing its merged pair by epsSwap. The
-// recursion charges exactly one noisy swap per merge (2^stages - 1 total).
-func ChainFidelity(fLink float64, stages int, epsSwap float64) float64 {
-	f := fLink
-	for j := 0; j < stages; j++ {
-		f = Depolarize(SwapStep(f, f), epsSwap)
-	}
-	return f
-}
-
 // SwapStages returns the number of dyadic swapping stages needed to span
 // links links (⌈log2 links⌉; 0 for a single link).
 func SwapStages(links int) int {
@@ -118,7 +106,3 @@ func SwapStages(links int) int {
 	}
 	return s
 }
-
-// WernerError converts a Werner fidelity to an effective error probability
-// 1-F (handy for comparing against gate failure budgets).
-func WernerError(f float64) float64 { return 1 - f }

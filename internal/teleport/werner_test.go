@@ -108,22 +108,6 @@ func TestPurifyTo(t *testing.T) {
 	}
 }
 
-func TestChainFidelity(t *testing.T) {
-	// Error roughly doubles per dyadic stage with perfect swaps.
-	fLink := 0.999
-	for stages := 1; stages <= 5; stages++ {
-		f := ChainFidelity(fLink, stages, 0)
-		wantErr := float64(int(1)<<stages) * (1 - fLink)
-		if gotErr := 1 - f; math.Abs(gotErr-wantErr)/wantErr > 0.15 {
-			t.Errorf("stage %d: chain error %g, want ≈%g", stages, gotErr, wantErr)
-		}
-	}
-	// Swap noise strictly hurts.
-	if ChainFidelity(0.999, 4, 1e-3) >= ChainFidelity(0.999, 4, 0) {
-		t.Error("swap noise should lower chain fidelity")
-	}
-}
-
 func TestSwapStages(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 64: 6}
 	for links, want := range cases {

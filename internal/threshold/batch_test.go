@@ -1,6 +1,7 @@
 package threshold
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -83,14 +84,14 @@ func TestBatchScalarStatisticalAgreement(t *testing.T) {
 	scalar := base
 	scalar.Backend = BackendScalar
 	scalar.Seed = 101
-	sp, err := Run(scalar)
+	sp, err := RunCtx(context.Background(), scalar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := base
 	batch.Backend = BackendBatch
 	batch.Seed = 202
-	bp, err := Run(batch)
+	bp, err := RunCtx(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestBatchScalarAgreementAtTable1Point(t *testing.T) {
 	const trials = 120000
 	exp := iontrap.Expected()
 	run := func(backend string, seed uint64) Point {
-		p, err := Run(Config{
+		p, err := RunCtx(context.Background(), Config{
 			Level:       1,
 			PhysError:   exp.Fail[iontrap.OpDouble],
 			MovePerCell: exp.Fail[iontrap.OpMoveCell],
@@ -161,14 +162,14 @@ func TestBatchParallelMatchesSerial(t *testing.T) {
 	}
 	serial := base
 	serial.Parallelism = 1
-	want, err := Run(serial)
+	want, err := RunCtx(context.Background(), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 16, 64} {
 		cfg := base
 		cfg.Parallelism = workers
-		got, err := Run(cfg)
+		got, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func TestBatchParallelMatchesSerial(t *testing.T) {
 // score only the live lanes.
 func TestBatchPartialBlock(t *testing.T) {
 	for _, trials := range []int{1, 3, 63, 65, 100} {
-		pt, err := Run(Config{
+		pt, err := RunCtx(context.Background(), Config{
 			Level: 1, PhysError: 0, MovePerCell: 0,
 			Trials: trials, Seed: 1, Backend: BackendBatch,
 		})
@@ -202,7 +203,7 @@ func TestBatchPartialBlock(t *testing.T) {
 	}
 	// Dead lanes must not leak into the statistics at high error rates
 	// either: a 1-trial run can at most fail once.
-	pt, err := Run(Config{
+	pt, err := RunCtx(context.Background(), Config{
 		Level: 1, PhysError: 0.2, MovePerCell: DefaultMovePerCell,
 		Trials: 1, Seed: 7, Backend: BackendBatch,
 	})
@@ -217,7 +218,7 @@ func TestBatchPartialBlock(t *testing.T) {
 // TestBatchHighErrorRetries: the masked "Start Over" retry path engages
 // under heavy noise.
 func TestBatchHighErrorRetries(t *testing.T) {
-	pt, err := Run(Config{
+	pt, err := RunCtx(context.Background(), Config{
 		Level: 1, PhysError: 0.2, MovePerCell: DefaultMovePerCell,
 		Trials: 640, Seed: 9, Backend: BackendBatch,
 	})
@@ -235,11 +236,11 @@ func TestBatchHighErrorRetries(t *testing.T) {
 // TestBackendValidation: unknown backends are rejected, named backends
 // are honored.
 func TestBackendValidation(t *testing.T) {
-	if _, err := Run(Config{Level: 1, PhysError: 1e-3, Trials: 10, Backend: "bogus"}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{Level: 1, PhysError: 1e-3, Trials: 10, Backend: "bogus"}); err == nil {
 		t.Error("unknown backend must be rejected")
 	}
 	for _, b := range []string{"", BackendBatch, BackendScalar} {
-		if _, err := Run(Config{Level: 1, PhysError: 1e-3, MovePerCell: DefaultMovePerCell, Trials: 10, Backend: b}); err != nil {
+		if _, err := RunCtx(context.Background(), Config{Level: 1, PhysError: 1e-3, MovePerCell: DefaultMovePerCell, Trials: 10, Backend: b}); err != nil {
 			t.Errorf("backend %q rejected: %v", b, err)
 		}
 	}
@@ -249,11 +250,11 @@ func TestBackendValidation(t *testing.T) {
 // and matches the scalar backend's qualitative behavior (failures grow
 // with physical error).
 func TestBatchLevel2Smoke(t *testing.T) {
-	lo, err := Run(Config{Level: 2, PhysError: 1e-3, MovePerCell: DefaultMovePerCell, Trials: 640, Seed: 5, Backend: BackendBatch})
+	lo, err := RunCtx(context.Background(), Config{Level: 2, PhysError: 1e-3, MovePerCell: DefaultMovePerCell, Trials: 640, Seed: 5, Backend: BackendBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Run(Config{Level: 2, PhysError: 8e-3, MovePerCell: DefaultMovePerCell, Trials: 640, Seed: 6, Backend: BackendBatch})
+	hi, err := RunCtx(context.Background(), Config{Level: 2, PhysError: 8e-3, MovePerCell: DefaultMovePerCell, Trials: 640, Seed: 6, Backend: BackendBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

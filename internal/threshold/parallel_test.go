@@ -18,14 +18,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	serial := base
 	serial.Parallelism = 1
-	want, err := Run(serial)
+	want, err := RunCtx(context.Background(), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 16} {
 		cfg := base
 		cfg.Parallelism = workers
-		got, err := Run(cfg)
+		got, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

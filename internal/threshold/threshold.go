@@ -63,13 +63,10 @@ type Point struct {
 // DefaultMovePerCell is Table 1's expected movement failure rate.
 const DefaultMovePerCell = 1e-6
 
-// Run executes the Monte Carlo for one configuration, parallelized over
-// available CPUs with per-shard deterministic seeding.
-func Run(cfg Config) (Point, error) { return RunCtx(context.Background(), cfg) }
-
-// RunCtx is Run with cooperative cancellation: workers poll ctx between
-// trials and the call returns ctx.Err() if the context ends before the
-// last trial completes.
+// RunCtx executes the Monte Carlo for one configuration, parallelized
+// over cfg.Parallelism workers with per-shard deterministic seeding.
+// Workers poll ctx between trials and the call returns ctx.Err() if the
+// context ends before the last trial completes.
 func RunCtx(ctx context.Context, cfg Config) (Point, error) {
 	if cfg.Level != 1 && cfg.Level != 2 {
 		return Point{}, fmt.Errorf("threshold: level must be 1 or 2, got %d", cfg.Level)
@@ -253,15 +250,9 @@ func SingleFaultTrial(level int, site int64, choice int) (fail bool, totalSites 
 	return s.residualFail(), model.Sites()
 }
 
-// Sweep runs the Monte Carlo at each physical error rate for one level
-// on the default (batch) backend.
-func Sweep(level int, physErrors []float64, trials int, seed uint64) ([]Point, error) {
-	return SweepCtx(context.Background(), level, physErrors, trials, seed, 0, "")
-}
-
-// SweepCtx is Sweep with cooperative cancellation, an explicit
-// worker-pool width (parallelism 0 means GOMAXPROCS) and a backend
-// selection (empty means BackendBatch).
+// SweepCtx runs the Monte Carlo at each physical error rate for one
+// level under ctx, with an explicit worker-pool width (parallelism 0
+// means GOMAXPROCS) and a backend selection (empty means BackendBatch).
 func SweepCtx(ctx context.Context, level int, physErrors []float64, trials int, seed uint64, parallelism int, backend string) ([]Point, error) {
 	var out []Point
 	for _, p := range physErrors {
@@ -311,16 +302,11 @@ func Crossing(l1, l2 []Point) float64 {
 	return 0
 }
 
-// SyndromeRates measures the non-trivial syndrome fraction at levels 1 and
-// 2 under the expected technology parameters (Section 4.1.1 reports
-// 3.35×10⁻⁴ and 7.92×10⁻⁴).
-func SyndromeRates(trials int, seed uint64) (l1, l2 float64, err error) {
-	return SyndromeRatesCtx(context.Background(), trials, seed, 0, "")
-}
-
-// SyndromeRatesCtx is SyndromeRates with cooperative cancellation, an
-// explicit worker-pool width (parallelism 0 means GOMAXPROCS) and a
-// backend selection (empty means BackendBatch).
+// SyndromeRatesCtx measures the non-trivial syndrome fraction at levels
+// 1 and 2 under the expected technology parameters (Section 4.1.1
+// reports 3.35×10⁻⁴ and 7.92×10⁻⁴), under ctx, with an explicit
+// worker-pool width (parallelism 0 means GOMAXPROCS) and a backend
+// selection (empty means BackendBatch).
 func SyndromeRatesCtx(ctx context.Context, trials int, seed uint64, parallelism int, backend string) (l1, l2 float64, err error) {
 	expected := iontrap.Expected()
 	p1, err := RunCtx(ctx, Config{

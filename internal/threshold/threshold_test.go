@@ -1,6 +1,7 @@
 package threshold
 
 import (
+	"context"
 	"testing"
 
 	"qla/internal/iontrap"
@@ -8,7 +9,7 @@ import (
 
 func TestCleanRunsNeverFail(t *testing.T) {
 	for _, level := range []int{1, 2} {
-		pt, err := Run(Config{Level: level, PhysError: 0, MovePerCell: 0, Trials: 200, Seed: 1})
+		pt, err := RunCtx(context.Background(), Config{Level: level, PhysError: 0, MovePerCell: 0, Trials: 200, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +60,11 @@ func TestSingleFaultToleranceLevel2(t *testing.T) {
 
 func TestFailureRatesGrowWithError(t *testing.T) {
 	for _, level := range []int{1, 2} {
-		lo, err := Run(Config{Level: level, PhysError: 1e-3, MovePerCell: DefaultMovePerCell, Trials: 4000, Seed: 5})
+		lo, err := RunCtx(context.Background(), Config{Level: level, PhysError: 1e-3, MovePerCell: DefaultMovePerCell, Trials: 4000, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hi, err := Run(Config{Level: level, PhysError: 8e-3, MovePerCell: DefaultMovePerCell, Trials: 4000, Seed: 6})
+		hi, err := RunCtx(context.Background(), Config{Level: level, PhysError: 8e-3, MovePerCell: DefaultMovePerCell, Trials: 4000, Seed: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +81,11 @@ func TestFailureRatesGrowWithError(t *testing.T) {
 // quoted band of (2.1 ± 1.8)×10⁻³.
 func TestFigure7Shape(t *testing.T) {
 	ps := []float64{5e-4, 1.5e-3, 4e-3}
-	l1, err := Sweep(1, ps, 60000, 11)
+	l1, err := SweepCtx(context.Background(), 1, ps, 60000, 11, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Sweep(2, ps, 30000, 12)
+	l2, err := SweepCtx(context.Background(), 2, ps, 30000, 12, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestSyndromeRatesBallpark(t *testing.T) {
 	// Section 4.1.1: non-trivial syndrome rates of 3.35e-4 (level 1) and
 	// 7.92e-4 (level 2) at the expected parameters. Movement dominates
 	// these rates; assert the order of magnitude.
-	l1, l2, err := SyndromeRates(200000, 21)
+	l1, l2, err := SyndromeRatesCtx(context.Background(), 200000, 21, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,24 +125,24 @@ func TestSyndromeRatesBallpark(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{Level: 3, PhysError: 1e-3, Trials: 10}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{Level: 3, PhysError: 1e-3, Trials: 10}); err == nil {
 		t.Error("level 3 should be rejected")
 	}
-	if _, err := Run(Config{Level: 1, PhysError: 1e-3, Trials: 0}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{Level: 1, PhysError: 1e-3, Trials: 0}); err == nil {
 		t.Error("zero trials should be rejected")
 	}
-	if _, err := Run(Config{Level: 1, PhysError: 2, Trials: 10}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{Level: 1, PhysError: 2, Trials: 10}); err == nil {
 		t.Error("probability > 1 should be rejected")
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	cfg := Config{Level: 2, PhysError: 3e-3, MovePerCell: DefaultMovePerCell, Trials: 2000, Seed: 33}
-	a, err := Run(cfg)
+	a, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestCrossingInterpolation(t *testing.T) {
 }
 
 func TestHighErrorSaturates(t *testing.T) {
-	pt, err := Run(Config{Level: 1, PhysError: 0.2, MovePerCell: DefaultMovePerCell, Trials: 500, Seed: 9})
+	pt, err := RunCtx(context.Background(), Config{Level: 1, PhysError: 0.2, MovePerCell: DefaultMovePerCell, Trials: 500, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestExpectedParamsEssentiallyPerfect(t *testing.T) {
 	// "We observed no failure at level 2 recursion as the physical
 	// component errors approached the expected ion-trap parameters."
 	exp := iontrap.Expected()
-	pt, err := Run(Config{
+	pt, err := RunCtx(context.Background(), Config{
 		Level:       2,
 		PhysError:   exp.Fail[iontrap.OpDouble],
 		MovePerCell: exp.Fail[iontrap.OpMoveCell],

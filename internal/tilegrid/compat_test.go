@@ -25,7 +25,7 @@ func TestAliasesShareCoord(t *testing.T) {
 }
 
 func TestNetsimNumbersUnchanged(t *testing.T) {
-	rows, err := netsim.DefaultExperiment([]int{1, 2, 4})
+	rows, err := netsim.RunBandwidthSweep(20, 20, 25, []int{1, 2, 4}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

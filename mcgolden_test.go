@@ -1,11 +1,12 @@
 package qla_test
 
-// Golden Monte Carlo outputs. TestGoldenSpecs (internal/engine) pins
-// what a spec hash names; this file pins the result bytes it names for
-// the Monte Carlo experiments, so a kernel change that alters one RNG
-// draw fails here even when the statistics still look right. After a
-// deliberate change of the random stream (a new backend value),
-// regenerate with:
+// Golden result bytes. TestGoldenSpecs (internal/engine) pins what a
+// spec hash names; this file pins the result bytes it names for every
+// registered experiment: small runs of the Monte Carlos, so a kernel
+// change that alters one RNG draw fails here even when the statistics
+// still look right, and the default Spec of every other experiment.
+// After a deliberate change of the random stream (a new backend value)
+// or a newly registered experiment, regenerate with:
 //
 //	go test . -run TestGoldenMonteCarlo -update
 
@@ -15,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"regexp"
 	"strconv"
 	"testing"
 
@@ -33,7 +35,8 @@ const mcGoldenFile = "testdata/mc_golden.json"
 // where the experiment has two, and fixed seeds. Each trial count
 // leaves its final 64-lane block partial (1000 = 15·64+40,
 // 200 = 3·64+8, 6000 = 93·64+48, and syndrome-rates' level 2 runs
-// 600 = 9·64+24).
+// 600 = 9·64+24). Every other registered experiment runs its default
+// Spec under its own name.
 func goldenMCSpecs() map[string]engine.Spec {
 	specs := map[string]engine.Spec{}
 	for _, backend := range []string{threshold.BackendBatch, threshold.BackendScalar} {
@@ -79,24 +82,57 @@ func goldenMCSpecs() map[string]engine.Spec {
 		"trials": 200,
 		"seed":   19,
 	}}
+	covered := map[string]bool{}
+	for _, spec := range specs {
+		covered[spec.Experiment] = true
+	}
+	for _, e := range engine.Experiments() {
+		if !covered[e.Name] {
+			specs[e.Name] = engine.Spec{Experiment: e.Name}
+		}
+	}
 	return specs
 }
 
-// goldenMCOutputs computes every pinned payload as compact JSON.
+// wallClock matches the wall-clock fields of a payload. Only
+// machine-sweep's payload has any: the sweep's and each point's
+// elapsed_ns, and the started and elapsed_ns of each point's Result.
+var wallClock = regexp.MustCompile(`"elapsed_ns":[0-9]+|"started":"[^"]*"`)
+
+// zeroWallClock rewrites every wall-clock field of a compact JSON
+// payload to its zero value.
+func zeroWallClock(data []byte) []byte {
+	return wallClock.ReplaceAllFunc(data, func(m []byte) []byte {
+		if bytes.HasPrefix(m, []byte(`"elapsed_ns"`)) {
+			return []byte(`"elapsed_ns":0`)
+		}
+		return []byte(`"started":"0001-01-01T00:00:00Z"`)
+	})
+}
+
+// goldenMCOutputs computes every pinned payload as compact JSON, at
+// parallelism 1 and at 8, and fails when the two differ.
 func goldenMCOutputs(t *testing.T) map[string]json.RawMessage {
 	t.Helper()
 	out := map[string]json.RawMessage{}
-	eng := engine.New()
+	serial, parallel := engine.New(engine.WithParallelism(1)), engine.New(engine.WithParallelism(8))
 	for name, spec := range goldenMCSpecs() {
-		res, err := eng.Run(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		var payloads [2][]byte
+		for i, eng := range []*engine.Engine{serial, parallel} {
+			res, err := eng.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			data, err := json.Marshal(res.Data)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			payloads[i] = zeroWallClock(data)
 		}
-		data, err := json.Marshal(res.Data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if !bytes.Equal(payloads[0], payloads[1]) {
+			t.Errorf("%s: parallelism 8 changed the result bytes;\nserial:   %s\nparallel: %s", name, payloads[0], payloads[1])
 		}
-		out[name] = data
+		out[name] = payloads[0]
 	}
 	// The fault-free site census of the bit-sliced schedule: the number
 	// of error sites one block visits, which every site-numbered forced
@@ -139,6 +175,10 @@ func TestGoldenMonteCarlo(t *testing.T) {
 		t.Errorf("%s holds %d cases, the test computes %d", mcGoldenFile, len(want), len(got))
 	}
 	for name, data := range got {
+		if want[name] == nil {
+			t.Errorf("%s: no entry in %s (regenerate with -update)", name, mcGoldenFile)
+			continue
+		}
 		var golden bytes.Buffer
 		if err := json.Compact(&golden, want[name]); err != nil {
 			t.Errorf("%s: golden payload: %v", name, err)
