@@ -59,7 +59,7 @@ func BenchmarkTable2Shor(b *testing.B) {
 // side by side. The bit-sliced backend packs 64 trials per word; at
 // level 2 it must stay at least 10× faster, which CI's kernel gate
 // checks in one process at -benchtime 0.2s (steady state on a 2-core
-// Xeon: ~28×).
+// Xeon: ~26×, the median of seven 1 s runs that read 21–31×).
 func benchFig7Trial(b *testing.B, level int, seed uint64) {
 	for _, backend := range []string{threshold.BackendScalar, threshold.BackendBatch} {
 		b.Run(backend, func(b *testing.B) {

@@ -79,17 +79,6 @@ func TestQuickDecodeIdempotent(t *testing.T) {
 	}
 }
 
-// Property: level-1 recursive decoding agrees with direct block decoding.
-func TestQuickRecursiveConsistent(t *testing.T) {
-	f := func(mask uint8) bool {
-		w := wordFromMask(mask)
-		return DecodeRecursive(w[:], 1) == DecodeBlock(w)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Exhaustive complement of the properties: every one of the 128 error
 // words decodes to the coset of its nearest codeword (distance-3 promise:
 // weight-1 words never fail).

@@ -6,8 +6,10 @@
 // transversally."
 //
 // The package provides the stabilizer generators, logical operators, the
-// |0⟩_L encoding circuit, syndrome arithmetic (classical Hamming decode),
-// and hierarchical (recursive) decoding used to score logical failures.
+// |0⟩_L encoding circuit, and syndrome arithmetic (classical Hamming
+// decode) with the ideal block decoding used to score logical failures;
+// a level-2 word decodes hierarchically by decoding each block's logical
+// bit and then the seven bits as one word.
 package steane
 
 import (
@@ -150,36 +152,4 @@ func CorrectWord(bits *[N]int) bool {
 func DecodeBlock(bits [N]int) int {
 	CorrectWord(&bits)
 	return Parity(bits)
-}
-
-// BlocksPerLevel returns 7^level: the number of physical qubits per logical
-// qubit at the given recursion level (data qubits only, excluding ancilla).
-func BlocksPerLevel(level int) int {
-	if level < 0 {
-		panic("steane: negative recursion level")
-	}
-	n := 1
-	for i := 0; i < level; i++ {
-		n *= N
-	}
-	return n
-}
-
-// DecodeRecursive performs ideal hierarchical decoding of a level-L error
-// word over 7^L physical bits (one error component, X or Z): each group of
-// 7 is decoded to its logical value, recursively, and the final logical bit
-// is returned (1 = logical error at the top level).
-func DecodeRecursive(bits []int, level int) int {
-	if len(bits) != BlocksPerLevel(level) {
-		panic(fmt.Sprintf("steane: DecodeRecursive got %d bits for level %d", len(bits), level))
-	}
-	if level == 0 {
-		return bits[0] & 1
-	}
-	sub := BlocksPerLevel(level - 1)
-	var word [N]int
-	for b := 0; b < N; b++ {
-		word[b] = DecodeRecursive(bits[b*sub:(b+1)*sub], level-1)
-	}
-	return DecodeBlock(word)
 }

@@ -176,44 +176,6 @@ func TestDecodeBlock(t *testing.T) {
 	}
 }
 
-func TestDecodeRecursive(t *testing.T) {
-	// Level 1 with a single physical error: no failure.
-	bits := make([]int, 7)
-	bits[3] = 1
-	if DecodeRecursive(bits, 1) != 0 {
-		t.Error("level-1 single error should decode cleanly")
-	}
-	// Level 2 (49 bits): one error in each of two different sub-blocks is
-	// still corrected (each block fixes its own).
-	bits = make([]int, 49)
-	bits[0] = 1 // block 0
-	bits[8] = 1 // block 1
-	if DecodeRecursive(bits, 2) != 0 {
-		t.Error("level-2 sparse errors should decode cleanly")
-	}
-	// A full logical error in enough blocks to fool level 2: logical X on
-	// blocks 0..6 (all bits set) is the top-level logical operator.
-	for i := range bits {
-		bits[i] = 1
-	}
-	if DecodeRecursive(bits, 2) != 1 {
-		t.Error("top-level logical operator must fail decoding")
-	}
-	// Level 0 passthrough.
-	if DecodeRecursive([]int{1}, 0) != 1 || DecodeRecursive([]int{0}, 0) != 0 {
-		t.Error("level-0 decode should be identity")
-	}
-}
-
-func TestBlocksPerLevel(t *testing.T) {
-	want := []int{1, 7, 49, 343}
-	for l, w := range want {
-		if got := BlocksPerLevel(l); got != w {
-			t.Errorf("BlocksPerLevel(%d) = %d, want %d", l, got, w)
-		}
-	}
-}
-
 func TestEncoderDetectsInjectedError(t *testing.T) {
 	// Inject each single-qubit X error after encoding; the Z-stabilizer
 	// syndrome measured via expectations must identify it.

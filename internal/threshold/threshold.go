@@ -1,3 +1,35 @@
+// Package threshold implements the paper's Figure-7 experiment: gate-level
+// Monte Carlo simulation of a single logical one-qubit gate followed by
+// recursive Steane [[7,1,3]] error correction at levels 1 and 2, mapped to
+// the Figure-5 layout distances, with the movement failure rate pinned to
+// the expected value while all other component failure rates sweep.
+//
+// The simulation follows the paper's procedure exactly:
+//   - ancilla blocks are prepared with encoder + verification ions and
+//     re-prepared on verification failure ("Start Over" in Figure 6);
+//   - syndromes are re-extracted until two successive extractions agree;
+//   - at level 2 a non-trivial syndrome's correction is followed by
+//     level-1 error correction of the corrected block (Equation 1), and
+//     ancilla conglomerations are built from seven level-1 blocks via the
+//     transversal encoder;
+//   - trials are scored by ideal hierarchical decoding of the residual
+//     Pauli frame: a residual logical operator is a gate failure.
+//
+// The procedure is written once, as a schedule over lane masks
+// (schedule.go): every step names the lanes (trials) that execute it, and
+// per-lane control flow — ancilla "Start Over" retries, the
+// agreeing-syndromes rule — re-runs steps only for the lanes that need
+// them. The schedule drives an executor, one call per transversal 7-ion
+// step. Two executors make the two Monte Carlo backends. The default
+// batch executor (batch.go) bit-slices 64 independent trials per word on
+// pauliframe.Batch lane masks, with resolved noise.BatchModel sites and
+// steane's bit-sliced decoders. The scalar executor (scalar.go) runs one
+// trial in lane 0 over its own pauliframe.Frame, noise.Model and scalar
+// decoders, and is kept as the reference oracle: the backends agree
+// exactly under deterministic single-fault injection and statistically
+// under random noise. Fixed Seed + Backend reproduces bit-identical
+// statistics at any Parallelism; the two backends draw different random
+// streams, so across backends agreement is statistical only.
 package threshold
 
 import (
@@ -8,7 +40,6 @@ import (
 	"sync"
 
 	"qla/internal/iontrap"
-	"qla/internal/noise"
 	"qla/internal/pauliframe"
 )
 
@@ -112,12 +143,7 @@ func RunCtx(ctx context.Context, cfg Config) (Point, error) {
 // reference oracle path).
 func runScalar(ctx context.Context, cfg Config) (blockStats, error) {
 	return fanOut(ctx, cfg.Parallelism, cfg.Trials, func(trial int) blockStats {
-		fail, ext, nt, pr := runTrial(cfg, uint64(trial))
-		r := blockStats{extractions: ext, nontrivial: nt, prepRetries: pr}
-		if fail {
-			r.failures = 1
-		}
-		return r
+		return runTrial(cfg, uint64(trial))
 	})
 }
 
@@ -133,6 +159,14 @@ func runBatched(ctx context.Context, cfg Config) (blockStats, error) {
 		}
 		return runBlock(cfg, params, uint64(block), lanes)
 	})
+}
+
+// blockStats aggregates the trials of a run, a block or one trial.
+type blockStats struct {
+	failures    int64
+	extractions int64
+	nontrivial  int64
+	prepRetries int64
 }
 
 func (a *blockStats) add(b blockStats) {
@@ -180,74 +214,6 @@ func fanOut(ctx context.Context, parallelism, units int, run func(unit int) bloc
 		total.add(r)
 	}
 	return total, nil
-}
-
-// runTrial simulates one logical one-qubit gate followed by error
-// correction at the configured level, returning failure and syndrome
-// statistics for the top level.
-func runTrial(cfg Config, trial uint64) (fail bool, extractions, nontrivial, prepRetries int64) {
-	params := iontrap.Uniform(cfg.PhysError, cfg.MovePerCell)
-	seed := cfg.Seed ^ (trial+1)*0x9e3779b97f4a7c15 ^ uint64(cfg.Level)<<60
-	model := noise.NewModel(params, seed)
-
-	if cfg.Level == 1 {
-		s := sim{f: pauliframe.New(groupSize), m: model}
-		g := makeGroup(0)
-		// Transversal logical one-qubit gate (Pauli: frame-transparent,
-		// contributes only its per-ion gate noise).
-		for _, q := range g.Data {
-			s.gate1Noise(q)
-		}
-		s.l1EC(g)
-		return s.dataResidualFail(g), s.extractions[1], s.nontrivial[1], s.prepRetries
-	}
-
-	s := l2sim{sim: sim{f: pauliframe.New(l2FrameSize), m: model}}
-	s.data, s.xSide, s.zSide, s.xVerif, s.zVerif = newL2Layout()
-	for b := 0; b < 7; b++ {
-		for _, q := range s.data[b].Data {
-			s.gate1Noise(q)
-		}
-	}
-	s.l2EC()
-	return s.residualFail(), s.extractions[2], s.nontrivial[2], s.prepRetries
-}
-
-// SingleFaultTrial runs one level-1 or level-2 trial with exactly one
-// forced error at the given noise site (choice selects the error variant;
-// see noise.Model) and no other noise anywhere. It reports whether the
-// trial ended in logical failure and how many sites the trial visited.
-// Running with site < 0 injects nothing (a clean census pass).
-//
-// This is the fault-tolerance verifier: a correct gadget never fails under
-// any single fault.
-func SingleFaultTrial(level int, site int64, choice int) (fail bool, totalSites int64) {
-	model := noise.NewModel(iontrap.Uniform(0, 0), 1)
-	model.ForceEnabled = true
-	model.ForceSite = site
-	model.ForceChoice = choice
-	if site < 0 {
-		model.ForceSite = -1 << 62
-	}
-
-	if level == 1 {
-		s := sim{f: pauliframe.New(groupSize), m: model}
-		g := makeGroup(0)
-		for _, q := range g.Data {
-			s.gate1Noise(q)
-		}
-		s.l1EC(g)
-		return s.dataResidualFail(g), model.Sites()
-	}
-	s := l2sim{sim: sim{f: pauliframe.New(l2FrameSize), m: model}}
-	s.data, s.xSide, s.zSide, s.xVerif, s.zVerif = newL2Layout()
-	for b := 0; b < 7; b++ {
-		for _, q := range s.data[b].Data {
-			s.gate1Noise(q)
-		}
-	}
-	s.l2EC()
-	return s.residualFail(), model.Sites()
 }
 
 // SweepCtx runs the Monte Carlo at each physical error rate for one
